@@ -2,8 +2,8 @@
 
 Each subcommand writes exactly one JSON document to stdout; diagnostics
 go to stderr.  Exit codes: 0 success, 1 verification failure, 2 usage
-error.  The vertex cap for generated graphs defaults to 2^21 and can be
-overridden with the EFFDOM_SIZE_CAP environment variable.
+error.  The vertex cap for generated and loaded graphs defaults to 2^21
+and can be overridden with the EFFDOM_SIZE_CAP environment variable.
 
 Field alphabets are selected with --q and --b: GF(q) with q = p^b, where
 --q alone means a prime field.  The --alphabet flag of gen builds a
@@ -22,6 +22,7 @@ from .domination import verify_dominating, verify_efficient
 from .fields import GF
 from .graphs import (
     DEFAULT_SIZE_CAP,
+    Graph,
     SizeCapExceeded,
     complete,
     complete_bipartite,
@@ -47,6 +48,10 @@ def _size_cap() -> int:
     return cap
 
 
+def _load_graph(path: str) -> Graph:
+    return jsonio.graph_from_doc(jsonio.load_json(path), size_cap=_size_cap())
+
+
 def _field_from_flags(q: int, b: Optional[int]) -> GF:
     if b is None:
         return GF(q)
@@ -61,6 +66,15 @@ def _field_from_flags(q: int, b: Optional[int]) -> GF:
 
 def _emit(doc: dict) -> None:
     sys.stdout.write(jsonio.dump_json(doc))
+
+
+def _certificate_doc(cert: partitions.CoverCertificate) -> dict:
+    return {
+        "certified": True,
+        "kind": cert.kind,
+        "fold": cert.fold,
+        "base_size": cert.base_size,
+    }
 
 
 def _cmd_gen(args) -> int:
@@ -94,7 +108,7 @@ def _require(value, flag: str):
 
 
 def _cmd_verify(args) -> int:
-    g = jsonio.graph_from_doc(jsonio.load_json(args.graph))
+    g = _load_graph(args.graph)
     f = jsonio.function_from_doc(jsonio.load_json(args.function))
     report = (verify_dominating if args.dominating else verify_efficient)(g, f)
     doc = {
@@ -158,20 +172,12 @@ def _cmd_verify_plan(args) -> int:
     except AssertionError as exc:
         sys.stderr.write(f"plan verification failed: {exc}\n")
         return 1
-    doc = {
-        "v": SCHEMA_VERSION,
-        "certified": True,
-        "kind": cert.kind,
-        "fold": cert.fold,
-        "base_size": cert.base_size,
-        "mode": cert.mode,
-    }
-    _emit(doc)
+    _emit({"v": SCHEMA_VERSION, **_certificate_doc(cert), "mode": cert.mode})
     return 0
 
 
 def _cmd_spectrum(args) -> int:
-    g = jsonio.graph_from_doc(jsonio.load_json(args.graph))
+    g = _load_graph(args.graph)
     report = spectral.minus_one_multiplicity(g)
     doc = {
         "v": SCHEMA_VERSION,
@@ -183,7 +189,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    g = jsonio.graph_from_doc(jsonio.load_json(args.graph))
+    g = _load_graph(args.graph)
     cfg = search.SearchConfig(j=args.j, k=args.k, node_limit=args.limit)
     outcome = search.enumerate_efficient(g, cfg)
     doc = {
@@ -203,7 +209,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_spectrum_k(args) -> int:
-    g = jsonio.graph_from_doc(jsonio.load_json(args.graph))
+    g = _load_graph(args.graph)
     counts = search.k_spectrum(g, args.j, node_limit=args.limit)
     doc = {
         "v": SCHEMA_VERSION,
@@ -215,7 +221,7 @@ def _cmd_spectrum_k(args) -> int:
 
 
 def _cmd_partition(args) -> int:
-    g = jsonio.graph_from_doc(jsonio.load_json(args.graph))
+    g = _load_graph(args.graph)
     cells = jsonio.partition_from_doc(jsonio.load_json(args.partition), g.n)
     b = partitions.characteristic_matrix(g, cells)
     weights = partitions.is_dominatable(g, cells) if b is not None else None
@@ -230,8 +236,8 @@ def _cmd_partition(args) -> int:
 
 
 def _cmd_cover(args) -> int:
-    g = jsonio.graph_from_doc(jsonio.load_json(args.graph))
-    base = jsonio.graph_from_doc(jsonio.load_json(args.base))
+    g = _load_graph(args.graph)
+    base = _load_graph(args.base)
     cells = jsonio.partition_from_doc(jsonio.load_json(args.partition), g.n)
     if args.k is None:
         cert = partitions.verify_cover(g, cells, base)
@@ -240,20 +246,13 @@ def _cmd_cover(args) -> int:
     if cert is None:
         _emit({"v": SCHEMA_VERSION, "certified": False})
         return 1
-    doc = {
-        "v": SCHEMA_VERSION,
-        "certified": True,
-        "kind": cert.kind,
-        "fold": cert.fold,
-        "base_size": cert.base_size,
-    }
-    _emit(doc)
+    _emit({"v": SCHEMA_VERSION, **_certificate_doc(cert)})
     return 0
 
 
 def _cmd_lift(args) -> int:
-    g = jsonio.graph_from_doc(jsonio.load_json(args.graph))
-    base = jsonio.graph_from_doc(jsonio.load_json(args.base))
+    g = _load_graph(args.graph)
+    base = _load_graph(args.base)
     cells = jsonio.partition_from_doc(jsonio.load_json(args.partition), g.n)
     f = jsonio.function_from_doc(jsonio.load_json(args.function))
     cert = partitions.verify_cover(g, cells, base)
@@ -276,18 +275,12 @@ def _cmd_translate(args) -> int:
     fdoc = jsonio.load_json(args.function)
     f = jsonio.function_from_doc(fdoc)
     support = [v for v, x in enumerate(f.values) if x]
-    conn_doc = jsonio.load_json(args.connection)
-    connection = [int(c) for c in conn_doc["connection"]]
+    connection = jsonio.connection_from_doc(jsonio.load_json(args.connection))
     cells, cert = partitions.translate_cover(gf, args.d, connection, support)
     doc = {
         "v": SCHEMA_VERSION,
         "partition": jsonio.partition_to_doc(cells),
-        "certificate": {
-            "certified": True,
-            "kind": cert.kind,
-            "fold": cert.fold,
-            "base_size": cert.base_size,
-        },
+        "certificate": _certificate_doc(cert),
     }
     _emit(doc)
     return 0

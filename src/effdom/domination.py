@@ -8,10 +8,11 @@ the adjacency matrix, efficiency says (A + I) f = k 1.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Optional, Sequence, Set, Tuple
+from typing import Callable, Optional, Set, Tuple
 
-from .graphs import Graph
+from .graphs import Graph, closed_sums, equitable_quotient
 
 __all__ = [
     "DominatingFunction",
@@ -59,46 +60,28 @@ def _check_function(x: Graph, f: DominatingFunction) -> None:
             raise ValueError(f"value {val} at vertex {v} outside [0, {f.j}]")
 
 
-def _closed_sums(x: Graph, values: Sequence[int]) -> list:
-    sums = []
-    for v, nbrs in enumerate(x.adjacency):
-        s = values[v]
-        for u in nbrs:
-            s += values[u]
-        sums.append(s)
-    return sums
+def _verify(x: Graph, f: DominatingFunction, holds: Callable[[int, int], bool]) -> VerificationReport:
+    _check_function(x, f)
+    violations = tuple(
+        (v, s) for v, s in enumerate(closed_sums(x, f.values)) if not holds(s, f.k)
+    )
+    ok = not violations
+    return VerificationReport(
+        ok=ok,
+        observed_k=f.k if ok else None,
+        violations=violations,
+        j_tight=bool(f.values) and max(f.values) == f.j,
+    )
 
 
 def verify_efficient(x: Graph, f: DominatingFunction) -> VerificationReport:
     """Report whether every closed neighborhood sums exactly to f.k."""
-    _check_function(x, f)
-    k = f.k
-    violations = tuple(
-        (v, s) for v, s in enumerate(_closed_sums(x, f.values)) if s != k
-    )
-    ok = not violations
-    return VerificationReport(
-        ok=ok,
-        observed_k=k if ok else None,
-        violations=violations,
-        j_tight=bool(f.values) and max(f.values) == f.j,
-    )
+    return _verify(x, f, operator.eq)
 
 
 def verify_dominating(x: Graph, f: DominatingFunction) -> VerificationReport:
     """Report whether every closed neighborhood sums to at least f.k."""
-    _check_function(x, f)
-    k = f.k
-    violations = tuple(
-        (v, s) for v, s in enumerate(_closed_sums(x, f.values)) if s < k
-    )
-    ok = not violations
-    return VerificationReport(
-        ok=ok,
-        observed_k=k if ok else None,
-        violations=violations,
-        j_tight=bool(f.values) and max(f.values) == f.j,
-    )
+    return _verify(x, f, operator.ge)
 
 
 def divisibility_feasible(n: int, r: int, k: int) -> bool:
@@ -154,11 +137,5 @@ def two_cell_partition_check(x: Graph, support: Set[int], k: int) -> bool:
             raise ValueError(f"support vertex {v} out of range")
     if not s or len(s) == x.n:
         return False
-    for v in range(x.n):
-        inside = sum(1 for u in x.adjacency[v] if u in s)
-        if v in s:
-            if inside != k - 1:
-                return False
-        elif r - inside != r - k:
-            return False
-    return True
+    rows = equitable_quotient(x, [0 if v in s else 1 for v in range(x.n)])
+    return rows == {0: [0] * (k - 1) + [1] * (r - k + 1), 1: [0] * k + [1] * (r - k)}

@@ -11,8 +11,9 @@ package.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .fields import GF
 
@@ -31,6 +32,8 @@ __all__ = [
     "adjacency_matrix",
     "adjacency_plus_identity",
     "closed_neighborhood_sum",
+    "closed_sums",
+    "equitable_quotient",
 ]
 
 DEFAULT_SIZE_CAP = 1 << 21
@@ -86,14 +89,8 @@ class Graph:
 
 
 def _binary_member(seq: List[int], x: int) -> bool:
-    lo, hi = 0, len(seq)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if seq[mid] < x:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo < len(seq) and seq[lo] == x
+    i = bisect_left(seq, x)
+    return i < len(seq) and seq[i] == x
 
 
 def _check_cap(n: int, size_cap: int) -> None:
@@ -155,20 +152,22 @@ def hamming_graph(q, d: int, size_cap: int = DEFAULT_SIZE_CAP) -> Graph:
     n = q ** d
     _check_cap(n, size_cap)
     powers = [q ** i for i in range(d)]
-    adj = []
-    for v in range(n):
-        nbrs = []
-        rem = v
-        for i in range(d):
-            x = rem % q
-            rem //= q
-            base = v - x * powers[i]
-            for s in range(q):
-                if s != x:
-                    nbrs.append(base + s * powers[i])
-        nbrs.sort()
-        adj.append(nbrs)
+    adj = [sorted(hamming_neighbors(q, powers, v)) for v in range(n)]
     return Graph(n, adj, f"H({q},{d})")
+
+
+def hamming_neighbors(q: int, powers: Sequence[int], v: int) -> List[int]:
+    """Unsorted neighbours of rank v in H(q, d), given powers = [q^0, ..., q^(d-1)]."""
+    nbrs = []
+    rem = v
+    for pw in powers:
+        x = rem % q
+        rem //= q
+        base = v - x * pw
+        for s in range(q):
+            if s != x:
+                nbrs.append(base + s * pw)
+    return nbrs
 
 
 def folded_cube(d: int, size_cap: int = DEFAULT_SIZE_CAP) -> Graph:
@@ -242,3 +241,30 @@ def closed_neighborhood_sum(x: Graph, values: Sequence[int], v: int) -> int:
     for u in x.adjacency[v]:
         s += values[u]
     return s
+
+
+def closed_sums(x: Graph, values: Sequence[int]) -> List[int]:
+    """(A + I) f: the closed neighbourhood sum of values at every vertex."""
+    sums = []
+    for v, nbrs in enumerate(x.adjacency):
+        s = values[v]
+        for u in nbrs:
+            s += values[u]
+        sums.append(s)
+    return sums
+
+
+def equitable_quotient(x: Graph, labels: Sequence[int]) -> Optional[Dict[int, List[int]]]:
+    """Sorted neighbour labels of each label class, or None if not equitable.
+
+    Maps every label to the sorted multiset of labels on the neighbours
+    of a vertex carrying it, when all vertices with that label see the
+    same multiset; that is exactly when the label classes form an
+    equitable partition, and the multisets are the rows of its quotient.
+    """
+    rows: Dict[int, List[int]] = {}
+    for v, nbrs in enumerate(x.adjacency):
+        row = sorted([labels[u] for u in nbrs])
+        if rows.setdefault(labels[v], row) != row:
+            return None
+    return rows

@@ -36,6 +36,7 @@ from .graphs import (
     SizeCapExceeded,
     complete,
     hamming_graph,
+    hamming_neighbors,
     vertex_tuple,
 )
 from .linalg import field_rank, kernel_basis, mat_vec, solve_affine
@@ -291,17 +292,9 @@ def verify_plan(
     for _ in range(sample):
         value, state = _splitmix64(state)
         v = value % n
-        own = plan.fibre_of(v)
         counts = [0] * plan.fibre_count
-        rem = v
-        for i in range(d):
-            x_dig = rem % q
-            rem //= q
-            base = v - x_dig * powers[i]
-            for s in range(q):
-                if s != x_dig:
-                    counts[plan.fibre_of(base + s * powers[i])] += 1
-        counts[own] += 1
+        for u in hamming_neighbors(q, powers, v) + [v]:
+            counts[plan.fibre_of(u)] += 1
         if any(c != m for c in counts):
             raise AssertionError(
                 f"closed neighborhood of vertex {v} meets some coset {counts} != {m} times"

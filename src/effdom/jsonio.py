@@ -9,10 +9,10 @@ row-major order.
 from __future__ import annotations
 
 import json
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 from .domination import DominatingFunction
-from .graphs import Graph
+from .graphs import DEFAULT_SIZE_CAP, Graph, SizeCapExceeded
 from .partitions import Cells, canonical_cells
 
 __all__ = [
@@ -23,6 +23,7 @@ __all__ = [
     "function_from_doc",
     "partition_to_doc",
     "partition_from_doc",
+    "connection_from_doc",
     "matrix_to_doc",
     "load_json",
     "dump_json",
@@ -40,16 +41,17 @@ def graph_to_doc(x: Graph) -> dict:
     }
 
 
-def graph_from_doc(doc: dict) -> Graph:
+def graph_from_doc(doc: dict, size_cap: int = DEFAULT_SIZE_CAP) -> Graph:
     try:
         n = int(doc["n"])
-        edges = doc["edges"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"graph document missing field: {exc}") from exc
+        edges = [(int(u), int(w)) for u, w in doc["edges"]]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"graph document missing field or malformed: {exc}") from exc
+    if n > size_cap:
+        raise SizeCapExceeded(f"{n} vertices exceeds the cap of {size_cap}")
     name = str(doc.get("name", "graph"))
     adjacency: List[List[int]] = [[] for _ in range(n)]
-    for e in edges:
-        u, w = int(e[0]), int(e[1])
+    for u, w in edges:
         if not (0 <= u < n and 0 <= w < n):
             raise ValueError(f"edge [{u}, {w}] has an endpoint outside [0, {n})")
         adjacency[u].append(w)
@@ -72,8 +74,8 @@ def function_from_doc(doc: dict) -> DominatingFunction:
             j=int(doc["j"]),
             k=int(doc["k"]),
         )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"function document missing field: {exc}") from exc
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise ValueError(f"function document missing field or malformed: {exc}") from exc
 
 
 def partition_to_doc(cells: Cells) -> dict:
@@ -82,10 +84,17 @@ def partition_to_doc(cells: Cells) -> dict:
 
 def partition_from_doc(doc: dict, n: int) -> Cells:
     try:
-        cells = doc["cells"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"partition document missing field: {exc}") from exc
-    return canonical_cells([[int(v) for v in cell] for cell in cells], n)
+        cells = [[int(v) for v in cell] for cell in doc["cells"]]
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise ValueError(f"partition document missing field or malformed: {exc}") from exc
+    return canonical_cells(cells, n)
+
+
+def connection_from_doc(doc: dict) -> List[int]:
+    try:
+        return [int(c) for c in doc["connection"]]
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise ValueError(f"connection document missing field or malformed: {exc}") from exc
 
 
 def matrix_to_doc(rows: Sequence[Sequence[int]]) -> dict:
@@ -100,7 +109,10 @@ def matrix_to_doc(rows: Sequence[Sequence[int]]) -> dict:
 
 def load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path} is nested too deeply to parse") from None
 
 
 def dump_json(doc: dict) -> str:

@@ -31,7 +31,6 @@ __all__ = [
     "kernel_basis",
     "solve_affine",
     "mat_vec",
-    "mat_mul",
     "int_rank",
     "int_kernel_basis",
     "char_poly",
@@ -144,19 +143,6 @@ def mat_vec(gf: GF, mat: Sequence[Sequence[int]], vec: Sequence[int]) -> List[in
                 acc = gf.add(acc, gf.mul(a, b))
         out.append(acc)
     return out
-
-
-def mat_mul(gf: GF, a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> List[List[int]]:
-    bt = list(zip(*b))
-    return [[_dot(gf, row, col) for col in bt] for row in a]
-
-
-def _dot(gf: GF, u: Sequence[int], v: Sequence[int]) -> int:
-    acc = 0
-    for a, b in zip(u, v):
-        if a and b:
-            acc = gf.add(acc, gf.mul(a, b))
-    return acc
 
 
 # ---------------------------------------------------------------------------

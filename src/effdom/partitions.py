@@ -2,12 +2,20 @@
 
 A partition of V(X) into cells C_1..C_s is equitable when every vertex of
 C_i has the same number b_ij of neighbors in C_j; the s x s matrix (b_ij)
-is its characteristic matrix.  A partition is dominatable when there are
-integers a_1..a_s with b_ll = a_l - 1 and b_il = a_l for i != l: then
-assigning the value alpha_l to all of C_l gives an efficient
-(max alpha, sum alpha_l a_l)-dominating function for any nonnegative
-alphas, because A + I collapses to the rank-one matrix 1 (a_1 ... a_s)
-on cell-constant vectors.
+is its characteristic matrix, the quotient of A by the partition.  A
+partition is dominatable when there are integers a_1..a_s with
+b_ll = a_l - 1 and b_il = a_l for i != l: then assigning the value
+alpha_l to all of C_l gives an efficient (max alpha, sum alpha_l a_l)-
+dominating function for any nonnegative alphas, because A + I collapses
+to the rank-one matrix 1 (a_1 ... a_s) on cell-constant vectors.
+
+Covers are equitable partitions of one shape.  A partition of X into
+fibres over the vertices of Y is an m-cover of Y exactly when it is
+equitable with characteristic matrix (m-1) I + m A_Y: each fibre induces
+an (m-1)-regular graph, each base edge carries an m-regular bipartite
+graph, and base non-edges carry nothing.  A 1-cover with equal fibres is
+an ordinary cover.  Every check here reads the quotient rows from
+graphs.equitable_quotient.
 
 Cells are canonicalized: sorted internally, then ordered by smallest
 element.  Cover certificates key fibres to base vertices through that
@@ -21,7 +29,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .domination import DominatingFunction, verify_efficient
 from .fields import GF
-from .graphs import Graph, cayley_graph, complete, vertex_rank, vertex_tuple
+from .graphs import Graph, cayley_graph, complete, equitable_quotient, vertex_rank, vertex_tuple
 from .linalg import char_poly, poly_divides, poly_mul
 
 __all__ = [
@@ -84,21 +92,13 @@ def _cell_index(cells: Cells, n: int) -> List[int]:
 def characteristic_matrix(x: Graph, cells: Sequence[Sequence[int]]) -> Optional[List[List[int]]]:
     """The matrix (b_ij) if the partition is equitable, else None."""
     cells = canonical_cells(cells, x.n)
-    idx = _cell_index(cells, x.n)
-    s = len(cells)
-    b: List[List[int]] = []
-    for i, cell in enumerate(cells):
-        row: Optional[List[int]] = None
-        for v in cell:
-            counts = [0] * s
-            for u in x.adjacency[v]:
-                counts[idx[u]] += 1
-            if row is None:
-                row = counts
-            elif counts != row:
-                return None
-        assert row is not None
-        b.append(row)
+    rows = equitable_quotient(x, _cell_index(cells, x.n))
+    if rows is None:
+        return None
+    b = [[0] * len(cells) for _ in cells]
+    for i, row in rows.items():
+        for j in row:
+            b[i][j] += 1
     return b
 
 
@@ -200,44 +200,28 @@ class CoverCertificate:
     mode: str = "full"
 
 
-def _cross_profile(x: Graph, cells: Cells, y: Graph, k: int) -> bool:
-    """Per-vertex check of fibre regularity and cross-fibre biregularity."""
+def _cover_certificate(x: Graph, cells: Cells, y: Graph, k: int, fold: int, kind: str) -> Optional[CoverCertificate]:
+    """Certificate if the partition is a k-cover of y, else None.
+
+    A k-cover is exactly an equitable partition whose quotient is
+    (k-1) I + k A_Y: row i lists i itself k-1 times and every base
+    neighbour of i k times.
+    """
+    if y.n != len(cells):
+        raise ValueError(f"base has {y.n} vertices but the partition has {len(cells)} cells")
     idx = _cell_index(cells, x.n)
-    s = len(cells)
-    if y.n != s:
-        raise ValueError(f"base has {y.n} vertices but the partition has {s} cells")
-    base_adj = [set(y.adjacency[i]) for i in range(s)]
-    counts = [0] * s
-    for v in range(x.n):
-        cv = idx[v]
-        touched = []
-        for u in x.adjacency[v]:
-            cu = idx[u]
-            if counts[cu] == 0:
-                touched.append(cu)
-            counts[cu] += 1
-        ok = True
-        if counts[cv] != k - 1:
-            ok = False
-        if ok:
-            for cu in touched:
-                if cu == cv:
-                    continue
-                if counts[cu] != (k if cu in base_adj[cv] else 0):
-                    ok = False
-                    break
-        if ok:
-            for cu in base_adj[cv]:
-                if counts[cu] != k:
-                    ok = False
-                    break
-        for cu in touched:
-            counts[cu] = 0
-        if counts[cv]:
-            counts[cv] = 0
-        if not ok:
-            return False
-    return True
+    rows = equitable_quotient(x, idx)
+    if rows is None:
+        return None
+    for i, nbrs in enumerate(y.adjacency):
+        if rows[i] != sorted([i] * (k - 1) + nbrs * k):
+            return None
+    return CoverCertificate(
+        base_size=y.n,
+        fold=fold,
+        kind=kind,
+        fibre_map=tuple(idx),
+    )
 
 
 def verify_cover(x: Graph, cells: Sequence[Sequence[int]], y: Graph) -> Optional[CoverCertificate]:
@@ -250,14 +234,7 @@ def verify_cover(x: Graph, cells: Sequence[Sequence[int]], y: Graph) -> Optional
     sizes = {len(c) for c in cells}
     if len(sizes) != 1:
         return None
-    if not _cross_profile(x, cells, y, 1):
-        return None
-    return CoverCertificate(
-        base_size=y.n,
-        fold=len(cells[0]),
-        kind="cover",
-        fibre_map=tuple(_cell_index(cells, x.n)),
-    )
+    return _cover_certificate(x, cells, y, 1, len(cells[0]), "cover")
 
 
 def verify_kcover(x: Graph, cells: Sequence[Sequence[int]], y: Graph, k: int) -> Optional[CoverCertificate]:
@@ -271,15 +248,7 @@ def verify_kcover(x: Graph, cells: Sequence[Sequence[int]], y: Graph, k: int) ->
         raise ValueError("k must be at least 1")
     if k == 1:
         return verify_cover(x, cells, y)
-    cells = canonical_cells(cells, x.n)
-    if not _cross_profile(x, cells, y, k):
-        return None
-    return CoverCertificate(
-        base_size=y.n,
-        fold=k,
-        kind="m-cover",
-        fibre_map=tuple(_cell_index(cells, x.n)),
-    )
+    return _cover_certificate(x, canonical_cells(cells, x.n), y, k, k, "m-cover")
 
 
 def lift(f: DominatingFunction, cert: CoverCertificate) -> DominatingFunction:

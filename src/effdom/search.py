@@ -1,7 +1,9 @@
 """Exhaustive search for efficient (j,k)-dominating functions.
 
 Backtracking over vertices in breadth-first order from vertex 0, trying
-values 0..j in increasing order.  Two-sided propagation prunes a branch
+values 0..j in increasing order, on an explicit stack so that the depth
+(one level per vertex) is not bounded by the interpreter's recursion
+limit.  Two-sided propagation prunes a branch
 as soon as some closed neighborhood either already exceeds k or can no
 longer reach k even if every unassigned member takes the value j.  The
 search is therefore exact: it enumerates every efficient function or
@@ -79,49 +81,53 @@ def _search(x: Graph, cfg: SearchConfig, first_only: bool) -> SearchOutcome:
     outcome = SearchOutcome()
     limit = cfg.node_limit
 
-    def feasible_after(u: int) -> bool:
-        for w in closed[u]:
-            ps = partial[w]
-            if ps > k or ps + j * unassigned[w] < k:
-                return False
-        return True
-
-    def descend(depth: int) -> bool:
-        """Returns True to stop the whole search (limit hit or witness found)."""
+    # tried[depth] is the value order[depth] holds now, -1 before the first
+    tried = [-1] * n
+    nodes = 0
+    depth = 0
+    while depth >= 0:
         if depth == n:
             outcome.functions.append(
                 DominatingFunction(values=tuple(values), j=j, k=k)
             )
-            return first_only
+            if first_only:
+                break
+            depth -= 1
+            continue
         u = order[depth]
-        for w in closed[u]:
-            unassigned[w] -= 1
-        for val in range(j + 1):
-            outcome.nodes += 1
-            if outcome.nodes > limit:
-                outcome.exhausted = False
-                outcome.diagnostic = f"node limit {limit} reached"
-                return True
-            values[u] = val
-            if val:
-                for w in closed[u]:
-                    partial[w] += val
-            if feasible_after(u) and descend(depth + 1):
-                if val:
-                    for w in closed[u]:
-                        partial[w] -= val
-                for w in closed[u]:
-                    unassigned[w] += 1
-                return True
-            if val:
-                for w in closed[u]:
-                    partial[w] -= val
-        values[u] = 0
-        for w in closed[u]:
-            unassigned[w] += 1
-        return False
+        cu = closed[u]
+        val = tried[depth]
+        if val < 0:
+            for w in cu:
+                unassigned[w] -= 1
+        elif val:
+            for w in cu:
+                partial[w] -= val
+        val += 1
+        if val > j:
+            tried[depth] = -1
+            for w in cu:
+                unassigned[w] += 1
+            depth -= 1
+            continue
+        nodes += 1
+        if nodes > limit:
+            outcome.exhausted = False
+            outcome.diagnostic = f"node limit {limit} reached"
+            break
+        values[u] = val
+        tried[depth] = val
+        if val:
+            for w in cu:
+                partial[w] += val
+        for w in cu:
+            ps = partial[w]
+            if ps > k or ps + j * unassigned[w] < k:
+                break
+        else:
+            depth += 1
 
-    descend(0)
+    outcome.nodes = nodes
     outcome.functions.sort(key=lambda f: f.values)
     return outcome
 

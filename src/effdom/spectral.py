@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from .domination import DominatingFunction
-from .graphs import Graph, SizeCapExceeded, adjacency_plus_identity
+from .graphs import Graph, SizeCapExceeded, adjacency_plus_identity, closed_sums
 from .linalg import int_kernel_basis
 
 __all__ = ["MinusOneReport", "minus_one_multiplicity", "function_from_eigenvector", "DEFAULT_RANK_CAP"]
@@ -54,10 +54,7 @@ def function_from_eigenvector(x: Graph, vec: Sequence[int]) -> DominatingFunctio
         raise ValueError(f"vector length {len(vec)} does not match {x.n} vertices")
     if not any(vec):
         raise ValueError("the zero vector is not an eigenvector")
-    for v in range(x.n):
-        s = vec[v]
-        for u in x.adjacency[v]:
-            s += vec[u]
+    for v, s in enumerate(closed_sums(x, vec)):
         if s != 0:
             raise ValueError(f"(A + I) vec is nonzero at vertex {v}")
     lo = min(vec)

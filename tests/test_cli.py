@@ -202,3 +202,42 @@ def test_threads_flag_accepted(capsys):
 def test_unknown_subcommand_exits(capsys):
     with pytest.raises(SystemExit):
         run(["frobnicate"])
+
+
+C4 = {"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3]]}
+CODE_Q3 = {"j": 1, "k": 1, "values": [1, 0, 0, 0, 0, 0, 0, 1]}
+
+
+@pytest.mark.parametrize("command, docs", [
+    ("spectrum", {"graph": {"n": 3, "edges": [1, 2]}}),
+    ("spectrum", {"graph": {"n": 3, "edges": [[0]]}}),
+    ("spectrum", {"graph": {"n": 3, "edges": 5}}),
+    ("spectrum", {"graph": '{"n": 1e400, "edges": []}'}),
+    ("partition", {"graph": C4, "partition": {"cells": [5]}}),
+    ("cover", {"graph": C4, "partition": {"cells": [5]}, "base": {"n": 2, "edges": [[0, 1]]}}),
+    ("translate", {"function": CODE_Q3, "connection": {"connection": 3}}),
+    ("translate", {"function": CODE_Q3, "connection": [1, 2, 4]}),
+    ("spectrum", {"graph": "[" * 100000 + "]" * 100000}),
+], ids=["edge-not-pair", "edge-too-short", "edges-not-list", "n-overflows",
+        "partition-cell-not-list", "cover-cell-not-list", "connection-not-list", "connection-doc-list",
+        "nested-too-deeply"])
+def test_malformed_documents_exit_2(capsys, tmp_path, command, docs):
+    argv = [command] + (["--q", "2", "--d", "3"] if command == "translate" else [])
+    for flag, doc in docs.items():
+        path = tmp_path / f"{flag}.json"
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
+        argv += [f"--{flag}", str(path)]
+    code, doc, err = invoke(capsys, argv)
+    assert code == 2 and doc is None
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_size_cap_on_load(capsys, monkeypatch, write_doc):
+    gpath = write_doc("c4.json", C4)
+    monkeypatch.setenv("EFFDOM_SIZE_CAP", "2")
+    code, doc, err = invoke(capsys, ["spectrum", "--graph", gpath])
+    assert code == 2 and doc is None
+    assert err == "size cap: 4 vertices exceeds the cap of 2\n"
+    monkeypatch.setenv("EFFDOM_SIZE_CAP", "4")
+    code2, doc2, _ = invoke(capsys, ["spectrum", "--graph", gpath])
+    assert code2 == 0 and doc2["multiplicity"] == 0

@@ -1,0 +1,124 @@
+"""Golden CLI corpus: every subcommand on small inputs, pinned by exit code
+and the sha256 of stdout.
+
+The digests were recorded from the command line before the neighbourhood
+kernels were unified; a refactor that keeps them keeps stdout byte for
+byte.  Input files are written to a temporary directory, and "{name}" in
+an argument list stands for the path of input file name.json.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from effdom.cli import run
+from effdom.graphs import complete, cycle, hamming_graph
+from effdom.jsonio import dump_json, graph_to_doc
+
+INPUTS = {
+    "c6": graph_to_doc(cycle(6)),
+    "k3": graph_to_doc(complete(3)),
+    "k4": graph_to_doc(complete(4)),
+    "k2": graph_to_doc(complete(2)),
+    "h23": graph_to_doc(hamming_graph(2, 3)),
+    "c6_code": {"j": 1, "k": 1, "values": [1, 0, 0, 1, 0, 0]},
+    "c6_bad": {"j": 1, "k": 1, "values": [1, 1, 0, 1, 0, 0]},
+    "c6_weak": {"j": 1, "k": 1, "values": [1, 0, 0, 0, 0, 0]},
+    "k3_code": {"j": 1, "k": 1, "values": [1, 0, 0]},
+    "h23_code": {"j": 1, "k": 1, "values": [1, 0, 0, 0, 0, 0, 0, 1]},
+    "c6_fibres": {"cells": [[0, 3], [1, 4], [2, 5]]},
+    "c6_pairs": {"cells": [[0, 1], [2, 3], [4, 5]]},
+    "c6_code_cells": {"cells": [[0, 3], [1, 2, 4, 5]]},
+    "c6_uneven": {"cells": [[0, 1], [2, 3, 4, 5]]},
+    "k4_halves": {"cells": [[0, 1], [2, 3]]},
+    "q3_conn": {"connection": [1, 2, 4]},
+}
+
+CASES = [
+    ("gen-complete", ["gen", "--family", "complete", "--n", "5"], 0,
+     "6088a8f3cc305f9b92c74e621630ee96003956426ccce4814209157c9053ca1b"),
+    ("gen-cycle", ["gen", "--family", "cycle", "--n", "7"], 0,
+     "88f89c3f24790d999d2b3864800ea7aaf39aac0da16e53c8e5a3739c4d9c614a"),
+    ("gen-complete-bipartite", ["gen", "--family", "complete-bipartite", "--m", "2", "--n", "3"], 0,
+     "ffeb24e68dfdd7fa3b47eb6d03fe8913ab82ae86e8c2c366ef94c1c740d4678c"),
+    ("gen-hamming-field", ["gen", "--family", "hamming", "--q", "4", "--b", "2", "--d", "2"], 0,
+     "da0ec668f6745ad7bf3ddcaf2a83d376372d86ae87afb2177d86eb613b3c5a49"),
+    ("gen-hamming-alphabet", ["gen", "--family", "hamming", "--alphabet", "3", "--d", "2"], 0,
+     "794df829acce0f80852e6ea829c4b4cbcbcb7ffb8c835b16bfbb68426e6790e0"),
+    ("gen-folded-cube", ["gen", "--family", "folded-cube", "--d", "5"], 0,
+     "7a37c5b4fa418f6555a0accdc419b4a1f43384c104cd3c612bff098ea41e9dbd"),
+    ("verify", ["verify", "--graph", "{c6}", "--function", "{c6_code}"], 0,
+     "cdb630a5ff3b1b1d4642d36fcc6d6a67a55baa29a67838ca2015fb7684303358"),
+    ("verify-fails", ["verify", "--graph", "{c6}", "--function", "{c6_bad}"], 1,
+     "78a7ab55f86555a4fa13b4b65cb64c30f60bbbe70598a24ff88d0905592df2db"),
+    ("verify-dominating", ["verify", "--dominating", "--graph", "{c6}", "--function", "{c6_bad}"], 0,
+     "2251a8ef839585fb5f8ef395327d8cf399fdf87ae9c2870e27c500c213273e18"),
+    ("verify-dominating-fails", ["verify", "--dominating", "--graph", "{c6}", "--function", "{c6_weak}"], 1,
+     "eb269da4d667b7c8c4a116ba9ec68ac2d5835aba7aceb3cddf0a69bf3c758c2f"),
+    ("construct", ["construct", "--q", "2", "--d", "5", "--k", "3"], 0,
+     "54a794602869b9362fa626ab07d20c5d9e2558a806ac5e74107dae021374da49"),
+    ("construct-gf4", ["construct", "--q", "4", "--b", "2", "--d", "5", "--k", "1"], 0,
+     "3c46a23b0168d0c95b2fa3eaecc5c0aaa444de4e609e6ee71375b68991e91df6"),
+    ("construct-infeasible", ["construct", "--q", "2", "--d", "5", "--k", "2"], 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("feasible", ["feasible", "--q", "4", "--b", "2", "--d", "13"], 0,
+     "bfd14fcde250241890c9cf6f6e04be657106aafb3771325231503752fe4abdf5"),
+    ("verify-plan-full", ["verify-plan", "--q", "3", "--d", "4"], 0,
+     "3934ed0e6fe9ebef0f03eb2e5a9d20cac85e5cefb49c323e7579ce766f8a588c"),
+    ("verify-plan-sampled", ["verify-plan", "--q", "4", "--b", "2", "--d", "5", "--sample", "40", "--seed", "7"], 0,
+     "168d47c1ad8f3880cd1e0f7d0a30e8aa37bc0d5807da242e9280af879d096676"),
+    ("spectrum", ["spectrum", "--graph", "{c6}"], 0,
+     "6d290682e57815bb92b8264019431b7267ebc92f7101161845985934859abfeb"),
+    ("spectrum-none", ["spectrum", "--graph", "{k4}"], 0,
+     "39037b5fa4b357ea39357509142e6dbc0cd6f30b2960bc66772966c70c0711c3"),
+    ("search", ["search", "--graph", "{h23}", "--j", "1", "--k", "2"], 0,
+     "049058ecdb80b23ec2e9a7fac611e5d4174361c4eeb67cbc3174d9a0604c3416"),
+    ("search-count-only", ["search", "--graph", "{c6}", "--j", "2", "--k", "3", "--count-only"], 0,
+     "dc11dbdc8f235d9d36deb060568e0bbe14e499469f6e21250cab779b503b3702"),
+    ("search-limit", ["search", "--graph", "{c6}", "--j", "2", "--k", "3", "--limit", "10"], 0,
+     "e96eaf458cf5ec4a8c2a73d206afef2d787e370f85a8d650e76cdfdfb8709760"),
+    ("spectrum-k", ["spectrum-k", "--graph", "{h23}", "--j", "1"], 0,
+     "4f308007f5e90a5f653d0d4a9a8dc8daa1bda94a4190601c1c16e51aeec13164"),
+    ("partition-equitable", ["partition", "--graph", "{c6}", "--partition", "{c6_code_cells}"], 0,
+     "8a955049b186f7379ca86993f2c987d398439192b8f20d0b3d81081e68b3dbb9"),
+    ("partition-not-equitable", ["partition", "--graph", "{c6}", "--partition", "{c6_uneven}"], 0,
+     "f173e4b9224c7853db16a2f9421343528c5ab0bb84eed5b34db3a189f31bd5f5"),
+    ("cover", ["cover", "--graph", "{c6}", "--partition", "{c6_fibres}", "--base", "{k3}"], 0,
+     "96b9322437acc8d41df482f816d8871cd997b10ca2d30c6d249574308684e311"),
+    ("cover-k", ["cover", "--graph", "{k4}", "--partition", "{k4_halves}", "--base", "{k2}", "--k", "2"], 0,
+     "b6dd850615755178852c96a8c720944699c895e515e7daf27b9bdaf4c850a1f0"),
+    ("cover-rejected", ["cover", "--graph", "{c6}", "--partition", "{c6_pairs}", "--base", "{k3}"], 1,
+     "164c78426c74654691be0539914d4ddc3a74ee9ee2d96f75a9441d3d4249d71e"),
+    ("lift", ["lift", "--graph", "{c6}", "--base", "{k3}", "--partition", "{c6_fibres}",
+              "--function", "{k3_code}"], 0,
+     "1df3d70708dd092d4c49aa94ed8c994b6a504f529f9a59359c918d959f7cff0e"),
+    ("lift-push", ["lift", "--push", "--graph", "{c6}", "--base", "{k3}", "--partition", "{c6_fibres}",
+                   "--function", "{c6_code}"], 0,
+     "81d71bb4237a033604ddf9059300f4222883dedc466aa7cba1f3b47a6b423bb0"),
+    ("translate", ["translate", "--q", "2", "--d", "3", "--function", "{h23_code}",
+                   "--connection", "{q3_conn}"], 0,
+     "30c3b251c6535ba08d91a7fc9c2eef9330d61aadda5cc765a2a2d7de0f9aab37"),
+]
+
+
+@pytest.fixture()
+def inputs(tmp_path):
+    paths = {}
+    for name, doc in INPUTS.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(dump_json(doc), encoding="utf-8")
+        paths[name] = str(path)
+    return paths
+
+
+def run_case(argv, paths, capsys):
+    code = run([arg.format(**paths) for arg in argv])
+    out = capsys.readouterr().out
+    return code, hashlib.sha256(out.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("argv, code, digest", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
+def test_golden(argv, code, digest, inputs, capsys):
+    assert run_case(argv, inputs, capsys) == (code, digest)

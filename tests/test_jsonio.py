@@ -7,9 +7,10 @@ import json
 import pytest
 
 from effdom.domination import DominatingFunction
-from effdom.graphs import complete_bipartite, cycle
+from effdom.graphs import SizeCapExceeded, complete_bipartite, cycle
 from effdom.jsonio import (
     SCHEMA_VERSION,
+    connection_from_doc,
     dump_json,
     function_from_doc,
     function_to_doc,
@@ -38,6 +39,20 @@ def test_graph_from_doc_rejects_bad_edges():
         graph_from_doc({"n": 2, "edges": [[0, 0]]})
     with pytest.raises(ValueError):
         graph_from_doc({"n": 2})
+    for edges in ([1, 2], [[0]], 5, [[0, None]]):
+        with pytest.raises(ValueError):
+            graph_from_doc({"n": 3, "edges": edges})
+    with pytest.raises(ValueError):
+        graph_from_doc({"n": float("inf"), "edges": []})
+
+
+def test_graph_from_doc_checks_cap_before_allocating():
+    # 10^12 adjacency lists would not fit in memory, so the cap must come first
+    with pytest.raises(SizeCapExceeded):
+        graph_from_doc({"n": 10 ** 12, "edges": []})
+    with pytest.raises(SizeCapExceeded):
+        graph_from_doc(graph_to_doc(cycle(6)), size_cap=5)
+    assert graph_from_doc(graph_to_doc(cycle(6)), size_cap=6).n == 6
 
 
 def test_function_roundtrip():
@@ -58,6 +73,15 @@ def test_partition_roundtrip():
     assert partition_from_doc({"cells": [[5, 4, 2, 1], [3, 0]]}, 6) == cells
     with pytest.raises(ValueError):
         partition_from_doc({"cells": [[0, 1]]}, 6)
+    with pytest.raises(ValueError):
+        partition_from_doc({"cells": [5]}, 6)
+
+
+def test_connection_from_doc():
+    assert connection_from_doc({"connection": [1, 2, 4]}) == [1, 2, 4]
+    for doc in ({"connection": 3}, [1, 2, 4], {"connection": [[1]]}):
+        with pytest.raises(ValueError):
+            connection_from_doc(doc)
 
 
 def test_matrix_doc():

@@ -132,3 +132,11 @@ def test_invalid_config():
         enumerate_efficient(cycle(6), SearchConfig(j=-1, k=1))
     with pytest.raises(ValueError):
         enumerate_efficient(cycle(6), SearchConfig(j=1, k=-1))
+
+
+def test_search_deeper_than_recursion_limit():
+    # one stack level per vertex: 2001 levels is past the default limit of 1000
+    outcome = enumerate_efficient(cycle(2001), SearchConfig(j=1, k=1))
+    assert outcome.exhausted and outcome.count == 3
+    for f in outcome.functions:
+        assert verify_efficient(cycle(2001), f).ok
