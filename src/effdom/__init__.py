@@ -5,7 +5,8 @@ closed neighborhood sums to exactly k.  The package verifies such
 functions, decides existence through the eigenvalue -1 of the adjacency
 matrix, constructs them on Hamming graphs H(q,d) from Hamming codes and
 coset covers, and searches small graphs exhaustively.  All arithmetic is
-exact; nothing uses floating point.
+exact; floating point appears only in modular matrix products whose sums
+stay below 2^53, where it is exact.
 """
 
 from .domination import (

@@ -81,11 +81,11 @@ def _cmd_gen(args) -> int:
     cap = _size_cap()
     fam = args.family
     if fam == "complete":
-        g = complete(_require(args.n, "--n"))
+        g = complete(_require(args.n, "--n"), size_cap=cap)
     elif fam == "cycle":
-        g = cycle(_require(args.n, "--n"))
+        g = cycle(_require(args.n, "--n"), size_cap=cap)
     elif fam == "complete-bipartite":
-        g = complete_bipartite(_require(args.m, "--m"), _require(args.n, "--n"))
+        g = complete_bipartite(_require(args.m, "--m"), _require(args.n, "--n"), size_cap=cap)
     elif fam == "folded-cube":
         g = folded_cube(_require(args.d, "--d"), size_cap=cap)
     elif fam == "hamming":
@@ -295,7 +295,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=1,
-        help="accepted for compatibility; all computations are deterministic and single-threaded",
+        help="accepted for compatibility and ignored; results do not depend on the thread count",
     )
     sub = top.add_subparsers(dest="command", required=True)
 

@@ -15,6 +15,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .fields import GF
 
 __all__ = [
@@ -117,23 +119,26 @@ def vertex_tuple(q: int, d: int, rank: int) -> Tuple[int, ...]:
     return tuple(out)
 
 
-def complete(n: int) -> Graph:
+def complete(n: int, size_cap: int = DEFAULT_SIZE_CAP) -> Graph:
     if n < 1:
         raise ValueError("complete graph needs n >= 1")
+    _check_cap(n, size_cap)
     adj = [[u for u in range(n) if u != v] for v in range(n)]
     return Graph(n, adj, f"K({n})")
 
 
-def cycle(n: int) -> Graph:
+def cycle(n: int, size_cap: int = DEFAULT_SIZE_CAP) -> Graph:
     if n < 3:
         raise ValueError("cycle needs n >= 3")
+    _check_cap(n, size_cap)
     adj = [sorted(((v - 1) % n, (v + 1) % n)) for v in range(n)]
     return Graph(n, adj, f"C({n})")
 
 
-def complete_bipartite(m: int, n: int) -> Graph:
+def complete_bipartite(m: int, n: int, size_cap: int = DEFAULT_SIZE_CAP) -> Graph:
     if m < 1 or n < 1:
         raise ValueError("complete bipartite graph needs both parts nonempty")
+    _check_cap(m + n, size_cap)
     left = list(range(m))
     right = list(range(m, m + n))
     adj = [right[:] for _ in left] + [left[:] for _ in right]
@@ -229,10 +234,11 @@ def adjacency_matrix(x: Graph) -> List[List[int]]:
     return m
 
 
-def adjacency_plus_identity(x: Graph) -> List[List[int]]:
-    m = adjacency_matrix(x)
-    for v in range(x.n):
-        m[v][v] = 1
+def adjacency_plus_identity(x: Graph) -> np.ndarray:
+    """A + I as an n x n int64 array."""
+    m = np.eye(x.n, dtype=np.int64)
+    rows = np.repeat(np.arange(x.n), [len(nbrs) for nbrs in x.adjacency])
+    m[rows, [u for nbrs in x.adjacency for u in nbrs]] = 1
     return m
 
 

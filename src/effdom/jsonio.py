@@ -32,6 +32,13 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 
+def _int(x) -> int:
+    """A JSON integer; floats, booleans and strings are refused, not converted."""
+    if type(x) is not int:
+        raise TypeError(f"expected an integer, got {x!r}")
+    return x
+
+
 def graph_to_doc(x: Graph) -> dict:
     return {
         "v": SCHEMA_VERSION,
@@ -43,9 +50,9 @@ def graph_to_doc(x: Graph) -> dict:
 
 def graph_from_doc(doc: dict, size_cap: int = DEFAULT_SIZE_CAP) -> Graph:
     try:
-        n = int(doc["n"])
-        edges = [(int(u), int(w)) for u, w in doc["edges"]]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        n = _int(doc["n"])
+        edges = [(_int(u), _int(w)) for u, w in doc["edges"]]
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"graph document missing field or malformed: {exc}") from exc
     if n > size_cap:
         raise SizeCapExceeded(f"{n} vertices exceeds the cap of {size_cap}")
@@ -70,11 +77,11 @@ def function_to_doc(f: DominatingFunction) -> dict:
 def function_from_doc(doc: dict) -> DominatingFunction:
     try:
         return DominatingFunction(
-            values=tuple(int(x) for x in doc["values"]),
-            j=int(doc["j"]),
-            k=int(doc["k"]),
+            values=tuple(_int(x) for x in doc["values"]),
+            j=_int(doc["j"]),
+            k=_int(doc["k"]),
         )
-    except (KeyError, TypeError, OverflowError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"function document missing field or malformed: {exc}") from exc
 
 
@@ -84,16 +91,16 @@ def partition_to_doc(cells: Cells) -> dict:
 
 def partition_from_doc(doc: dict, n: int) -> Cells:
     try:
-        cells = [[int(v) for v in cell] for cell in doc["cells"]]
-    except (KeyError, TypeError, OverflowError) as exc:
+        cells = [[_int(v) for v in cell] for cell in doc["cells"]]
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"partition document missing field or malformed: {exc}") from exc
     return canonical_cells(cells, n)
 
 
 def connection_from_doc(doc: dict) -> List[int]:
     try:
-        return [int(c) for c in doc["connection"]]
-    except (KeyError, TypeError, OverflowError) as exc:
+        return [_int(c) for c in doc["connection"]]
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"connection document missing field or malformed: {exc}") from exc
 
 

@@ -218,9 +218,11 @@ CODE_Q3 = {"j": 1, "k": 1, "values": [1, 0, 0, 0, 0, 0, 0, 1]}
     ("translate", {"function": CODE_Q3, "connection": {"connection": 3}}),
     ("translate", {"function": CODE_Q3, "connection": [1, 2, 4]}),
     ("spectrum", {"graph": "[" * 100000 + "]" * 100000}),
+    ("spectrum", {"graph": {"n": 3.9, "edges": [[0, 1.7], [1, 2], [0, 2]]}}),
+    ("spectrum", {"graph": {"n": 3, "edges": [[0, True], [1, 2], [0, 2]]}}),
 ], ids=["edge-not-pair", "edge-too-short", "edges-not-list", "n-overflows",
         "partition-cell-not-list", "cover-cell-not-list", "connection-not-list", "connection-doc-list",
-        "nested-too-deeply"])
+        "nested-too-deeply", "non-integer-numbers", "boolean-endpoint"])
 def test_malformed_documents_exit_2(capsys, tmp_path, command, docs):
     argv = [command] + (["--q", "2", "--d", "3"] if command == "translate" else [])
     for flag, doc in docs.items():
@@ -230,6 +232,16 @@ def test_malformed_documents_exit_2(capsys, tmp_path, command, docs):
     code, doc, err = invoke(capsys, argv)
     assert code == 2 and doc is None
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("family", [
+    ["complete", "--n", "5"], ["cycle", "--n", "5"], ["complete-bipartite", "--m", "2", "--n", "3"],
+])
+def test_size_cap_on_gen(capsys, monkeypatch, family):
+    monkeypatch.setenv("EFFDOM_SIZE_CAP", "2")
+    code, doc, err = invoke(capsys, ["gen", "--family"] + family)
+    assert code == 2 and doc is None
+    assert err == "size cap: 5 vertices exceeds the cap of 2\n"
 
 
 def test_size_cap_on_load(capsys, monkeypatch, write_doc):

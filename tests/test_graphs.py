@@ -104,6 +104,11 @@ def test_size_cap():
         hamming_graph(2, 5, size_cap=16)
     with pytest.raises(SizeCapExceeded):
         folded_cube(8, size_cap=32)
+    for make in (lambda cap: complete(5, size_cap=cap), lambda cap: cycle(5, size_cap=cap),
+                 lambda cap: complete_bipartite(2, 3, size_cap=cap)):
+        with pytest.raises(SizeCapExceeded):
+            make(4)
+        assert make(5).n == 5
 
 
 def test_closed_neighborhood_sum():

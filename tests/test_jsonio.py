@@ -84,6 +84,23 @@ def test_connection_from_doc():
             connection_from_doc(doc)
 
 
+def test_loaders_refuse_non_integers():
+    # int() would truncate 1.7 to 1 and read true as 1; the loaders refuse both
+    bad = [
+        lambda: graph_from_doc({"n": 3.0, "edges": []}),
+        lambda: graph_from_doc({"n": 3, "edges": [[0, 1.7]]}),
+        lambda: graph_from_doc({"n": 3, "edges": [[False, 1]]}),
+        lambda: function_from_doc({"values": [1, 0.5], "j": 1, "k": 1}),
+        lambda: function_from_doc({"values": [1, 0], "j": True, "k": 1}),
+        lambda: function_from_doc({"values": [1, 0], "j": 1, "k": "1"}),
+        lambda: partition_from_doc({"cells": [[0, 1.0], [2, 3]]}, 4),
+        lambda: connection_from_doc({"connection": [1, 2.5]}),
+    ]
+    for load in bad:
+        with pytest.raises(ValueError):
+            load()
+
+
 def test_matrix_doc():
     doc = matrix_to_doc([[1, 2, 3], [4, 5, 6]])
     assert doc == {"rows": 2, "cols": 3, "entries": [1, 2, 3, 4, 5, 6]}

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from math import comb
+
 import pytest
 
 from effdom.domination import verify_efficient
 from effdom.graphs import (
     SizeCapExceeded,
+    closed_neighborhood_sum,
     complete,
     complete_bipartite,
     cycle,
@@ -44,6 +47,37 @@ def test_folded_cube_multiplicities():
     assert minus_one_multiplicity(folded_cube(5)).multiplicity == 0
     assert minus_one_multiplicity(folded_cube(7)).multiplicity == 35
     assert minus_one_multiplicity(folded_cube(9)).multiplicity == 0
+
+
+def _hamming_minus_one(q, d):
+    # H(q,d) has eigenvalue (q-1)d - qi with multiplicity C(d,i)(q-1)^i
+    # (Brouwer, Cohen and Neumaier, Distance-Regular Graphs, 9.2)
+    i, rem = divmod((q - 1) * d + 1, q)
+    return 0 if rem else comb(d, i) * (q - 1) ** i
+
+
+def _folded_minus_one(d):
+    # F(d) has eigenvalue d - 4i with multiplicity C(d, 2i) (same source)
+    i, rem = divmod(d + 1, 4)
+    return 0 if rem else comb(d, 2 * i)
+
+
+CLOSED_FORMS = (
+    [(hamming_graph(2, d), _hamming_minus_one(2, d)) for d in range(3, 10)]
+    + [(hamming_graph(3, d), _hamming_minus_one(3, d)) for d in range(2, 5)]
+    + [(folded_cube(d), _folded_minus_one(d)) for d in range(3, 12)]
+)
+
+
+@pytest.mark.parametrize("x,mult", CLOSED_FORMS, ids=[x.name for x, _ in CLOSED_FORMS])
+def test_multiplicity_matches_closed_form_and_witness_is_a_kernel_vector(x, mult):
+    rep = minus_one_multiplicity(x)
+    assert rep.multiplicity == mult
+    if mult == 0:
+        assert rep.witness is None
+    else:
+        assert any(rep.witness)
+        assert all(closed_neighborhood_sum(x, rep.witness, v) == 0 for v in range(x.n))
 
 
 def test_witness_present_exactly_when_positive():
