@@ -1,9 +1,11 @@
-"""Scan folded cubes for eigenvalue -1 and test the divisibility pattern.
+"""Scan folded cubes for eigenvalue -1 and test its closed-form multiplicity.
 
-F_d is d-regular on 2^(d-1) vertices.  The scan computes the exact
-multiplicity of -1 for each d, converts one eigenvector to a verified
-efficient dominating function when the multiplicity is positive, and
-checks the prediction that -1 occurs exactly when 4 divides d + 1.
+F_d is d-regular on 2^(d-1) vertices, with eigenvalues d - 4i of
+multiplicity C(d, 2i).  The scan computes the exact multiplicity of -1
+for each d, converts one eigenvector to a verified efficient dominating
+function when the multiplicity is positive, and checks it against the
+closed form: C(d, (d+1)/2) when 4 divides d + 1, else 0.  It exits 1 on
+any mismatch.
 
 Usage:
     python3 scripts/folded_cube_scan.py
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import time
+from math import comb
 
 from effdom.domination import verify_efficient
 from effdom.graphs import folded_cube
@@ -30,7 +33,7 @@ def main() -> int:
                          "and d = 13 about 8 s and 460 MB")
     args = ap.parse_args()
 
-    header = f"{'d':>3} {'n':>6} {'mult(-1)':>9} {'4|(d+1)':>8} {'agree':>6} {'witness':<26} {'sec':>6}"
+    header = f"{'d':>3} {'n':>6} {'mult(-1)':>9} {'expected':>9} {'agree':>6} {'witness':<26} {'sec':>6}"
     print(header)
     print("-" * len(header))
     all_agree = True
@@ -38,8 +41,8 @@ def main() -> int:
         t0 = time.time()
         x = folded_cube(d)
         rep = minus_one_multiplicity(x)
-        predicted = (d + 1) % 4 == 0
-        agree = (rep.multiplicity > 0) == predicted
+        expected = comb(d, (d + 1) // 2) if (d + 1) % 4 == 0 else 0
+        agree = rep.multiplicity == expected
         if d >= 3:
             all_agree = all_agree and agree
         witness = "-"
@@ -50,16 +53,16 @@ def main() -> int:
             all_agree = all_agree and ok
         elapsed = time.time() - t0
         print(
-            f"{d:>3} {x.n:>6} {rep.multiplicity:>9} {str(predicted):>8}"
+            f"{d:>3} {x.n:>6} {rep.multiplicity:>9} {expected:>9}"
             f" {str(agree):>6} {witness:<26} {elapsed:>6.2f}"
         )
     print()
     if args.min_d < 3:
         print("note: d = 2 collapses to K_2 and is excluded from the verdict")
     if all_agree:
-        print("pattern confirmed: -1 is an eigenvalue of F_d exactly when 4 | d+1")
+        print("closed form confirmed: mult(-1) of F_d is C(d, (d+1)/2) when 4 | d+1, else 0")
         return 0
-    print("MISMATCH: some d >= 3 disagrees with the 4 | d+1 prediction")
+    print("MISMATCH: some d >= 3 disagrees with the closed-form multiplicity")
     return 1
 
 

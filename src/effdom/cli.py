@@ -19,7 +19,7 @@ from typing import List, Optional
 
 from . import hamming, jsonio, partitions, search, spectral
 from .domination import verify_dominating, verify_efficient
-from .fields import GF
+from .fields import GF, MAX_ORDER
 from .graphs import (
     DEFAULT_SIZE_CAP,
     Graph,
@@ -53,14 +53,18 @@ def _load_graph(path: str) -> Graph:
 
 
 def _field_from_flags(q: int, b: Optional[int]) -> GF:
+    # the order is bounded before any float root, power or primality test
+    if q > MAX_ORDER:
+        raise ValueError(f"field order {q} exceeds the supported maximum {MAX_ORDER}")
     if b is None:
         return GF(q)
     if b < 1:
         raise ValueError("--b must be at least 1")
-    p = round(q ** (1.0 / b))
-    for cand in (p - 1, p, p + 1):
-        if cand >= 2 and cand ** b == q:
-            return GF(cand, b)
+    if q >= 2 and b < q.bit_length():  # q = p^b >= 2^b has more than b bits
+        p = round(q ** (1.0 / b))
+        for cand in (p - 1, p, p + 1):
+            if cand >= 2 and cand ** b == q:
+                return GF(cand, b)
     raise ValueError(f"--q {q} is not a perfect {b}-th power")
 
 

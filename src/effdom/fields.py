@@ -8,14 +8,17 @@ fixed built-in irreducible polynomial, so codes mean the same element in
 every run and on every platform.
 
 Field elements travel through the rest of the package as plain ints; the
-GF object carries the arithmetic.
+GF object carries the arithmetic.  Addition and negation act on each
+base-p digit mod p (digitwise), so they extend unchanged to vectors over
+GF(p^b) packed as integers, and to integer arrays of them.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Dict, List, Tuple
 
-__all__ = ["GF", "MODULI"]
+__all__ = ["GF", "MODULI", "digitwise"]
 
 # Irreducible moduli for the supported extension fields, as coefficient
 # tuples lowest degree first (monic, so the last entry is 1).
@@ -45,6 +48,20 @@ def _is_prime(n: int) -> bool:
             return False
         f += 2
     return True
+
+
+def digitwise(p: int, places: int, op, *codes):
+    """op applied mod p to each base-p digit of codes below p^places.
+
+    codes may be ints or integer numpy arrays; digits of different places
+    never carry into each other.
+    """
+    if places == 1:
+        return op(*codes) % p
+    out = 0
+    for i in range(places):
+        out = out + op(*(c // p ** i % p for c in codes)) % p * p ** i
+    return out
 
 
 def _poly_mod(num: List[int], den: Tuple[int, ...], p: int) -> List[int]:
@@ -80,10 +97,14 @@ class GF:
     """The finite field GF(p^b), operating on integer element codes."""
 
     def __init__(self, p: int, b: int = 1):
-        if not _is_prime(p):
-            raise ValueError(f"p = {p} is not prime")
         if b < 1:
             raise ValueError(f"extension degree b = {b} must be >= 1")
+        # the order is bounded before p^b or the primality test is computed
+        if p > MAX_ORDER or (p > 1 and b > MAX_ORDER.bit_length()):
+            order = p if b == 1 else f"{p}^{b}"
+            raise ValueError(f"field order {order} exceeds the supported maximum {MAX_ORDER}")
+        if not _is_prime(p):
+            raise ValueError(f"p = {p} is not prime")
         q = p ** b
         if q > MAX_ORDER:
             raise ValueError(f"field order {q} exceeds the supported maximum {MAX_ORDER}")
@@ -122,46 +143,19 @@ class GF:
     def digits(self, a: int) -> Tuple[int, ...]:
         """Coefficient vector of a, lowest degree first, length b."""
         self._check(a)
-        out = []
-        for _ in range(self.b):
-            out.append(a % self.p)
-            a //= self.p
-        return tuple(out)
+        return tuple(a // self.p ** i % self.p for i in range(self.b))
 
     def from_digits(self, digs) -> int:
-        code = 0
-        for i, c in enumerate(digs):
-            code += (c % self.p) * self.p ** i
-        return self._check(code)
+        return self._check(sum(c % self.p * self.p ** i for i, c in enumerate(digs)))
 
     def add(self, a: int, b: int) -> int:
-        self._check(a)
-        self._check(b)
-        if self.b == 1:
-            return (a + b) % self.p
-        code = 0
-        pw = 1
-        for _ in range(self.b):
-            code += ((a + b) % self.p) * pw
-            a //= self.p
-            b //= self.p
-            pw *= self.p
-        return code
+        return digitwise(self.p, self.b, operator.add, self._check(a), self._check(b))
 
     def neg(self, a: int) -> int:
-        self._check(a)
-        if self.b == 1:
-            return (-a) % self.p
-        code = 0
-        pw = 1
-        for _ in range(self.b):
-            code += (-a % self.p) * pw
-            a //= self.p
-            pw *= self.p
-        return code
+        return digitwise(self.p, self.b, operator.neg, self._check(a))
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        return digitwise(self.p, self.b, operator.sub, self._check(a), self._check(b))
 
     def mul(self, a: int, b: int) -> int:
         self._check(a)
@@ -182,9 +176,6 @@ class GF:
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
         return self.pow(a, self.q - 2)
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
 
     def pow(self, a: int, e: int) -> int:
         self._check(a)

@@ -11,13 +11,14 @@ package.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .fields import GF
+from .fields import GF, digitwise
 
 __all__ = [
     "Graph",
@@ -31,14 +32,19 @@ __all__ = [
     "hamming_graph",
     "folded_cube",
     "cayley_graph",
+    "capped_power",
+    "rank_array",
+    "hamming_neighbors",
     "adjacency_matrix",
-    "adjacency_plus_identity",
     "closed_neighborhood_sum",
     "closed_sums",
     "equitable_quotient",
 ]
 
 DEFAULT_SIZE_CAP = 1 << 21
+
+# Vertices per numpy block, so temporaries stay small for any graph or sample.
+BLOCK = 1 << 10
 
 
 class SizeCapExceeded(ValueError):
@@ -72,9 +78,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
-    def neighbors(self, v: int) -> List[int]:
-        return self.adjacency[v]
-
     def is_regular(self) -> Optional[int]:
         degs = {len(nbrs) for nbrs in self.adjacency}
         return degs.pop() if len(degs) == 1 else None
@@ -98,6 +101,30 @@ def _binary_member(seq: List[int], x: int) -> bool:
 def _check_cap(n: int, size_cap: int) -> None:
     if n > size_cap:
         raise SizeCapExceeded(f"{n} vertices exceeds the cap of {size_cap}")
+
+
+def capped_power(q: int, d: int, size_cap: int) -> Optional[int]:
+    """q^d, or None when q > size_cap or d > size_cap.bit_length().
+
+    Either condition puts q^d (q >= 2) above the cap, so the power, which
+    can have millions of digits, is never taken.
+    """
+    return None if q > size_cap or d > size_cap.bit_length() else q ** d
+
+
+def _check_power_cap(q: int, d: int, size_cap: int) -> int:
+    n = capped_power(q, d, size_cap)
+    if n is None:
+        # named as a power: the decimal form may pass Python's int-to-str limit
+        raise SizeCapExceeded(f"{q}^{d} vertices exceeds the cap of {size_cap}")
+    _check_cap(n, size_cap)
+    return n
+
+
+def rank_array(ranks, n: int) -> np.ndarray:
+    """Ranks below n as an array: int64 when n < 2^62, else object dtype
+    holding Python ints, so rank arithmetic never wraps."""
+    return np.array(ranks, dtype=np.int64 if n < 1 << 62 else object)
 
 
 def vertex_rank(q: int, tup: Sequence[int]) -> int:
@@ -154,89 +181,63 @@ def hamming_graph(q, d: int, size_cap: int = DEFAULT_SIZE_CAP) -> Graph:
         q = q.q
     if q < 2 or d < 1:
         raise ValueError("hamming graph needs q >= 2 and d >= 1")
-    n = q ** d
-    _check_cap(n, size_cap)
-    powers = [q ** i for i in range(d)]
-    adj = [sorted(hamming_neighbors(q, powers, v)) for v in range(n)]
+    n = _check_power_cap(q, d, size_cap)
+    adj: List[List[int]] = []
+    for lo in range(0, n, BLOCK):
+        block = np.arange(lo, min(lo + BLOCK, n), dtype=np.int64)
+        adj += np.sort(hamming_neighbors(q, d, block), axis=1).tolist()
     return Graph(n, adj, f"H({q},{d})")
 
 
-def hamming_neighbors(q: int, powers: Sequence[int], v: int) -> List[int]:
-    """Unsorted neighbours of rank v in H(q, d), given powers = [q^0, ..., q^(d-1)]."""
-    nbrs = []
-    rem = v
-    for pw in powers:
-        x = rem % q
-        rem //= q
-        base = v - x * pw
-        for s in range(q):
-            if s != x:
-                nbrs.append(base + s * pw)
-    return nbrs
+def hamming_neighbors(q: int, d: int, ranks: np.ndarray) -> np.ndarray:
+    """Neighbours in H(q, d) of each rank in a 1-D array (see rank_array).
+
+    Row i holds the (q-1)d neighbours of ranks[i], unsorted, in the dtype
+    of ranks: for each coordinate, the ranks with that digit replaced.
+    """
+    out = np.empty((len(ranks), (q - 1) * d), dtype=ranks.dtype)
+    for i in range(d):
+        x = ranks // q ** i % q
+        for s in range(1, q):
+            out[:, i * (q - 1) + s - 1] = ranks + ((x + s) % q - x) * q ** i
+    return out
 
 
 def folded_cube(d: int, size_cap: int = DEFAULT_SIZE_CAP) -> Graph:
-    """F(d): binary (d-1)-tuples, adjacent on one bit flip or full complement."""
+    """F(d): binary (d-1)-tuples, adjacent on one bit flip or full complement,
+    that is, the Cayley graph of GF(2)^(d-1) on the unit vectors and all-ones."""
     if d < 2:
         raise ValueError("folded cube needs d >= 2")
-    n = 1 << (d - 1)
-    _check_cap(n, size_cap)
-    mask = n - 1
-    adj = []
-    for v in range(n):
-        nbrs = [v ^ (1 << i) for i in range(d - 1)]
-        nbrs.append(v ^ mask)
-        nbrs = sorted(set(nbrs))
-        adj.append(nbrs)
-    return Graph(n, adj, f"F({d})")
+    n = _check_power_cap(2, d - 1, size_cap)
+    g = cayley_graph(GF(2), d - 1, [1 << i for i in range(d - 1)] + [n - 1], size_cap)
+    return Graph(n, g.adjacency, f"F({d})")
 
 
 def cayley_graph(gf: GF, d: int, connection: Sequence[int], size_cap: int = DEFAULT_SIZE_CAP) -> Graph:
     """Cayley graph of the additive group GF(q)^d with the given connection set.
 
     Connection elements are vertex ranks; the set must exclude 0 and be
-    closed under negation.
+    closed under negation, which makes the graph simple and symmetric.
     """
-    q = gf.q
-    n = q ** d
-    _check_cap(n, size_cap)
+    n = _check_power_cap(gf.q, d, size_cap)
     conn = sorted(set(connection))
     if not conn:
         raise ValueError("empty connection set")
-    conn_digits = []
+    members = set(conn)
     for c in conn:
         if not 0 < c < n:
             raise ValueError(f"connection element {c} outside (0, {n})")
-        digs = vertex_tuple(q, d, c)
-        neg = vertex_rank(q, tuple(gf.neg(x) for x in digs))
-        if neg not in set(conn):
+        if digitwise(gf.p, d * gf.b, operator.neg, c) not in members:
             raise ValueError(f"connection set not closed under negation at {c}")
-        conn_digits.append(digs)
-    powers = [q ** i for i in range(d)]
-    adj = []
-    for v in range(n):
-        vd = vertex_tuple(q, d, v)
-        nbrs = sorted(
-            sum(gf.add(a, b) * pw for a, b, pw in zip(vd, cd, powers))
-            for cd in conn_digits
-        )
-        adj.append(nbrs)
-    g = Graph(n, adj, f"Cayley({gf!r}^{d})")
-    g.validate()
-    return g
+    ranks = np.arange(n, dtype=np.int64)
+    adj = np.column_stack([digitwise(gf.p, d * gf.b, operator.add, ranks, c) for c in conn])
+    adj.sort(axis=1)
+    return Graph(n, adj.tolist(), f"Cayley({gf!r}^{d})")
 
 
-def adjacency_matrix(x: Graph) -> List[List[int]]:
-    m = [[0] * x.n for _ in range(x.n)]
-    for v in range(x.n):
-        for u in x.adjacency[v]:
-            m[v][u] = 1
-    return m
-
-
-def adjacency_plus_identity(x: Graph) -> np.ndarray:
-    """A + I as an n x n int64 array."""
-    m = np.eye(x.n, dtype=np.int64)
+def adjacency_matrix(x: Graph) -> np.ndarray:
+    """A as an n x n int64 array."""
+    m = np.zeros((x.n, x.n), dtype=np.int64)
     rows = np.repeat(np.arange(x.n), [len(nbrs) for nbrs in x.adjacency])
     m[rows, [u for nbrs in x.adjacency for u in nbrs]] = 1
     return m

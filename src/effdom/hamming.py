@@ -18,6 +18,12 @@ K_{q^a}, so any union of t cosets is the support of an efficient
 phi(v)) read as an integer rank, and construct_function takes the t
 fibres with the smallest labels.
 
+The label is GF(p)-linear in the base-p digits of the vertex rank: with
+q = p^b, base-p digit c*b + j of the rank is coefficient j of coordinate
+c, and base-p digit t*b + i of the label is coefficient i of syndrome
+coordinate t.  MCoverPlan.fibre_of applies this (d*b) x (a*b) matrix
+over GF(p) to whole arrays of ranks at once.
+
 Sampled verification uses a splitmix-style generator (increment
 0x9E3779B97F4A7C15, mix multipliers 0xBF58476D1CE4E5B9 and
 0x94D049BB133111EB) so runs are reproducible bit for bit from the seed.
@@ -26,17 +32,22 @@ Sampled verification uses a splitmix-style generator (increment
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from .domination import DominatingFunction
 from .fields import GF
 from .graphs import (
+    BLOCK,
     DEFAULT_SIZE_CAP,
     Graph,
     SizeCapExceeded,
+    capped_power,
     complete,
     hamming_graph,
     hamming_neighbors,
+    rank_array,
     vertex_tuple,
 )
 from .linalg import field_rank, kernel_basis, mat_vec, solve_affine
@@ -154,12 +165,8 @@ def hamming_code(gf: GF, a: int) -> CodeSubspace:
     q = gf.q
     if a == 1:
         return CodeSubspace(gf=gf, length=1, basis=(), parity_check=((1,),))
-    columns = []
-    for rank in range(1, q ** a):
-        digs = vertex_tuple(q, a, rank)
-        first = next(x for x in digs if x)
-        if first == 1:
-            columns.append(digs)
+    vectors = (vertex_tuple(q, a, rank) for rank in range(1, q ** a))
+    columns = [digs for digs in vectors if next(x for x in digs if x) == 1]
     length = (q ** a - 1) // (q - 1)
     assert len(columns) == length
     h = tuple(tuple(col[i] for col in columns) for i in range(a))
@@ -186,24 +193,28 @@ class MCoverPlan:
     def fibre_size(self) -> int:
         return self.gf.q ** (self.profile.d - self.profile.a_q)
 
-    def fibre_of(self, v: int) -> int:
-        """Coset label of vertex v: the syndrome of phi(v) as a rank."""
+    def fibre_of(self, ranks):
+        """Coset label of each rank: the syndrome of phi(v), read as a rank.
+
+        ranks is one rank (giving an int) or a range or array of ranks
+        (giving an int64 array of the same shape).  The GF(p)-linear map
+        of the module docstring is rebuilt from syndrome_cols on each call.
+        """
         gf = self.gf
-        q = gf.q
-        a = self.profile.a_q
-        syndrome = [0] * a
-        rem = v
-        for col in self.syndrome_cols:
-            x = rem % q
-            rem //= q
-            if x:
-                for t in range(a):
-                    if col[t]:
-                        syndrome[t] = gf.add(syndrome[t], gf.mul(x, col[t]))
-        rank = 0
-        for t in range(a - 1, -1, -1):
-            rank = rank * q + syndrome[t]
-        return rank
+        p = gf.p
+        width = self.profile.a_q * gf.b
+        # row c*b + j: the digits of x^j * s for each syndrome coordinate s of column c
+        digit_map = np.array([
+            [c for s in col for c in gf.digits(gf.mul(p ** j, s))]
+            for col in self.syndrome_cols for j in range(gf.b)
+        ], dtype=np.int64).reshape(-1, width)
+        ranks_in = rank_array(ranks, gf.q ** self.profile.d)
+        flat = ranks_in.ravel()
+        acc = np.zeros((len(flat), width), dtype=np.int64)
+        for i, row in enumerate(digit_map):
+            acc += (flat // p ** i % p).astype(np.int64)[:, None] * row
+        labels = (acc % p) @ p ** np.arange(width, dtype=np.int64)
+        return int(labels[0]) if ranks_in.ndim == 0 else labels.reshape(ranks_in.shape)
 
 
 def build_plan(gf: GF, d: int) -> MCoverPlan:
@@ -219,28 +230,15 @@ def build_plan(gf: GF, d: int) -> MCoverPlan:
     assert (m - 1) % (q - 1) == 0
     assert l * m + s0_size == d
     assert m * (q ** a - 1) == (q - 1) * d - (m - 1)
-    s_sets: List[Tuple[int, ...]] = [tuple(range(s0_size))]
-    pos = s0_size
-    for _ in range(l):
-        s_sets.append(tuple(range(pos, pos + m)))
-        pos += m
-    block_of = [0] * d
-    for i, block in enumerate(s_sets):
-        for coord in block:
-            block_of[coord] = i
-    phi = tuple(
-        tuple(1 if block_of[coord] == i + 1 else 0 for coord in range(d))
-        for i in range(l)
-    )
+    ends = [0] + [s0_size + i * m for i in range(l + 1)]
+    s_sets = tuple(tuple(range(lo, hi)) for lo, hi in zip(ends, ends[1:]))
+    block_of = [i for i, block in enumerate(s_sets) for _ in block]
+    phi = tuple(tuple(int(block_of[coord] == i) for coord in range(d)) for i in range(1, l + 1))
     code = hamming_code(gf, a)
     h = code.parity_check
-    zero_col = tuple(0 for _ in range(a))
-    syndrome_cols = tuple(
-        tuple(h[t][block_of[coord] - 1] for t in range(a)) if block_of[coord] else zero_col
-        for coord in range(d)
-    )
+    syndrome_cols = tuple(tuple(h[t][i - 1] if i else 0 for t in range(a)) for i in block_of)
     return MCoverPlan(
-        gf=gf, profile=profile, s_sets=tuple(s_sets), phi=phi,
+        gf=gf, profile=profile, s_sets=s_sets, phi=phi,
         code=code, syndrome_cols=syndrome_cols,
     )
 
@@ -249,12 +247,14 @@ def build_plan(gf: GF, d: int) -> MCoverPlan:
 _MASK64 = (1 << 64) - 1
 
 
-def _splitmix64(state: int) -> Tuple[int, int]:
-    state = (state + 0x9E3779B97F4A7C15) & _MASK64
-    z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31), state
+def _splitmix64(seed: int) -> Iterator[int]:
+    state = seed & _MASK64
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & _MASK64
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        yield z ^ (z >> 31)
 
 
 def verify_plan(
@@ -269,7 +269,7 @@ def verify_plan(
     Full mode (sample=None) materializes H(q,d) and certifies every
     vertex.  Sampled mode draws `sample` vertices from the seeded
     generator and checks their closed neighborhoods against the implicit
-    adjacency, never materializing the graph.
+    adjacency, BLOCK vertices at a time, never materializing the graph.
     """
     profile = plan.profile
     q, d, m = profile.q, profile.d, profile.m_q
@@ -277,8 +277,7 @@ def verify_plan(
         x = graph if graph is not None else hamming_graph(q, d, size_cap=size_cap)
         if x.n != q ** d:
             raise ValueError("supplied graph is not H(q,d) for this plan")
-        labels = [plan.fibre_of(v) for v in range(x.n)]
-        cells = cells_from_labels(labels)
+        cells = cells_from_labels(plan.fibre_of(range(x.n)).tolist())
         cert = verify_kcover(x, cells, complete(plan.fibre_count), m)
         if cert is None:
             raise AssertionError("coset partition failed the m-cover check")
@@ -287,18 +286,17 @@ def verify_plan(
     if sample < 1:
         raise ValueError("sample count must be positive")
     n = q ** d
-    powers = [q ** i for i in range(d)]
-    state = seed & _MASK64
-    for _ in range(sample):
-        value, state = _splitmix64(state)
-        v = value % n
-        counts = [0] * plan.fibre_count
-        for u in hamming_neighbors(q, powers, v) + [v]:
-            counts[plan.fibre_of(u)] += 1
-        if any(c != m for c in counts):
-            raise AssertionError(
-                f"closed neighborhood of vertex {v} meets some coset {counts} != {m} times"
-            )
+    fibres = plan.fibre_count
+    stream = _splitmix64(seed)
+    for lo in range(0, sample, BLOCK):
+        drawn = [next(stream) % n for _ in range(min(BLOCK, sample - lo))]
+        ranks = rank_array(drawn, n)
+        labels = plan.fibre_of(np.column_stack([hamming_neighbors(q, d, ranks), ranks]))
+        cell = labels + fibres * np.arange(len(drawn))[:, None]
+        counts = np.bincount(cell.ravel(), minlength=fibres * len(drawn)).reshape(-1, fibres)
+        for v, row in zip(drawn, counts.tolist()):
+            if any(c != m for c in row):
+                raise AssertionError(f"closed neighborhood of vertex {v} meets some coset {row} != {m} times")
     return CoverCertificate(
         base_size=plan.fibre_count,
         fold=plan.fibre_size if m == 1 else m,
@@ -338,9 +336,10 @@ def construct_function(gf: GF, d: int, k: int, size_cap: int = DEFAULT_SIZE_CAP)
             f"k = {k} passes divisibility but is not a multiple of m = {profile.m_q}; "
             f"no construction is known here",
         )
-    n = profile.q ** d
-    if n > size_cap:
-        raise SizeCapExceeded(f"H({profile.q},{d}) has {n} vertices, above the cap of {size_cap}")
+    n = capped_power(profile.q, d, size_cap)
+    if n is None or n > size_cap:
+        size = f"{profile.q}^{d}" if n is None else n
+        raise SizeCapExceeded(f"H({profile.q},{d}) has {size} vertices, above the cap of {size_cap}")
     if k == 0:
         values = (0,) * n
         plan = None
@@ -350,7 +349,7 @@ def construct_function(gf: GF, d: int, k: int, size_cap: int = DEFAULT_SIZE_CAP)
     else:
         plan = build_plan(gf, d)
         t = k // profile.m_q
-        values = tuple(1 if plan.fibre_of(v) < t else 0 for v in range(n))
+        values = tuple((plan.fibre_of(range(n)) < t).astype(np.int64).tolist())
     func = DominatingFunction(values=values, j=1, k=k)
     return DominatingFunctionWithPlan(function=func, profile=profile, plan=plan)
 

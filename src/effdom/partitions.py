@@ -24,12 +24,15 @@ order, so cell i is the fibre over vertex i of the base graph.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .domination import DominatingFunction, verify_efficient
-from .fields import GF
-from .graphs import Graph, cayley_graph, complete, equitable_quotient, vertex_rank, vertex_tuple
+from .fields import GF, digitwise
+from .graphs import Graph, adjacency_matrix, cayley_graph, complete, equitable_quotient
 from .linalg import char_poly, poly_divides, poly_mul
 
 __all__ = [
@@ -172,8 +175,6 @@ def charpoly_divides_graph(x: Graph, cells: Sequence[Sequence[int]], max_n: int 
     b = characteristic_matrix(x, cells)
     if b is None:
         raise ValueError("partition is not equitable")
-    from .graphs import adjacency_matrix
-
     return poly_divides(char_poly(b), char_poly(adjacency_matrix(x), max_n=max_n))
 
 
@@ -304,15 +305,10 @@ def translate_cover(
     f = DominatingFunction(values=tuple(indicator), j=1, k=1)
     if not verify_efficient(x, f).ok:
         raise ValueError("support is not a perfect code (efficient (1,1)) in the Cayley graph")
-    q = gf.q
     cells = [tuple(sorted(support))]
+    code = np.array(cells[0], dtype=np.int64)
     for c in sorted(set(connection)):
-        cd = vertex_tuple(q, d, c)
-        translated = []
-        for v in cells[0]:
-            vd = vertex_tuple(q, d, v)
-            translated.append(vertex_rank(q, tuple(gf.add(a, b) for a, b in zip(vd, cd))))
-        cells.append(tuple(sorted(translated)))
+        cells.append(tuple(sorted(digitwise(gf.p, d * gf.b, operator.add, code, c).tolist())))
     canon = canonical_cells(cells, x.n)
     cert = verify_cover(x, canon, complete(len(canon)))
     if cert is None:

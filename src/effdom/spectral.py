@@ -12,8 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
+import numpy as np
+
 from .domination import DominatingFunction
-from .graphs import Graph, SizeCapExceeded, adjacency_plus_identity, closed_sums
+from .graphs import Graph, SizeCapExceeded, adjacency_matrix, closed_sums
 from .linalg import int_kernel_basis
 
 __all__ = ["MinusOneReport", "minus_one_multiplicity", "function_from_eigenvector", "DEFAULT_RANK_CAP"]
@@ -36,7 +38,9 @@ def minus_one_multiplicity(x: Graph, size_cap: int = DEFAULT_RANK_CAP) -> MinusO
     x.regular_degree()
     if x.n > size_cap:
         raise SizeCapExceeded(f"{x.n} vertices exceeds the exact rank cap of {size_cap}")
-    kernel = int_kernel_basis(adjacency_plus_identity(x))
+    a_plus_i = adjacency_matrix(x)
+    np.fill_diagonal(a_plus_i, 1)
+    kernel = int_kernel_basis(a_plus_i)
     return MinusOneReport(
         multiplicity=len(kernel),
         witness=kernel[0] if kernel else None,

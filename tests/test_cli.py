@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -253,3 +254,42 @@ def test_size_cap_on_load(capsys, monkeypatch, write_doc):
     monkeypatch.setenv("EFFDOM_SIZE_CAP", "4")
     code2, doc2, _ = invoke(capsys, ["spectrum", "--graph", gpath])
     assert code2 == 0 and doc2["multiplicity"] == 0
+
+
+@pytest.mark.parametrize("flags", [
+    ["--q", str(10 ** 400), "--b", "2"],
+    ["--q", str(10 ** 400)],
+    ["--q", "1000000000000000000000000000057"],
+    ["--q", "65537"],
+    ["--q", "4", "--b", "1000000000"],
+    ["--q", "-4", "--b", "2"],
+], ids=["huge-q-with-b", "huge-q", "huge-prime-q", "q-above-max", "huge-b", "negative-q-with-b"])
+def test_field_flags_checked_before_arithmetic(capsys, flags):
+    start = time.perf_counter()
+    code, doc, err = invoke(capsys, ["feasible", *flags, "--d", "1"])
+    assert time.perf_counter() - start < 1
+    assert code == 2 and doc is None
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["gen", "--family", "hamming", "--q", "3", "--d", "100000000"],
+     "size cap: 3^100000000 vertices exceeds the cap of 2097152\n"),
+    (["gen", "--family", "hamming", "--alphabet", str(10 ** 30), "--d", "3"],
+     f"size cap: {10 ** 30}^3 vertices exceeds the cap of 2097152\n"),
+    (["construct", "--q", "3", "--d", "100000000", "--k", "0"],
+     "size cap: H(3,100000000) has 3^100000000 vertices, above the cap of 2097152\n"),
+    (["translate", "--q", "3", "--d", "100000000", "--function", "{f}", "--connection", "{c}"],
+     "size cap: 3^100000000 vertices exceeds the cap of 2097152\n"),
+    (["gen", "--family", "folded-cube", "--d", "100000000"],
+     "size cap: 2^99999999 vertices exceeds the cap of 2097152\n"),
+    (["gen", "--family", "hamming", "--q", "2", "--d", "22"],
+     "size cap: 4194304 vertices exceeds the cap of 2097152\n"),
+], ids=["gen", "gen-alphabet", "construct", "translate", "gen-folded-cube", "gen-small-n"])
+def test_size_cap_before_power(capsys, monkeypatch, write_doc, argv, err):
+    monkeypatch.delenv("EFFDOM_SIZE_CAP", raising=False)
+    paths = {"f": write_doc("f.json", CODE_Q3), "c": write_doc("c.json", {"connection": [1]})}
+    start = time.perf_counter()
+    code, doc, got = invoke(capsys, [arg.format(**paths) for arg in argv])
+    assert time.perf_counter() - start < 1
+    assert (code, doc, got) == (2, None, err)

@@ -126,6 +126,10 @@ def test_rejects_bad_parameters():
         GF(2, 17)  # no built-in modulus
     with pytest.raises(ValueError):
         GF(65537)  # order above the cap
+    with pytest.raises(ValueError, match="exceeds"):
+        GF(2 ** 64)  # the order is checked before the primality test
+    with pytest.raises(ValueError, match="exceeds"):
+        GF(4, 100)  # and before p^b
     with pytest.raises(ZeroDivisionError):
         GF(5).inv(0)
     with pytest.raises(ValueError):

@@ -2,8 +2,9 @@
 and the sha256 of stdout.
 
 The digests were recorded from the command line before the neighbourhood
-kernels were unified; a refactor that keeps them keeps stdout byte for
-byte.  Input files are written to a temporary directory, and "{name}" in
+kernels were unified (the two verify-plan cases beyond int64 and over
+GF(9), before the labels became digit arrays); a refactor that keeps them
+keeps stdout byte for byte.  Input files are written to a temporary directory, and "{name}" in
 an argument list stands for the path of input file name.json.
 """
 
@@ -69,6 +70,10 @@ CASES = [
      "3934ed0e6fe9ebef0f03eb2e5a9d20cac85e5cefb49c323e7579ce766f8a588c"),
     ("verify-plan-sampled", ["verify-plan", "--q", "4", "--b", "2", "--d", "5", "--sample", "40", "--seed", "7"], 0,
      "168d47c1ad8f3880cd1e0f7d0a30e8aa37bc0d5807da242e9280af879d096676"),
+    ("verify-plan-sampled-beyond-int64", ["verify-plan", "--q", "2", "--d", "127", "--sample", "5", "--seed", "3"], 0,
+     "3df70c100f754e3841d1bbc47fc5c58c957930fdab1f039a1b30eb18448aea2a"),
+    ("verify-plan-sampled-gf9", ["verify-plan", "--q", "9", "--b", "2", "--d", "10", "--sample", "100"], 0,
+     "3ed4d13719557dbaf23f45b6fa2b47ff195dc494410f6d353613bebe35797424"),
     ("spectrum", ["spectrum", "--graph", "{c6}"], 0,
      "6d290682e57815bb92b8264019431b7267ebc92f7101161845985934859abfeb"),
     ("spectrum-none", ["spectrum", "--graph", "{k4}"], 0,

@@ -3,6 +3,8 @@ presentations of a Hamming graph (tuple adjacency vs Cayley sum)."""
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from effdom.fields import GF
@@ -16,6 +18,8 @@ from effdom.graphs import (
     cycle,
     folded_cube,
     hamming_graph,
+    hamming_neighbors,
+    rank_array,
     vertex_rank,
     vertex_tuple,
 )
@@ -73,6 +77,53 @@ def test_hamming_equals_cayley_presentation():
         cay = cayley_graph(gf, d, conn)
         ham = hamming_graph(q, d)
         assert cay.adjacency == ham.adjacency
+
+
+def _neighbors_oracle(q, d, v):
+    """Per-vertex loop: replace each digit of v by every other symbol."""
+    nbrs = []
+    rem = v
+    for i in range(d):
+        x = rem % q
+        rem //= q
+        nbrs += [v + (s - x) * q ** i for s in range(q) if s != x]
+    return sorted(nbrs)
+
+
+@pytest.mark.parametrize("q, d", [(2, 13), (3, 5), (5, 3), (7, 2), (2, 127), (3, 80)])
+def test_hamming_neighbors_match_per_vertex_loop(q, d):
+    n = q ** d
+    rng = random.Random(q * 1000 + d)
+    ranks = [0, n - 1] + [rng.randrange(n) for _ in range(300)]
+    got = hamming_neighbors(q, d, rank_array(ranks, n))
+    assert got.dtype == (object if n >= 1 << 62 else "int64")
+    assert [sorted(row) for row in got.tolist()] == [_neighbors_oracle(q, d, v) for v in ranks]
+    if n <= 1 << 13:
+        assert hamming_graph(q, d).adjacency == [_neighbors_oracle(q, d, v) for v in range(n)]
+
+
+def _cayley_oracle(gf, d, conn):
+    """Per-vertex loop: add each connection element coordinate by coordinate."""
+    q = gf.q
+    return [
+        sorted(vertex_rank(q, [gf.add(a, b) for a, b in zip(vertex_tuple(q, d, v), vertex_tuple(q, d, c))])
+               for c in conn)
+        for v in range(q ** d)
+    ]
+
+
+@pytest.mark.parametrize("p, b, d", [(2, 1, 5), (3, 1, 3), (5, 1, 2), (2, 2, 3), (2, 3, 2), (3, 2, 2)])
+def test_cayley_graph_matches_per_vertex_loop(p, b, d):
+    gf = GF(p, b)
+    n = gf.q ** d
+    rng = random.Random(n)
+    conn = set()
+    for c in rng.sample(range(1, n), min(6, n - 1)):
+        neg = vertex_rank(gf.q, [gf.neg(x) for x in vertex_tuple(gf.q, d, c)])
+        conn |= {c, neg}
+    g = cayley_graph(gf, d, sorted(conn))
+    g.validate()
+    assert g.adjacency == _cayley_oracle(gf, d, sorted(conn))
 
 
 def test_folded_cube():

@@ -4,6 +4,7 @@ explicit efficient (1,k) functions built from them."""
 from __future__ import annotations
 
 import dataclasses
+import random
 from collections import Counter
 
 import pytest
@@ -245,3 +246,65 @@ def test_audit_failure_on_tampered_plan():
     bad = dataclasses.replace(plan, syndrome_cols=tuple(cols))
     with pytest.raises(AuditFailure):
         basis_audit(bad)
+
+
+def _fibre_oracle(plan, v):
+    """The per-vertex syndrome loop: one scalar field operation at a time."""
+    gf = plan.gf
+    q = gf.q
+    a = plan.profile.a_q
+    syndrome = [0] * a
+    rem = v
+    for col in plan.syndrome_cols:
+        x = rem % q
+        rem //= q
+        if x:
+            for t in range(a):
+                if col[t]:
+                    syndrome[t] = gf.add(syndrome[t], gf.mul(x, col[t]))
+    rank = 0
+    for t in range(a - 1, -1, -1):
+        rank = rank * q + syndrome[t]
+    return rank
+
+
+def _tampered(plan):
+    cols = list(plan.syndrome_cols)
+    cols[0] = tuple((c + 1) % plan.gf.q for c in cols[0])
+    return dataclasses.replace(plan, syndrome_cols=tuple(cols))
+
+
+@pytest.mark.parametrize("gf, d", [
+    (GF2, 3), (GF2, 5), (GF2, 7), (GF2, 11), (GF2, 15), (GF2, 127),
+    (GF3, 1), (GF3, 4), (GF3, 13),
+    (GF(5), 1), (GF(5), 6),
+    (GF4, 1), (GF4, 5), (GF4, 9), (GF4, 13),
+    (GF(2, 3), 1), (GF(2, 3), 9),
+    (GF(3, 2), 1), (GF(3, 2), 10),
+], ids=repr)
+def test_array_fibre_of_matches_per_vertex_loop(gf, d):
+    n = gf.q ** d
+    if n <= 1 << 12:
+        ranks = list(range(n))
+    else:
+        rng = random.Random(d)
+        ranks = [rng.randrange(n) for _ in range(2000)] + [n - 1]
+    if d == 127:
+        assert max(ranks) >= 1 << 63
+    for plan in (build_plan(gf, d), _tampered(build_plan(gf, d))):
+        expected = [_fibre_oracle(plan, v) for v in ranks]
+        assert plan.fibre_of(ranks).tolist() == expected
+        assert [plan.fibre_of(v) for v in ranks[:20]] == expected[:20]
+        assert type(plan.fibre_of(ranks[0])) is int
+        if n <= 1 << 12:
+            assert plan.fibre_of(range(n)).tolist() == expected
+
+
+def test_sampled_tamper_names_first_failing_vertex():
+    plan = build_plan(GF2, 5)
+    cols = list(plan.syndrome_cols)
+    cols[0] = (1,)
+    bad = dataclasses.replace(plan, syndrome_cols=tuple(cols))
+    with pytest.raises(AssertionError) as info:
+        verify_plan(bad, sample=8, seed=0)
+    assert str(info.value) == "closed neighborhood of vertex 15 meets some coset [4, 2] != 3 times"
