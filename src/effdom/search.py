@@ -1,13 +1,39 @@
 """Exhaustive search for efficient (j,k)-dominating functions.
 
-Backtracking over vertices in breadth-first order from vertex 0, trying
-values 0..j in increasing order, on an explicit stack so that the depth
-(one level per vertex) is not bounded by the interpreter's recursion
-limit.  Two-sided propagation prunes a branch
-as soon as some closed neighborhood either already exceeds k or can no
-longer reach k even if every unassigned member takes the value j.  The
-search is therefore exact: it enumerates every efficient function or
-proves there is none.
+The search tree assigns one vertex per level, in breadth-first order from
+vertex 0 unless an order is given, and tries the values 0..j in increasing
+order; every value tried is one node.  Two-sided propagation prunes a
+child as soon as some closed neighbourhood N[w] of the vertex u just
+assigned either already sums past k or can no longer reach k even if every
+unassigned member takes the value j.  The search is therefore exact: it
+enumerates every efficient function or proves there is none.
+
+The walk.  The tree is walked depth-first, a chunk of states at a time.  A
+state is the vector of partial sums over the frontier, the vertices whose
+closed neighbourhood is partly assigned; a frame holds up to a chunk of
+states at one depth as the rows of one array, and the stack holds one
+frame per depth.  For partial sums p the rule keeps exactly the values v
+with k - p[w] - min(j,k)·unassigned[w] <= v <= k - p[w] for every w in
+N[u]: one interval per state, found for a whole frame in one numpy step.
+Children are taken from the intervals parent-major, so the first leaf
+found is the preorder-first one.  Every state counts its j + 1 nodes, so
+values above k are counted without being generated.  Listed functions are
+rebuilt as tuples of Python ints from each state's (parent, value) link.
+
+Memory.  A chunk holds at most CHUNK_BYTES // (itemsize · width) states,
+where width is the number of frontier columns, at least |N[u]|, and at
+least 8 bytes per state; so no array one expansion allocates exceeds
+CHUNK_BYTES, whatever j, k or n.  Partial sums are kept in the narrowest
+integer dtype that holds -k .. k + 1, object past int64.  A frame whose
+children are all taken keeps only its links.
+
+The node limit.  The batched walk counts a frame's nodes before it
+descends into them, so once its count passes the limit, the nodes it has
+counted are not the preorder prefix that the limit stands for.  The call
+is then answered by the plain preorder backtracking (`_preorder`), which
+is also the tests' oracle.  Below the limit the batched walk has counted
+every preorder predecessor of what it returns, so both give the same
+functions, node count and exists_efficient witness.
 """
 
 from __future__ import annotations
@@ -16,12 +42,17 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from .domination import DominatingFunction
 from .graphs import Graph
 
 __all__ = ["SearchConfig", "SearchOutcome", "NodeLimitExceeded", "enumerate_efficient", "exists_efficient", "k_spectrum"]
 
 DEFAULT_NODE_LIMIT = 10 ** 8
+
+# Largest array, in bytes, that one expansion of the batched walk allocates.
+CHUNK_BYTES = 1 << 20
 
 
 class NodeLimitExceeded(RuntimeError):
@@ -66,20 +97,20 @@ def _bfs_order(x: Graph) -> Tuple[int, ...]:
     return tuple(order)
 
 
-def _search(x: Graph, cfg: SearchConfig, first_only: bool) -> SearchOutcome:
-    if cfg.j < 0 or cfg.k < 0:
-        raise ValueError("j and k must be nonnegative")
+def _closed(x: Graph) -> List[List[int]]:
+    return [list(x.adjacency[v]) + [v] for v in range(x.n)]
+
+
+def _preorder(x: Graph, order: Tuple[int, ...], j: int, k: int, limit: int,
+              first_only: bool) -> SearchOutcome:
+    """The search one node at a time, in preorder, on an explicit stack so
+    that the depth is not bounded by the interpreter's recursion limit."""
     n = x.n
-    order = cfg.order if cfg.order is not None else _bfs_order(x)
-    if sorted(order) != list(range(n)):
-        raise ValueError("order must be a permutation of the vertices")
-    j, k = cfg.j, cfg.k
-    closed = [list(x.adjacency[v]) + [v] for v in range(n)]
+    closed = _closed(x)
     partial = [0] * n
     unassigned = [len(c) for c in closed]
     values = [0] * n
     outcome = SearchOutcome()
-    limit = cfg.node_limit
 
     # tried[depth] is the value order[depth] holds now, -1 before the first
     tried = [-1] * n
@@ -128,6 +159,164 @@ def _search(x: Graph, cfg: SearchConfig, first_only: bool) -> SearchOutcome:
             depth += 1
 
     outcome.nodes = nodes
+    return outcome
+
+
+@dataclass
+class _Level:
+    """One depth of the batched walk: assigning u = order[t].
+
+    A frontier vertex keeps one column of the states from the depth where
+    its closed neighbourhood is first touched until it is complete; column
+    0 is always 0 and stands for every vertex outside the frontier.
+    """
+
+    cols: np.ndarray  # the column of each w in N[u] before u is assigned
+    need: np.ndarray  # k - min(min(j,k)·unassigned[w], k) for each w in N[u], u assigned
+    dst: np.ndarray   # the columns of the members of N[u] still open, u assigned
+    src: np.ndarray   # the column each of them held before (0 if it had none)
+
+
+def _levels(x: Graph, order: Tuple[int, ...], jr: int, k: int, dtype) -> Tuple[List[_Level], int]:
+    """The plan of every depth, and the number of columns of a state."""
+    closed = _closed(x)
+    unassigned = [len(c) for c in closed]
+    column: Dict[int, int] = {}
+    free: List[int] = []
+    width = 1
+    levels = []
+    for u in order:
+        members = closed[u]
+        cols = [column.get(w, 0) for w in members]
+        for w in members:
+            unassigned[w] -= 1
+            if not unassigned[w] and w in column:
+                free.append(column.pop(w))
+        dst, src = [], []
+        for w, c in zip(members, cols):
+            if unassigned[w]:
+                if not c:
+                    if not free:
+                        free.append(width)
+                        width += 1
+                    column[w] = free.pop()
+                dst.append(column[w])
+                src.append(c)
+        levels.append(_Level(
+            cols=np.array(cols),
+            need=np.array([k - min(jr * unassigned[w], k) for w in members], dtype=dtype),
+            dst=np.array(dst, dtype=np.intp),
+            src=np.array(src, dtype=np.intp),
+        ))
+    return levels, width
+
+
+class _Frame:
+    """States at one depth, with a cursor over their children, parent-major.
+
+    up and val link each state to its parent's row one depth up and to the
+    value its parent's vertex took; the children of row i are the values
+    lo[i] .. lo[i] + count[i] - 1.
+    """
+
+    def __init__(self, states, up, val, level: _Level, jr: int, k: int):
+        self.states, self.up, self.val = states, up, val
+        part = states[:, level.cols]
+        hi = np.minimum(k - part.max(axis=1), jr)
+        self.lo = np.maximum((level.need - part).max(axis=1), 0)
+        self.count = np.maximum(hi - self.lo + 1, 0)
+        nonzero = np.flatnonzero(self.count)
+        self.next, self.end = (int(nonzero[0]), int(nonzero[-1]) + 1) if nonzero.size else (0, 0)
+        self.offset = 0  # children of row `next` already taken
+
+    def take(self, cap: int, k: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The next (at most cap) children as (parent row, value) arrays, and
+        the parents' states; a frame whose children are all taken keeps only
+        its links."""
+        i, lo, count, states = self.next, self.lo, self.count, self.states
+        if self.offset or count[i] > cap:
+            m = min(cap, int(count[i]) - self.offset)
+            rows = np.full(m, i, dtype=np.int32)
+            vals = np.arange(m, dtype=lo.dtype) + (lo[i] + self.offset)
+            self.offset += m
+            if self.offset == count[i]:
+                self.next, self.offset = i + 1, 0
+        else:
+            # capping each count at cap + 1 (or k + 1, which the dtype
+            # holds) keeps the running sum of int64 counts from overflowing
+            ends = np.minimum(count[i:min(i + cap, self.end)], min(cap, k) + 1).cumsum()
+            e = int(ends.searchsorted(cap, side="right"))
+            counts = count[i:i + e].astype(np.intp)
+            rows = np.arange(i, i + e, dtype=np.int32).repeat(counts)
+            offsets = np.arange(len(rows)) - (ends[:e] - counts).repeat(counts)
+            vals = (lo[rows] + offsets).astype(lo.dtype, copy=False)
+            self.next = i + e
+        if self.next == self.end:
+            self.states = self.lo = self.count = None
+        return rows, vals, states
+
+
+def _batched(x: Graph, order: Tuple[int, ...], j: int, k: int, limit: int,
+             first_only: bool) -> Optional[SearchOutcome]:
+    """The search a chunk of states at a time; None once nodes pass limit."""
+    n = x.n
+    if n == 0:
+        return SearchOutcome(functions=[DominatingFunction(values=(), j=j, k=k)])
+    jr = min(j, k)
+    # every number the walk keeps lies in [-k, k + 1]
+    dtype = np.min_scalar_type(-k - 2)
+    levels, width = _levels(x, order, jr, k, dtype)
+    # a chunk's arrays: states, parts of N[u], and an int64 or two per state
+    row_bytes = max(dtype.itemsize * max(width, max(map(len, x.adjacency)) + 1), 8)
+    cap = max(1, CHUNK_BYTES // row_bytes)
+    leaf_cap = max(1, CHUNK_BYTES // (8 * n))
+    position = np.argsort(order)
+    stack = [_Frame(np.zeros((1, width), dtype=dtype), None, None, levels[0], jr, k)]
+    functions: List[DominatingFunction] = []
+    nodes = j + 1
+
+    def leaves(rows, vals):
+        by_depth = [vals]
+        for frame in reversed(stack[1:]):
+            by_depth.append(frame.val[rows])
+            rows = frame.up[rows]
+        values = np.stack(by_depth[::-1], axis=1)[:, position]
+        return [DominatingFunction(values=tuple(v), j=j, k=k) for v in values.tolist()]
+
+    while stack and nodes <= limit:
+        frame = stack[-1]
+        if frame.next == frame.end:
+            stack.pop()
+            continue
+        depth = len(stack)
+        if depth == n:
+            rows, vals, _ = frame.take(1 if first_only else leaf_cap, k)
+            functions += leaves(rows, vals)
+            if first_only:
+                break
+            continue
+        rows, vals, parents = frame.take(cap, k)
+        level = levels[depth - 1]
+        states = parents.take(rows, axis=0)
+        states[:, level.dst] = states[:, level.src] + vals[:, None]
+        nodes += len(states) * (j + 1)
+        stack.append(_Frame(states, rows, vals, levels[depth], jr, k))
+    if nodes > limit:
+        return None
+    return SearchOutcome(functions=functions, nodes=nodes)
+
+
+def _search(x: Graph, cfg: SearchConfig, first_only: bool) -> SearchOutcome:
+    if cfg.j < 0 or cfg.k < 0:
+        raise ValueError("j and k must be nonnegative")
+    order = cfg.order if cfg.order is not None else _bfs_order(x)
+    if (any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in order)
+            or sorted(order) != list(range(x.n))):
+        raise ValueError("order must be a permutation of the vertices")
+    order = tuple(int(v) for v in order)
+    outcome = _batched(x, order, cfg.j, cfg.k, cfg.node_limit, first_only)
+    if outcome is None:
+        outcome = _preorder(x, order, cfg.j, cfg.k, cfg.node_limit, first_only)
     outcome.functions.sort(key=lambda f: f.values)
     return outcome
 
@@ -154,14 +343,17 @@ def exists_efficient(x: Graph, cfg: SearchConfig) -> Tuple[bool, Optional[Domina
 def k_spectrum(x: Graph, j: int, node_limit: int = DEFAULT_NODE_LIMIT) -> Dict[int, int]:
     """Exact counts of efficient (j,k) functions for k = 0 .. j(r+1).
 
-    Only defined on regular graphs.  Raises NodeLimitExceeded if any
-    per-k search fails to exhaust, since a partial count would be wrong.
+    Only defined on regular graphs.  f -> j - f maps the efficient (j,k)
+    functions onto the efficient (j, j(r+1) - k) ones and mirrors the
+    search tree, node counts included, so only k <= j(r+1)/2 is searched.
+    Raises NodeLimitExceeded, naming the first k in increasing order, if
+    a per-k search fails to exhaust, since a partial count would be wrong.
     """
-    r = x.regular_degree()
+    top = j * (x.regular_degree() + 1)
     counts: Dict[int, int] = {}
-    for k in range(j * (r + 1) + 1):
+    for k in range(top // 2 + 1):
         outcome = enumerate_efficient(x, SearchConfig(j=j, k=k, node_limit=node_limit))
         if not outcome.exhausted:
             raise NodeLimitExceeded(f"k = {k}: {outcome.diagnostic}")
         counts[k] = outcome.count
-    return counts
+    return {k: counts[min(k, top - k)] for k in range(top + 1)}

@@ -3,7 +3,9 @@ and the sha256 of stdout.
 
 The digests were recorded from the command line before the neighbourhood
 kernels were unified (the two verify-plan cases beyond int64 and over
-GF(9), before the labels became digit arrays); a refactor that keeps them
+GF(9), before the labels became digit arrays; the four search cases at and
+beyond the node limit and the j = 2 spectrum-k, before the search walked
+its tree in batches); a refactor that keeps them
 keeps stdout byte for byte.  Input files are written to a temporary directory, and "{name}" in
 an argument list stands for the path of input file name.json.
 """
@@ -86,6 +88,15 @@ CASES = [
      "e96eaf458cf5ec4a8c2a73d206afef2d787e370f85a8d650e76cdfdfb8709760"),
     ("spectrum-k", ["spectrum-k", "--graph", "{h23}", "--j", "1"], 0,
      "4f308007f5e90a5f653d0d4a9a8dc8daa1bda94a4190601c1c16e51aeec13164"),
+    ("search-limit-total", ["search", "--graph", "{c6}", "--j", "2", "--k", "3", "--limit", "96"], 0,
+     "b79353cde55c6dee611d4f06a6e28d0168d9bccb1c64252197fd2d5a984c6ffe"),
+    ("search-limit-total-minus-one", ["search", "--graph", "{c6}", "--j", "2", "--k", "3", "--limit", "95"], 0,
+     "4d22415db5ff753ef3e24a19539d3b4f68022c90630d7348b6bdca66823f2def"),
+    ("search-huge-j", ["search", "--graph", "{c6}", "--j", "1000000000000000000000", "--k", "3",
+                       "--limit", "1000"], 0,
+     "5f694e840af5149d90aa0d349e2397689c83b003573b634e31c5069162ac9864"),
+    ("spectrum-k-j2", ["spectrum-k", "--graph", "{h23}", "--j", "2"], 0,
+     "3213c5430877149bb0a7423a679ac1953b386eec6610cb85b3faf5c6cc861833"),
     ("partition-equitable", ["partition", "--graph", "{c6}", "--partition", "{c6_code_cells}"], 0,
      "8a955049b186f7379ca86993f2c987d398439192b8f20d0b3d81081e68b3dbb9"),
     ("partition-not-equitable", ["partition", "--graph", "{c6}", "--partition", "{c6_uneven}"], 0,

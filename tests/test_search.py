@@ -1,16 +1,18 @@
-"""Backtracking search tests, checked against a direct product-space oracle
-and frozen counts on small graphs."""
+"""Search tests, checked against a direct product-space oracle, against the
+preorder backtracking the batched walk replaces, and frozen counts on small
+graphs."""
 
 from __future__ import annotations
 
-import itertools
-
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from effdom import search
 from effdom.domination import verify_efficient
 from effdom.graphs import (
     Graph,
-    closed_neighborhood_sum,
     complete,
     complete_bipartite,
     cycle,
@@ -34,12 +36,17 @@ K4_J2 = {0: 1, 1: 4, 2: 10, 3: 16, 4: 19, 5: 16, 6: 10, 7: 4, 8: 1}
 H32_J1 = {k: 0 for k in range(6)} | {0: 1, 5: 1}
 
 
-def brute_force(x: Graph, j: int, k: int) -> list:
-    out = []
-    for vals in itertools.product(range(j + 1), repeat=x.n):
-        if all(closed_neighborhood_sum(x, vals, v) == k for v in range(x.n)):
-            out.append(vals)
-    return sorted(out)
+def brute_force(x: Graph, j: int) -> dict:
+    """{k: sorted value vectors of the efficient (j,k) functions}, by scanning
+    all (j+1)^n value vectors, the vertex-0 digit most significant."""
+    index = np.arange((j + 1) ** x.n, dtype=np.int32)
+    digits = [(index // (j + 1) ** (x.n - 1 - v) % (j + 1)).astype(np.int8) for v in range(x.n)]
+    sums = [digits[v] + sum(digits[w] for w in x.adjacency[v]) for v in range(x.n)]
+    efficient = np.logical_and.reduce([s == sums[0] for s in sums])
+    out: dict = {}
+    for i in np.flatnonzero(efficient):
+        out.setdefault(int(sums[0][i]), []).append(tuple(int(d[i]) for d in digits))
+    return out
 
 
 def test_enumerate_c6_k1():
@@ -63,11 +70,12 @@ def test_search_matches_product_oracle():
     ]
     for x, j in cases:
         max_deg = max(x.degree(v) for v in range(x.n))
+        oracle = brute_force(x, j)
         for k in range(j * (max_deg + 1) + 1):
             outcome = enumerate_efficient(x, SearchConfig(j=j, k=k))
             assert outcome.exhausted
             got = [f.values for f in outcome.functions]
-            assert got == brute_force(x, j, k), (x.name, j, k)
+            assert got == oracle.get(k, []), (x.name, j, k)
 
 
 def test_k_spectrum_frozen_counts():
@@ -115,8 +123,9 @@ def test_custom_order():
     default = enumerate_efficient(x, SearchConfig(j=1, k=2))
     rev = enumerate_efficient(x, SearchConfig(j=1, k=2, order=tuple(range(5, -1, -1))))
     assert [f.values for f in default.functions] == [f.values for f in rev.functions]
-    with pytest.raises(ValueError):
-        enumerate_efficient(x, SearchConfig(j=1, k=2, order=(0, 0, 1, 2, 3, 4)))
+    for bad in [(0, 0, 1, 2, 3, 4), (0.0, 1, 2, 3, 4, 5), (False, True, 2, 3, 4, 5)]:
+        with pytest.raises(ValueError, match="order must be a permutation"):
+            enumerate_efficient(x, SearchConfig(j=1, k=2, order=bad))
 
 
 def test_disconnected_graph():
@@ -140,3 +149,120 @@ def test_search_deeper_than_recursion_limit():
     assert outcome.exhausted and outcome.count == 3
     for f in outcome.functions:
         assert verify_efficient(cycle(2001), f).ok
+
+
+def test_complement_duality_mirrors_node_counts():
+    # f -> j - f maps efficient (j,k) functions to efficient (j, j(r+1)-k)
+    # ones and mirrors the search tree, so k_spectrum searches half the ks
+    graphs = [cycle(5), cycle(6), cycle(7), complete(4), hamming_graph(2, 3),
+              hamming_graph(3, 2), hamming_graph(2, 4), complete_bipartite(3, 3)]
+    for x in graphs:
+        for j in (1, 2, 3):
+            top = j * (x.regular_degree() + 1)
+            runs = [enumerate_efficient(x, SearchConfig(j=j, k=k)) for k in range(top + 1)]
+            for k, run in enumerate(runs):
+                assert (run.nodes, run.count) == (runs[top - k].nodes, runs[top - k].count), (x.name, j, k)
+            assert k_spectrum(x, j) == {k: run.count for k, run in enumerate(runs)}
+
+
+def test_k_spectrum_limit_names_first_k():
+    x, j = hamming_graph(2, 3), 2
+    nodes = [enumerate_efficient(x, SearchConfig(j=j, k=k)).nodes for k in range(9)]
+    for limit in sorted(set(nodes)):
+        failing = [k for k, total in enumerate(nodes) if total > limit]
+        if not failing:
+            assert k_spectrum(x, j, node_limit=limit) == k_spectrum(x, j)
+            continue
+        with pytest.raises(NodeLimitExceeded, match=f"^k = {failing[0]}: node limit {limit} reached$"):
+            k_spectrum(x, j, node_limit=limit)
+
+
+def test_values_above_k_are_counted_not_generated():
+    # j >= k leaves the same states as j = k, each trying j + 1 values
+    x = cycle(6)
+    small = enumerate_efficient(x, SearchConfig(j=3, k=3))
+    huge = enumerate_efficient(x, SearchConfig(j=10 ** 21, k=3, node_limit=10 ** 30))
+    assert huge.exhausted and [f.values for f in huge.functions] == [f.values for f in small.functions]
+    assert huge.nodes == small.nodes // 4 * (10 ** 21 + 1)
+
+
+def test_sums_beyond_int64():
+    big = 2 ** 70
+    outcome = enumerate_efficient(Graph(3, [[], [], []]), SearchConfig(j=big, k=big, node_limit=2 ** 80))
+    assert [f.values for f in outcome.functions] == [(big, big, big)]
+    assert outcome.exhausted and outcome.nodes == 3 * (big + 1)
+    outcome = enumerate_efficient(complete(2), SearchConfig(j=1, k=big))
+    assert (outcome.count, outcome.nodes, outcome.exhausted) == (0, 2, True)
+
+
+def test_dtype_boundaries():
+    # K2: f(0) + f(1) = k, so k + 1 functions, k + 1 states at depth 1
+    for k in (126, 127, 128, 32766, 32767, 32768):
+        outcome = enumerate_efficient(complete(2), SearchConfig(j=k, k=k, node_limit=10 ** 12))
+        assert [f.values for f in outcome.functions] == [(a, k - a) for a in range(k + 1)]
+        assert outcome.nodes == (k + 1) * (k + 2)
+        if k < 1000:
+            want = search._preorder(complete(2), (0, 1), k, k, 10 ** 12, False)
+            assert want.nodes == outcome.nodes and want.count == outcome.count
+
+
+def test_take_sums_no_count_past_the_chunk():
+    # counts near 2^62 after a small one would overflow an int64 running sum
+    k = 2 ** 62
+    states = np.array([[0, k - 2], [0, 0], [0, 0], [0, 0]], dtype=np.int64)
+    no_columns = np.zeros(0, dtype=np.intp)
+    level = search._Level(cols=np.array([1]), need=np.zeros(1, dtype=np.int64), dst=no_columns, src=no_columns)
+    frame = search._Frame(states, None, None, level, k, k)
+    assert frame.count.tolist() == [3, k + 1, k + 1, k + 1]
+    rows, vals, _ = frame.take(8, k)
+    assert rows.tolist() == [0, 0, 0] and vals.tolist() == [0, 1, 2]
+
+
+@st.composite
+def search_cases(draw):
+    n = draw(st.integers(1, 10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    adj = [[] for _ in range(n)]
+    for (u, v), kept in zip(pairs, keep):
+        if kept:
+            adj[u].append(v)
+            adj[v].append(u)
+    order = tuple(draw(st.permutations(range(n))))
+    return Graph(n, adj), draw(st.integers(1, 3)), order
+
+
+def facts(outcome):
+    return (outcome.count, outcome.nodes, outcome.exhausted, outcome.diagnostic,
+            sorted(f.values for f in outcome.functions))
+
+
+@settings(max_examples=40, deadline=None)
+@given(search_cases(), st.sampled_from([1, 40, search.CHUNK_BYTES]), st.data())
+def test_batched_walk_matches_preorder_and_product_space(case, chunk_bytes, data):
+    # chunk_bytes 1 takes one child at a time, so every interval is split
+    x, j, order = case
+    oracle = brute_force(x, j)
+    saved, search.CHUNK_BYTES = search.CHUNK_BYTES, chunk_bytes
+    try:
+        for k in range(j * (max(map(len, x.adjacency)) + 1) + 2):
+            total = search._preorder(x, order, j, k, 10 ** 9, False)
+            assert total.exhausted and facts(total)[4] == oracle.get(k, [])
+            for limit in {total.nodes, total.nodes - 1, data.draw(st.integers(0, total.nodes))}:
+                want = search._preorder(x, order, j, k, limit, False)
+                cfg = SearchConfig(j=j, k=k, node_limit=limit, order=order)
+                assert facts(enumerate_efficient(x, cfg)) == facts(want)
+                batched = search._batched(x, order, j, k, limit, False)
+                assert (batched is None) == (limit < total.nodes)
+                if batched is not None:
+                    assert facts(batched) == facts(want)
+                first = search._preorder(x, order, j, k, limit, True)
+                if first.functions:
+                    assert exists_efficient(x, cfg) == (True, first.functions[0])
+                elif first.exhausted:
+                    assert exists_efficient(x, cfg) == (False, None)
+                else:
+                    with pytest.raises(NodeLimitExceeded):
+                        exists_efficient(x, cfg)
+    finally:
+        search.CHUNK_BYTES = saved
