@@ -12,7 +12,9 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Set, Tuple
 
-from .graphs import Graph, closed_sums, equitable_quotient
+import numpy as np
+
+from .graphs import Graph, closed_sums, equitable_quotient, exact_array
 
 __all__ = [
     "DominatingFunction",
@@ -50,27 +52,31 @@ class VerificationReport:
     j_tight: bool
 
 
-def _check_function(x: Graph, f: DominatingFunction) -> None:
+def _check_function(x: Graph, f: DominatingFunction) -> np.ndarray:
+    """The values as an exact array (see graphs.exact_array), once checked."""
     if f.j < 0 or f.k < 0:
         raise ValueError("j and k must be nonnegative")
     if len(f.values) != x.n:
         raise ValueError(f"function has {len(f.values)} values for a graph on {x.n} vertices")
-    for v, val in enumerate(f.values):
-        if not 0 <= val <= f.j:
-            raise ValueError(f"value {val} at vertex {v} outside [0, {f.j}]")
+    values = exact_array(f.values)
+    bad = np.flatnonzero((values < 0) | (values > f.j))
+    if len(bad):
+        v = int(bad[0])
+        raise ValueError(f"value {f.values[v]} at vertex {v} outside [0, {f.j}]")
+    return values
 
 
-def _verify(x: Graph, f: DominatingFunction, holds: Callable[[int, int], bool]) -> VerificationReport:
-    _check_function(x, f)
-    violations = tuple(
-        (v, s) for v, s in enumerate(closed_sums(x, f.values)) if not holds(s, f.k)
-    )
+def _verify(x: Graph, f: DominatingFunction, holds: Callable[[np.ndarray, int], np.ndarray]) -> VerificationReport:
+    values = _check_function(x, f)
+    sums = closed_sums(x, values)
+    bad = np.flatnonzero(~holds(sums, f.k))
+    violations = tuple(zip(bad.tolist(), sums[bad].tolist()))
     ok = not violations
     return VerificationReport(
         ok=ok,
         observed_k=f.k if ok else None,
         violations=violations,
-        j_tight=bool(f.values) and max(f.values) == f.j,
+        j_tight=len(values) > 0 and bool(values.max() == f.j),
     )
 
 
@@ -99,7 +105,7 @@ def value_bound_holds(x: Graph, j: int, k: int) -> bool:
     """k can never exceed j * (1 + minimum degree)."""
     if j < 0 or k < 0:
         raise ValueError("j and k must be nonnegative")
-    min_deg = min(len(nbrs) for nbrs in x.adjacency)
+    min_deg = int(x.degrees().min())
     return k <= j * (min_deg + 1)
 
 

@@ -12,8 +12,7 @@ package.
 from __future__ import annotations
 
 import operator
-from bisect import bisect_left
-from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -51,36 +50,78 @@ class SizeCapExceeded(ValueError):
     """Requested graph is larger than the configured vertex cap."""
 
 
-@dataclass
 class Graph:
-    n: int
-    adjacency: List[List[int]]
-    name: str = "graph"
+    """A finite simple graph on the vertices 0..n-1, held as read-only CSR
+    arrays: the neighbours of v are indices[indptr[v]:indptr[v + 1]], in
+    increasing order for every graph that passes validate().
+
+    Graph(n, adjacency, name) builds the arrays from lists of neighbours;
+    the generators and the JSON loader build them directly (from_csr).
+    The list view .adjacency is made on first use and must not be mutated.
+    """
+
+    def __init__(self, n: int, adjacency: Sequence[Sequence[int]], name: str = "graph") -> None:
+        indptr = np.cumsum([0] + [len(row) for row in adjacency], dtype=np.int64)
+        indices = np.fromiter(chain.from_iterable(adjacency), dtype=np.int64, count=int(indptr[-1]))
+        self._set(n, indptr, indices, name)
+
+    @classmethod
+    def from_csr(cls, n: int, indptr: np.ndarray, indices: np.ndarray, name: str = "graph") -> "Graph":
+        g = cls.__new__(cls)
+        g._set(n, indptr, indices, name)
+        return g
+
+    def _set(self, n: int, indptr: np.ndarray, indices: np.ndarray, name: str) -> None:
+        self.n, self.indptr, self.indices, self.name = n, indptr, indices, name
+        indptr.flags.writeable = indices.flags.writeable = False
+        self._adjacency: Optional[List[List[int]]] = None
+
+    @property
+    def adjacency(self) -> List[List[int]]:
+        if self._adjacency is None:
+            flat, ptr = self.indices.tolist(), self.indptr.tolist()
+            self._adjacency = [flat[a:b] for a, b in zip(ptr, ptr[1:])]
+        return self._adjacency
+
+    def degrees(self) -> np.ndarray:
+        return np.diff(self.indptr)
+
+    def rows(self) -> np.ndarray:
+        """The vertex each entry of indices is a neighbour of."""
+        return np.repeat(np.arange(len(self.indptr) - 1, dtype=np.int64), self.degrees())
 
     def validate(self) -> None:
-        if self.n < 1 or len(self.adjacency) != self.n:
+        """Raise ValueError unless every row is sorted and in range, with no
+        loops or repeats, and every edge appears in both directions."""
+        n, indices = self.n, self.indices
+        if n < 1 or len(self.indptr) != n + 1:
             raise ValueError("adjacency length does not match vertex count")
-        for v, nbrs in enumerate(self.adjacency):
-            prev = -1
-            for u in nbrs:
-                if not 0 <= u < self.n:
-                    raise ValueError(f"neighbor {u} of {v} out of range")
-                if u == v:
-                    raise ValueError(f"loop at vertex {v}")
-                if u <= prev:
-                    raise ValueError(f"adjacency of {v} not sorted or has repeats")
-                prev = u
-        for v, nbrs in enumerate(self.adjacency):
-            for u in nbrs:
-                if not _binary_member(self.adjacency[u], v):
-                    raise ValueError(f"edge {v}-{u} not symmetric")
+        rows = self.rows()
+        bad = (indices < 0) | (indices >= n) | (indices == rows)
+        # with every entry in range, row-major keys increase exactly when
+        # each row is strictly increasing
+        keys = rows * n + indices
+        bad[1:] |= keys[1:] <= keys[:-1]
+        if bad.any():
+            i = int(np.argmax(bad))
+            v, u = int(rows[i]), int(indices[i])
+            if not 0 <= u < n:
+                raise ValueError(f"neighbor {u} of {v} out of range")
+            if u == v:
+                raise ValueError(f"loop at vertex {v}")
+            raise ValueError(f"adjacency of {v} not sorted or has repeats")
+        reverse = indices * n + rows
+        if not np.array_equal(np.sort(reverse), keys):
+            found = keys[np.minimum(np.searchsorted(keys, reverse), len(keys) - 1)] == reverse
+            i = int(np.argmin(found))
+            raise ValueError(f"edge {int(rows[i])}-{int(indices[i])} not symmetric")
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        return int(self.indptr[v + 1] - self.indptr[v])
 
     def is_regular(self) -> Optional[int]:
-        degs = {len(nbrs) for nbrs in self.adjacency}
-        return degs.pop() if len(degs) == 1 else None
+        deg = self.degrees()
+        return int(deg[0]) if len(deg) and (deg == deg[0]).all() else None
 
     def regular_degree(self) -> int:
         r = self.is_regular()
@@ -88,14 +129,21 @@ class Graph:
             raise ValueError(f"{self.name} is not regular")
         return r
 
+    def edge_array(self) -> np.ndarray:
+        """The edges u < v as an (m, 2) int64 array, sorted lexicographically."""
+        rows = self.rows()
+        upper = self.indices > rows
+        return np.column_stack((rows[upper], self.indices[upper]))
+
     def edges(self) -> List[Tuple[int, int]]:
         """Edge list with u < v, sorted lexicographically."""
-        return [(v, u) for v in range(self.n) for u in self.adjacency[v] if v < u]
+        return list(map(tuple, self.edge_array().tolist()))
 
 
-def _binary_member(seq: List[int], x: int) -> bool:
-    i = bisect_left(seq, x)
-    return i < len(seq) and seq[i] == x
+def _regular(n: int, nbrs: np.ndarray, name: str) -> Graph:
+    """The graph whose row v is nbrs[v], for an n x r array."""
+    r = nbrs.shape[1]
+    return Graph.from_csr(n, np.arange(n + 1, dtype=np.int64) * r, nbrs.reshape(-1), name)
 
 
 def _check_cap(n: int, size_cap: int) -> None:
@@ -150,26 +198,26 @@ def complete(n: int, size_cap: int = DEFAULT_SIZE_CAP) -> Graph:
     if n < 1:
         raise ValueError("complete graph needs n >= 1")
     _check_cap(n, size_cap)
-    adj = [[u for u in range(n) if u != v] for v in range(n)]
-    return Graph(n, adj, f"K({n})")
+    nbrs = np.broadcast_to(np.arange(n - 1, dtype=np.int64), (n, n - 1)).copy()
+    nbrs += nbrs >= np.arange(n)[:, None]
+    return _regular(n, nbrs, f"K({n})")
 
 
 def cycle(n: int, size_cap: int = DEFAULT_SIZE_CAP) -> Graph:
     if n < 3:
         raise ValueError("cycle needs n >= 3")
     _check_cap(n, size_cap)
-    adj = [sorted(((v - 1) % n, (v + 1) % n)) for v in range(n)]
-    return Graph(n, adj, f"C({n})")
+    v = np.arange(n, dtype=np.int64)
+    return _regular(n, np.sort(np.column_stack(((v - 1) % n, (v + 1) % n)), axis=1), f"C({n})")
 
 
 def complete_bipartite(m: int, n: int, size_cap: int = DEFAULT_SIZE_CAP) -> Graph:
     if m < 1 or n < 1:
         raise ValueError("complete bipartite graph needs both parts nonempty")
     _check_cap(m + n, size_cap)
-    left = list(range(m))
-    right = list(range(m, m + n))
-    adj = [right[:] for _ in left] + [left[:] for _ in right]
-    return Graph(m + n, adj, f"K({m},{n})")
+    indptr = np.concatenate((np.arange(m + 1) * n, m * n + np.arange(1, n + 1) * m))
+    indices = np.concatenate((np.tile(np.arange(m, m + n), m), np.tile(np.arange(m), n)))
+    return Graph.from_csr(m + n, indptr.astype(np.int64), indices.astype(np.int64), f"K({m},{n})")
 
 
 def hamming_graph(q, d: int, size_cap: int = DEFAULT_SIZE_CAP) -> Graph:
@@ -182,11 +230,11 @@ def hamming_graph(q, d: int, size_cap: int = DEFAULT_SIZE_CAP) -> Graph:
     if q < 2 or d < 1:
         raise ValueError("hamming graph needs q >= 2 and d >= 1")
     n = _check_power_cap(q, d, size_cap)
-    adj: List[List[int]] = []
+    nbrs = np.empty((n, (q - 1) * d), dtype=np.int64)
     for lo in range(0, n, BLOCK):
         block = np.arange(lo, min(lo + BLOCK, n), dtype=np.int64)
-        adj += np.sort(hamming_neighbors(q, d, block), axis=1).tolist()
-    return Graph(n, adj, f"H({q},{d})")
+        nbrs[lo:lo + BLOCK] = np.sort(hamming_neighbors(q, d, block), axis=1)
+    return _regular(n, nbrs, f"H({q},{d})")
 
 
 def hamming_neighbors(q: int, d: int, ranks: np.ndarray) -> np.ndarray:
@@ -210,7 +258,8 @@ def folded_cube(d: int, size_cap: int = DEFAULT_SIZE_CAP) -> Graph:
         raise ValueError("folded cube needs d >= 2")
     n = _check_power_cap(2, d - 1, size_cap)
     g = cayley_graph(GF(2), d - 1, [1 << i for i in range(d - 1)] + [n - 1], size_cap)
-    return Graph(n, g.adjacency, f"F({d})")
+    g.name = f"F({d})"
+    return g
 
 
 def cayley_graph(gf: GF, d: int, connection: Sequence[int], size_cap: int = DEFAULT_SIZE_CAP) -> Graph:
@@ -232,33 +281,41 @@ def cayley_graph(gf: GF, d: int, connection: Sequence[int], size_cap: int = DEFA
     ranks = np.arange(n, dtype=np.int64)
     adj = np.column_stack([digitwise(gf.p, d * gf.b, operator.add, ranks, c) for c in conn])
     adj.sort(axis=1)
-    return Graph(n, adj.tolist(), f"Cayley({gf!r}^{d})")
+    return _regular(n, adj, f"Cayley({gf!r}^{d})")
 
 
 def adjacency_matrix(x: Graph) -> np.ndarray:
     """A as an n x n int64 array."""
     m = np.zeros((x.n, x.n), dtype=np.int64)
-    rows = np.repeat(np.arange(x.n), [len(nbrs) for nbrs in x.adjacency])
-    m[rows, [u for nbrs in x.adjacency for u in nbrs]] = 1
+    m[x.rows(), x.indices] = 1
     return m
 
 
 def closed_neighborhood_sum(x: Graph, values: Sequence[int], v: int) -> int:
-    s = values[v]
-    for u in x.adjacency[v]:
-        s += values[u]
-    return s
+    return values[v] + sum(values[u] for u in x.indices[x.indptr[v]:x.indptr[v + 1]].tolist())
 
 
-def closed_sums(x: Graph, values: Sequence[int]) -> List[int]:
-    """(A + I) f: the closed neighbourhood sum of values at every vertex."""
-    sums = []
-    for v, nbrs in enumerate(x.adjacency):
-        s = values[v]
-        for u in nbrs:
-            s += values[u]
-        sums.append(s)
-    return sums
+def exact_array(values: Sequence[int], terms: int = 1) -> np.ndarray:
+    """values as int64 when a sum of `terms` of them cannot reach 2^63,
+    else as Python ints (object dtype), so sums of them never wrap."""
+    try:
+        f = np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+    if len(f) and max(int(f.max()), -int(f.min())) * terms >= 1 << 63:
+        return np.array(values, dtype=object)
+    return f
+
+
+def closed_sums(x: Graph, values: Sequence[int]) -> np.ndarray:
+    """(A + I) f: the closed neighbourhood sum of values at every vertex,
+    exactly (int64, or Python ints when a sum could reach 2^63)."""
+    deg = x.degrees()
+    f = exact_array(values, int(deg.max(initial=0)) + 1)
+    # a trailing 0 gives a row at the end of indices a segment to reduce;
+    # reduceat returns one entry for an empty row, which is masked
+    nbr = np.add.reduceat(np.append(f[x.indices], 0), x.indptr[:-1])
+    return f + np.where(deg > 0, nbr, 0)
 
 
 def equitable_quotient(x: Graph, labels: Sequence[int]) -> Optional[Dict[int, List[int]]]:
@@ -268,10 +325,19 @@ def equitable_quotient(x: Graph, labels: Sequence[int]) -> Optional[Dict[int, Li
     of a vertex carrying it, when all vertices with that label see the
     same multiset; that is exactly when the label classes form an
     equitable partition, and the multisets are the rows of its quotient.
+    Every vertex is compared with the first vertex of its class; the
+    labels come out in increasing order.
     """
-    rows: Dict[int, List[int]] = {}
-    for v, nbrs in enumerate(x.adjacency):
-        row = sorted([labels[u] for u in nbrs])
-        if rows.setdefault(labels[v], row) != row:
-            return None
-    return rows
+    classes, first, cls = np.unique(np.asarray(labels), return_index=True, return_inverse=True)
+    rows, indptr, c = x.rows(), x.indptr, len(classes)
+    # each row's neighbour classes, sorted within the row by one sort
+    nbr = np.sort(rows * c + cls[x.indices]) - rows * c
+    rep = first[cls]
+    deg = x.degrees()
+    if (deg != deg[rep]).any():
+        return None
+    offset = np.arange(len(nbr)) - indptr[rows]
+    if (nbr != nbr[indptr[rep][rows] + offset]).any():
+        return None
+    out, ptr = classes[nbr].tolist(), indptr.tolist()
+    return {label: out[ptr[v]:ptr[v + 1]] for label, v in zip(classes.tolist(), first.tolist())}

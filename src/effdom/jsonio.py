@@ -8,8 +8,13 @@ row-major order.
 
 from __future__ import annotations
 
+import gc
 import json
-from typing import List, Sequence
+from contextlib import contextmanager
+from itertools import chain
+from typing import Iterator, List, Sequence
+
+import numpy as np
 
 from .domination import DominatingFunction
 from .graphs import DEFAULT_SIZE_CAP, Graph, SizeCapExceeded
@@ -39,33 +44,57 @@ def _int(x) -> int:
     return x
 
 
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector while JSON values are built in
+    bulk: they hold no cycles, and it would rescan the growing heap every
+    few hundred new lists (half the time of listing H(2,15)'s edges)."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def graph_to_doc(x: Graph) -> dict:
-    return {
-        "v": SCHEMA_VERSION,
-        "name": x.name,
-        "n": x.n,
-        "edges": [[u, w] for u, w in x.edges()],
-    }
+    with _collector_paused():
+        edges = x.edge_array().tolist()
+    return {"v": SCHEMA_VERSION, "name": x.name, "n": x.n, "edges": edges}
+
+
+def _endpoints(edges) -> List[int]:
+    """The endpoints, in order, of a list of [u, w] pairs of JSON integers."""
+    if type(edges) is not list or not set(map(type, edges)) <= {list}:
+        raise TypeError("edges must be a list of [u, w] pairs")
+    if not set(map(len, edges)) <= {2}:
+        raise TypeError("every edge must be a pair [u, w]")
+    flat = list(chain.from_iterable(edges))
+    if not set(map(type, flat)) <= {int}:
+        _int(next(e for e in flat if type(e) is not int))
+    return flat
 
 
 def graph_from_doc(doc: dict, size_cap: int = DEFAULT_SIZE_CAP) -> Graph:
     try:
         n = _int(doc["n"])
-        edges = [(_int(u), _int(w)) for u, w in doc["edges"]]
+        flat = _endpoints(doc["edges"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"graph document missing field or malformed: {exc}") from exc
     if n > size_cap:
         raise SizeCapExceeded(f"{n} vertices exceeds the cap of {size_cap}")
-    name = str(doc.get("name", "graph"))
-    adjacency: List[List[int]] = [[] for _ in range(n)]
-    for u, w in edges:
-        if not (0 <= u < n and 0 <= w < n):
-            raise ValueError(f"edge [{u}, {w}] has an endpoint outside [0, {n})")
-        adjacency[u].append(w)
-        adjacency[w].append(u)
-    for row in adjacency:
-        row.sort()
-    g = Graph(n=n, adjacency=adjacency, name=name)
+    try:
+        ends = np.fromiter(flat, dtype=np.int64, count=len(flat))
+    except OverflowError:
+        ends = None
+    if ends is None or ((ends < 0) | (ends >= n)).any():
+        i = next(i for i, e in enumerate(flat) if not 0 <= e < n) & ~1
+        raise ValueError(f"edge [{flat[i]}, {flat[i + 1]}] has an endpoint outside [0, {n})")
+    u, w = ends[0::2], ends[1::2]
+    keys = np.sort(np.concatenate((u * n + w, w * n + u)))
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+    g = Graph.from_csr(n, indptr, keys % n, str(doc.get("name", "graph")))
     g.validate()
     return g
 
@@ -115,7 +144,7 @@ def matrix_to_doc(rows: Sequence[Sequence[int]]) -> dict:
 
 
 def load_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, _collector_paused():
         try:
             return json.load(fh)
         except RecursionError:
@@ -123,4 +152,38 @@ def load_json(path: str) -> dict:
 
 
 def dump_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """json.dumps(doc, indent=2) + "\n", byte for byte.
+
+    json falls back to its pure-Python encoder whenever indent is set, so
+    lists of integers and lists of integer lists, which carry nearly all
+    the bytes of a large document, are laid out here; every other value
+    and every key still goes through json.
+    """
+    return _dumps(doc, "\n") + "\n"
+
+
+def _dumps(obj, pad: str) -> str:
+    """obj in the indent=2 layout, pad (a newline and the indentation of
+    obj's own line) starting each of its later lines."""
+    inner = pad + "  "
+    if type(obj) is dict and obj and set(map(type, obj)) == {str}:
+        body = (json.dumps(key) + ": " + _dumps(value, inner) for key, value in obj.items())
+        return "{" + inner + ("," + inner).join(body) + pad + "}"
+    if type(obj) is not list or not obj:
+        if isinstance(obj, (list, tuple, dict)) and obj:
+            # JSON strings hold no raw newline, so every newline is a line break
+            return json.dumps(obj, indent=2).replace("\n", pad)
+        # a scalar or an empty container: json's C encoder gives the same text
+        return json.dumps(obj)
+    # a list of integers, or of integer rows of one length such as an edge
+    # list, is laid out as a template of %d fields filled in one C call
+    kinds = set(map(type, obj))
+    if kinds == {int}:
+        return ("[" + inner + ("," + inner).join(["%d"] * len(obj)) + pad + "]") % tuple(obj)
+    width = len(obj[0]) if kinds == {list} else 0
+    if width and set(map(len, obj)) == {width} and set(map(type, chain.from_iterable(obj))) == {int}:
+        cell = inner + "  "
+        row = "[" + cell + ("," + cell).join(["%d"] * width) + inner + "]"
+        template = "[" + inner + ("," + inner).join([row] * len(obj)) + pad + "]"
+        return template % tuple(chain.from_iterable(obj))
+    return "[" + inner + ("," + inner).join(_dumps(item, inner) for item in obj) + pad + "]"

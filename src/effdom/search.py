@@ -267,7 +267,7 @@ def _batched(x: Graph, order: Tuple[int, ...], j: int, k: int, limit: int,
     dtype = np.min_scalar_type(-k - 2)
     levels, width = _levels(x, order, jr, k, dtype)
     # a chunk's arrays: states, parts of N[u], and an int64 or two per state
-    row_bytes = max(dtype.itemsize * max(width, max(map(len, x.adjacency)) + 1), 8)
+    row_bytes = max(dtype.itemsize * max(width, int(x.degrees().max()) + 1), 8)
     cap = max(1, CHUNK_BYTES // row_bytes)
     leaf_cap = max(1, CHUNK_BYTES // (8 * n))
     position = np.argsort(order)

@@ -58,9 +58,9 @@ def function_from_eigenvector(x: Graph, vec: Sequence[int]) -> DominatingFunctio
         raise ValueError(f"vector length {len(vec)} does not match {x.n} vertices")
     if not any(vec):
         raise ValueError("the zero vector is not an eigenvector")
-    for v, s in enumerate(closed_sums(x, vec)):
-        if s != 0:
-            raise ValueError(f"(A + I) vec is nonzero at vertex {v}")
+    nonzero = np.flatnonzero(closed_sums(x, vec))
+    if len(nonzero):
+        raise ValueError(f"(A + I) vec is nonzero at vertex {nonzero[0]}")
     lo = min(vec)
     if lo >= 0:
         raise ValueError("a (-1)-eigenvector must have a negative entry")

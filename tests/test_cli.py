@@ -221,9 +221,19 @@ CODE_Q3 = {"j": 1, "k": 1, "values": [1, 0, 0, 0, 0, 0, 0, 1]}
     ("spectrum", {"graph": "[" * 100000 + "]" * 100000}),
     ("spectrum", {"graph": {"n": 3.9, "edges": [[0, 1.7], [1, 2], [0, 2]]}}),
     ("spectrum", {"graph": {"n": 3, "edges": [[0, True], [1, 2], [0, 2]]}}),
+    ("spectrum", {"graph": {"n": 3, "edges": [[0, 2 ** 70]]}}),
+    ("spectrum", {"graph": {"n": 3, "edges": [[0, -1]]}}),
+    ("spectrum", {"graph": {"n": 3, "edges": [[0, 1], [1, 0]]}}),
+    ("spectrum", {"graph": {"n": 0, "edges": []}}),
+    ("spectrum", {"graph": {"n": -1, "edges": []}}),
+    ("spectrum", {"graph": {"n": 3, "edges": ["01"]}}),
+    ("spectrum", {"graph": {"n": 3, "edges": {"0": 1}}}),
+    ("spectrum", {"graph": {"n": 3, "edges": {}}}),
 ], ids=["edge-not-pair", "edge-too-short", "edges-not-list", "n-overflows",
         "partition-cell-not-list", "cover-cell-not-list", "connection-not-list", "connection-doc-list",
-        "nested-too-deeply", "non-integer-numbers", "boolean-endpoint"])
+        "nested-too-deeply", "non-integer-numbers", "boolean-endpoint",
+        "endpoint-beyond-int64", "endpoint-negative", "reversed-duplicate", "n-zero", "n-negative",
+        "row-string", "edges-object", "edges-empty-object"])
 def test_malformed_documents_exit_2(capsys, tmp_path, command, docs):
     argv = [command] + (["--q", "2", "--d", "3"] if command == "translate" else [])
     for flag, doc in docs.items():

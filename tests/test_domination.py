@@ -154,3 +154,16 @@ def test_complement_duality_property(x, data):
             assert dual.k == r - k + 1
             back = complement_dual(x, dual)
             assert back.values == vals and back.k == k
+
+
+def test_values_beyond_int64():
+    # exact on Python ints: the sums 2^70 and 2^70 + 1 differ only past int64
+    big = 2 ** 70
+    c6 = cycle(6)
+    report = verify_efficient(c6, DominatingFunction((big, 0, 0, big, 0, 0), j=big, k=big))
+    assert report.ok and report.j_tight and report.violations == ()
+    report = verify_efficient(c6, DominatingFunction((big, 1, 0, big, 0, 0), j=big, k=big))
+    assert not report.ok
+    assert report.violations == ((0, big + 1), (1, big + 1), (2, big + 1))
+    with pytest.raises(ValueError):
+        verify_efficient(c6, DominatingFunction((big + 1, 0, 0, 0, 0, 0), j=big, k=big))

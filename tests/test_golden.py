@@ -5,7 +5,8 @@ The digests were recorded from the command line before the neighbourhood
 kernels were unified (the two verify-plan cases beyond int64 and over
 GF(9), before the labels became digit arrays; the four search cases at and
 beyond the node limit and the j = 2 spectrum-k, before the search walked
-its tree in batches); a refactor that keeps them
+its tree in batches; the H(2,10) and H(3,4) cases, before graphs became
+CSR arrays and dump_json wrote its own layout); a refactor that keeps them
 keeps stdout byte for byte.  Input files are written to a temporary directory, and "{name}" in
 an argument list stands for the path of input file name.json.
 """
@@ -17,8 +18,10 @@ import hashlib
 import pytest
 
 from effdom.cli import run
+from effdom.fields import GF
 from effdom.graphs import complete, cycle, hamming_graph
-from effdom.jsonio import dump_json, graph_to_doc
+from effdom.hamming import construct_function
+from effdom.jsonio import dump_json, function_to_doc, graph_to_doc
 
 INPUTS = {
     "c6": graph_to_doc(cycle(6)),
@@ -26,11 +29,16 @@ INPUTS = {
     "k4": graph_to_doc(complete(4)),
     "k2": graph_to_doc(complete(2)),
     "h23": graph_to_doc(hamming_graph(2, 3)),
+    "h210": graph_to_doc(hamming_graph(2, 10)),
     "c6_code": {"j": 1, "k": 1, "values": [1, 0, 0, 1, 0, 0]},
     "c6_bad": {"j": 1, "k": 1, "values": [1, 1, 0, 1, 0, 0]},
     "c6_weak": {"j": 1, "k": 1, "values": [1, 0, 0, 0, 0, 0]},
     "k3_code": {"j": 1, "k": 1, "values": [1, 0, 0]},
     "h23_code": {"j": 1, "k": 1, "values": [1, 0, 0, 0, 0, 0, 0, 1]},
+    # r + 1 = 11 does not divide 2^10, so k = 11 (all ones) is H(2,10)'s only
+    # nonzero efficient k; the even-weight indicator gives closed sums 1 and 10
+    "h210_all": function_to_doc(construct_function(GF(2), 10, 11).function),
+    "h210_parity": {"j": 1, "k": 1, "values": [1 - bin(v).count("1") % 2 for v in range(1024)]},
     "c6_fibres": {"cells": [[0, 3], [1, 4], [2, 5]]},
     "c6_pairs": {"cells": [[0, 1], [2, 3], [4, 5]]},
     "c6_code_cells": {"cells": [[0, 3], [1, 2, 4, 5]]},
@@ -50,6 +58,10 @@ CASES = [
      "da0ec668f6745ad7bf3ddcaf2a83d376372d86ae87afb2177d86eb613b3c5a49"),
     ("gen-hamming-alphabet", ["gen", "--family", "hamming", "--alphabet", "3", "--d", "2"], 0,
      "794df829acce0f80852e6ea829c4b4cbcbcb7ffb8c835b16bfbb68426e6790e0"),
+    ("gen-hamming-2-10", ["gen", "--family", "hamming", "--q", "2", "--d", "10"], 0,
+     "ab7537c8709f1fff3976855308a986bca6fde2fa1c182b77620a2cb615674016"),
+    ("gen-hamming-3-4", ["gen", "--family", "hamming", "--q", "3", "--d", "4"], 0,
+     "cad17bd9c99a79fdc8780b7346a1400da3f86faeb8617a16f259bd6307f2477d"),
     ("gen-folded-cube", ["gen", "--family", "folded-cube", "--d", "5"], 0,
      "7a37c5b4fa418f6555a0accdc419b4a1f43384c104cd3c612bff098ea41e9dbd"),
     ("verify", ["verify", "--graph", "{c6}", "--function", "{c6_code}"], 0,
@@ -60,6 +72,14 @@ CASES = [
      "2251a8ef839585fb5f8ef395327d8cf399fdf87ae9c2870e27c500c213273e18"),
     ("verify-dominating-fails", ["verify", "--dominating", "--graph", "{c6}", "--function", "{c6_weak}"], 1,
      "eb269da4d667b7c8c4a116ba9ec68ac2d5835aba7aceb3cddf0a69bf3c758c2f"),
+    ("verify-h210", ["verify", "--graph", "{h210}", "--function", "{h210_all}"], 0,
+     "5d9663fb337eba490467b56f7ecd65bfc0ec12dd75340eaef33640aadf0dc68d"),
+    ("verify-h210-fails", ["verify", "--graph", "{h210}", "--function", "{h210_parity}"], 1,
+     "b18b536c7baa154318ccae756f86e553670ac85848df560a92a307cb1f80aae4"),
+    ("verify-h210-dominating", ["verify", "--dominating", "--graph", "{h210}", "--function", "{h210_parity}"], 0,
+     "2251a8ef839585fb5f8ef395327d8cf399fdf87ae9c2870e27c500c213273e18"),
+    ("construct-h210-k1", ["construct", "--q", "2", "--d", "10", "--k", "1"], 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("construct", ["construct", "--q", "2", "--d", "5", "--k", "3"], 0,
      "54a794602869b9362fa626ab07d20c5d9e2558a806ac5e74107dae021374da49"),
     ("construct-gf4", ["construct", "--q", "4", "--b", "2", "--d", "5", "--k", "1"], 0,

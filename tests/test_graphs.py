@@ -4,8 +4,11 @@ presentations of a Hamming graph (tuple adjacency vs Cayley sum)."""
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from effdom.fields import GF
 from effdom.graphs import (
@@ -175,3 +178,80 @@ def test_validate_rejects_broken_graphs():
         Graph(2, [[0], [0]]).validate()  # loop
     with pytest.raises(ValueError):
         Graph(2, [[1, 1], [0]]).validate()  # repeats
+
+
+def validate_lists(n, adjacency):
+    """Graph.validate as it was on lists of lists: every row checked
+    vertex by vertex, then every edge looked up in its reverse row."""
+    if n < 1 or len(adjacency) != n:
+        raise ValueError("adjacency length does not match vertex count")
+    for v, nbrs in enumerate(adjacency):
+        prev = -1
+        for u in nbrs:
+            if not 0 <= u < n:
+                raise ValueError(f"neighbor {u} of {v} out of range")
+            if u == v:
+                raise ValueError(f"loop at vertex {v}")
+            if u <= prev:
+                raise ValueError(f"adjacency of {v} not sorted or has repeats")
+            prev = u
+    for v, nbrs in enumerate(adjacency):
+        for u in nbrs:
+            row = adjacency[u]
+            i = bisect_left(row, v)
+            if not (i < len(row) and row[i] == v):
+                raise ValueError(f"edge {v}-{u} not symmetric")
+
+
+@st.composite
+def adjacency_lists(draw):
+    """Small adjacency lists, mostly from a simple graph with a few entries
+    dropped, added, repeated or swapped, so that valid and invalid graphs
+    both turn up."""
+    n = draw(st.integers(1, 7))
+    adj = [[] for _ in range(n)]
+    for u in range(n):
+        for v in range(u + 1, n):
+            if draw(st.booleans()):
+                adj[u].append(v)
+                adj[v].append(u)
+    for _ in range(draw(st.integers(0, 2))):
+        v = draw(st.integers(0, n - 1))
+        row = adj[v]
+        edit = draw(st.sampled_from(["drop", "add", "repeat", "swap"]))
+        if edit == "drop" and row:
+            row.pop(draw(st.integers(0, len(row) - 1)))
+        elif edit == "add":
+            row.insert(draw(st.integers(0, len(row))), draw(st.integers(-1, n)))
+        elif edit == "repeat" and row:
+            row.append(row[-1])
+        elif edit == "swap" and len(row) > 1:
+            row[0], row[1] = row[1], row[0]
+    return draw(st.sampled_from([n, n, n, n - 1, n + 1])), adj
+
+
+def _outcome(check):
+    try:
+        check()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(adjacency_lists())
+def test_validate_matches_list_oracle(case):
+    n, adj = case
+    assert _outcome(lambda: Graph(n, adj).validate()) == _outcome(lambda: validate_lists(n, adj))
+
+
+def test_graph_arrays_are_csr():
+    h = hamming_graph(3, 2)
+    assert h.indptr.tolist() == list(range(0, 37, 4))
+    assert h.indices[:4].tolist() == [1, 2, 3, 6]
+    assert h.edge_array().tolist() == [list(e) for e in h.edges()]
+    with pytest.raises(ValueError):
+        h.indices[0] = 5  # read-only, so the cached list view cannot go stale
+    k23 = complete_bipartite(2, 3)
+    assert k23.indptr.tolist() == [0, 3, 6, 8, 10, 12]
+    assert Graph(3, [[], [], []]).is_regular() == 0

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import gc
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from effdom.domination import DominatingFunction
-from effdom.graphs import SizeCapExceeded, complete_bipartite, cycle
+from effdom.graphs import DEFAULT_SIZE_CAP, SizeCapExceeded, complete_bipartite, cycle, hamming_graph
 from effdom.jsonio import (
     SCHEMA_VERSION,
     connection_from_doc,
@@ -16,6 +19,7 @@ from effdom.jsonio import (
     function_to_doc,
     graph_from_doc,
     graph_to_doc,
+    load_json,
     matrix_to_doc,
     partition_from_doc,
     partition_to_doc,
@@ -111,3 +115,150 @@ def test_dump_json():
     text = dump_json({"v": 1, "x": [1, 2]})
     assert text.endswith("\n")
     assert json.loads(text) == {"v": 1, "x": [1, 2]}
+
+
+@pytest.mark.parametrize("doc", [
+    {"n": 3, "edges": [[0, 2 ** 70]]},
+    {"n": 3, "edges": [[2 ** 70, 2 ** 70]]},
+    {"n": 3, "edges": [[0, -2 ** 70]]},
+    {"n": 3, "edges": [[0, -1]]},
+    {"n": 3, "edges": [[0, 1], [1, 0]]},
+    {"n": 0, "edges": []},
+    {"n": -1, "edges": []},
+    {"n": 3, "edges": ["01"]},
+    {"n": 3, "edges": [[0, 1, 2]]},
+    {"n": 3, "edges": {"0": 1}},
+    {"n": 3, "edges": {}},
+], ids=["endpoint-beyond-int64", "both-beyond-int64", "endpoint-below-int64", "endpoint-negative",
+        "reversed-duplicate", "n-zero", "n-negative", "row-string", "row-triple", "edges-object",
+        "edges-empty-object"])
+def test_graph_from_doc_refusals(doc):
+    # ValueError, never an OverflowError from the int64 arrays: the CLI
+    # turns ValueError into exit code 2 and does not catch the others
+    with pytest.raises(ValueError):
+        graph_from_doc(doc)
+
+
+def list_loader(doc, size_cap=DEFAULT_SIZE_CAP):
+    """graph_from_doc as it was on lists of lists, returning the adjacency."""
+    try:
+        n = doc["n"]
+        if type(n) is not int:
+            raise TypeError(n)
+        edges = [(u, w) for u, w in doc["edges"]]
+        if any(type(e) is not int for edge in edges for e in edge):
+            raise TypeError(edges)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed: {exc}") from exc
+    if n > size_cap:
+        raise SizeCapExceeded(n)
+    adjacency = [[] for _ in range(max(n, 0))]
+    for u, w in edges:
+        if not (0 <= u < n and 0 <= w < n):
+            raise ValueError("endpoint out of range")
+        adjacency[u].append(w)
+        adjacency[w].append(u)
+    if n < 1:
+        raise ValueError("no vertices")
+    for v, row in enumerate(adjacency):
+        row.sort()
+        if v in row or len(set(row)) < len(row):
+            raise ValueError("loop or repeated edge")
+    return adjacency
+
+
+ENDPOINTS = st.sampled_from([-1, 0, 3, 7, 2 ** 63, -2 ** 63 - 1, 2 ** 70, True, 1.0, "1", None])
+ROWS = st.one_of(st.lists(ENDPOINTS, max_size=3), st.sampled_from(["01", 5, {"0": 1}]))
+
+
+@st.composite
+def graph_docs(draw):
+    """A simple graph's edge list in random order and orientation, with up
+    to two edits (a repeated or reversed edge, a bad endpoint, another n)
+    and sometimes a malformed row."""
+    n = draw(st.integers(1, 7))
+    edges = [[u, w] for u in range(n) for w in range(u + 1, n) if draw(st.booleans())]
+    edges = [e[::-1] if draw(st.booleans()) else e for e in draw(st.permutations(edges))]
+    for _ in range(draw(st.integers(0, 2))):
+        edit = draw(st.sampled_from(["repeat", "reverse", "endpoint", "n"]))
+        if edit == "n":
+            n = draw(st.sampled_from([-1, 0, n - 1, n + 1, 2 ** 70, 3.0, True]))
+        elif edges:
+            i = draw(st.integers(0, len(edges) - 1))
+            if edit == "endpoint":
+                edges[i] = [edges[i][0], draw(ENDPOINTS)]
+            else:
+                edges.append(list(edges[i]) if edit == "repeat" else edges[i][::-1])
+    if draw(st.integers(0, 3)) == 0:
+        edges.insert(draw(st.integers(0, len(edges))), draw(ROWS))
+    return {"n": n, "edges": edges}
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph_docs(), st.sampled_from([4, DEFAULT_SIZE_CAP]))
+def test_graph_from_doc_matches_list_loader(doc, cap):
+    try:
+        want = list_loader(doc, cap)
+    except ValueError as exc:
+        want = type(exc)
+    try:
+        got = graph_from_doc(doc, size_cap=cap).adjacency
+    except ValueError as exc:
+        got = type(exc)
+    assert got == want
+
+
+JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2 ** 70, 2 ** 70), st.integers(-3, 3), st.floats(),
+    st.text(), st.sampled_from(["", "\"\\\n\t\u2028", "caf\u00e9 \u65e5\u672c", "\U0001f600"]),
+)
+INT_ROWS = st.integers(1, 3).flatmap(
+    lambda w: st.lists(st.lists(st.integers(-2 ** 70, 2 ** 70), min_size=w, max_size=w), max_size=6))
+JSON_DOCS = st.recursive(
+    JSON_LEAVES | INT_ROWS | st.lists(st.integers(-2 ** 70, 2 ** 70), max_size=6),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(st.lists(st.integers(-9, 9), max_size=3), max_size=5),
+        st.dictionaries(st.text(max_size=6), inner, max_size=5),
+        st.dictionaries(st.one_of(st.integers(-9, 9), st.booleans(), st.none(), st.text(max_size=2)),
+                        inner, max_size=3),
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(JSON_DOCS)
+def test_dump_json_matches_json_dumps(doc):
+    assert dump_json(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("doc", [
+    [True, 1], [1, False], [[1, True]], [[1, 2], [3, False]], [[1], [2, 3]], [[1, 2], []],
+    {"a": [0, None], "b": [1.0, 2]}, {1: [1, 2]}, {"k": {"": []}}, [-0, -(2 ** 70)],
+    {"t": (1, (2, 3)), "e": ()}, [(1, 2), (3, 4)],
+])
+def test_dump_json_mixed_lists(doc):
+    # lists that look like integer lists or rows but are not laid out by
+    # them, and tuples, which json writes as lists
+    assert dump_json(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+def test_dump_json_graph_document():
+    doc = graph_to_doc(hamming_graph(3, 3))
+    assert dump_json(doc) == json.dumps(doc, indent=2) + "\n"
+    assert graph_from_doc(json.loads(dump_json(doc))).adjacency == hamming_graph(3, 3).adjacency
+
+
+def test_collector_restored(tmp_path):
+    path = tmp_path / "g.json"
+    path.write_text(dump_json(graph_to_doc(cycle(5))), encoding="utf-8")
+    assert gc.isenabled()
+    graph_from_doc(load_json(str(path)))
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        load_json(str(path))
+        assert not gc.isenabled()
+    finally:
+        gc.enable()

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +22,7 @@ from effdom.graphs import (
     complete,
     complete_bipartite,
     cycle,
+    equitable_quotient,
     folded_cube,
     hamming_graph,
 )
@@ -184,6 +187,55 @@ def test_closed_sums_match_oracle(graph, data):
         expected[u] += values[v]
         expected[v] += values[u]
     x = make_graph(n, edges)
-    assert closed_sums(x, values) == expected
-    assert closed_sums(x, tuple(values)) == expected
+    assert closed_sums(x, values).tolist() == expected
+    assert closed_sums(x, tuple(values)).tolist() == expected
     assert [closed_neighborhood_sum(x, values, v) for v in range(n)] == expected
+
+
+def closed_sums_loop(x, values):
+    """closed_sums as it was: a Python-int loop over the adjacency lists."""
+    sums = []
+    for v, nbrs in enumerate(x.adjacency):
+        s = values[v]
+        for u in nbrs:
+            s += values[u]
+        sums.append(s)
+    return sums
+
+
+@pytest.mark.parametrize("x", [cycle(5), complete(4), hamming_graph(2, 3), complete_bipartite(2, 3)])
+def test_closed_sums_at_the_int64_boundary(x):
+    # int64 while max|f| (r + 1) < 2^63, Python ints from there on; on the
+    # regular graphs the sums of m = top fit in int64 and those of top + 1 do not
+    terms = max(x.degree(v) for v in range(x.n)) + 1
+    top = (2 ** 63 - 1) // terms
+    for m, dtype in ((top, np.int64), (top + 1, object)):
+        for values in ([m] * x.n, [-m] * x.n, [m - v % 2 for v in range(x.n)]):
+            sums = closed_sums(x, values)
+            assert sums.dtype == dtype
+            assert sums.tolist() == closed_sums_loop(x, values)
+    values = [2 ** 63 - 1] + [0] * (x.n - 1)
+    assert closed_sums(x, values).tolist() == closed_sums_loop(x, values)
+
+
+def equitable_loop(x, labels):
+    """equitable_quotient as it was: one sorted row per vertex, compared
+    with the first row of its label."""
+    rows = {}
+    for v, nbrs in enumerate(x.adjacency):
+        row = sorted([labels[u] for u in nbrs])
+        if rows.setdefault(labels[v], row) != row:
+            return None
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(random_graphs(), st.sampled_from(REGULAR).map(lambda x: (x.n, x.edges()))), st.data())
+def test_equitable_quotient_matches_loop(graph, data):
+    n, edges = graph
+    x = make_graph(n, edges)
+    labels = data.draw(st.one_of(
+        st.lists(st.sampled_from([-2 ** 40, -1, 0, 1, 5]), min_size=n, max_size=n),
+        st.sampled_from([[0] * n, [v % 2 for v in range(n)], [v // 2 for v in range(n)]]),
+    ))
+    assert equitable_quotient(x, labels) == equitable_loop(x, labels)
