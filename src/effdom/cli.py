@@ -8,6 +8,10 @@ and can be overridden with the EFFDOM_SIZE_CAP environment variable.
 Field alphabets are selected with --q and --b: GF(q) with q = p^b, where
 --q alone means a prime field.  The --alphabet flag of gen builds a
 Hamming graph over a plain symbol set with no field structure.
+
+The top-level --stats flag writes one JSON line of counters and stage
+times to stderr after the command; stdout and the exit code are the same
+with and without it.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import os
 import sys
 from typing import List, Optional
 
-from . import hamming, jsonio, partitions, search, spectral
+from . import hamming, jsonio, obs, partitions, search, spectral
 from .domination import verify_dominating, verify_efficient
 from .fields import GF, MAX_ORDER
 from .graphs import (
@@ -301,6 +305,11 @@ def _build_parser() -> argparse.ArgumentParser:
         default=1,
         help="accepted for compatibility and ignored; results do not depend on the thread count",
     )
+    top.add_argument(
+        "--stats",
+        action="store_true",
+        help='write {"stats": {"spans_ms": ..., "counters": ...}} to stderr as one JSON line',
+    )
     sub = top.add_subparsers(dest="command", required=True)
 
     def add_field_flags(p, need_d=True):
@@ -395,8 +404,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    if not args.stats:
+        return _dispatch(args)
+    with obs.collecting() as stats:
+        try:
+            return _dispatch(args)
+        finally:
+            sys.stderr.write(stats.line())
+
+
+def _dispatch(args) -> int:
     try:
         return args.func(args)
     except SizeCapExceeded as exc:

@@ -3,8 +3,9 @@
 Field matrices are lists of rows of GF element codes; integer matrices
 are lists of rows of Python ints, or integer numpy arrays.  Integer
 kernels, ranks and characteristic polynomials are computed modulo primes
-below 2^20 in float64 BLAS products whose sums are integers below 2^53,
-so no result depends on rounding, summation order or thread count.
+below 2^20: column steps and Hessenberg reduction in int64 below 2^63,
+products of whole panels in float64 BLAS whose sums are integers below
+2^53, so no result depends on rounding, summation order or thread count.
 Kernels are certified by M v = 0 over Z and returned in free-column
 completion form (one vector per free column, in increasing column
 order), primitive, with the first nonzero entry positive.
@@ -13,11 +14,12 @@ order), primitive, with the first nonzero entry positive.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm, prod
+from math import gcd, isqrt, prod
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import obs
 from .fields import GF
 
 __all__ = [
@@ -144,11 +146,16 @@ def mat_vec(gf: GF, mat: Sequence[Sequence[int]], vec: Sequence[int]) -> List[in
 # Residues mod p are float64 operands in [0, p].  A product with an inner
 # dimension of at most BLOCK, added to DELAY - 1 earlier ones and a residue,
 # stays below 2^53, so every partial sum is an exact integer whatever order
-# BLAS adds in.  Longer products are cut into slices DELAY * BLOCK wide.
+# BLAS adds in.  Column steps in a panel and the Hessenberg reduction run
+# in int64 onto residues: a panel takes at most BLOCK steps, each adding
+# less than p^2 to an entry, and a Hessenberg product sums n <= CHAR_POLY_CAP
+# terms below p^2 (below 2^63 for any n < 2^23).
 BLOCK = 64
 PRIME_LIMIT = 1 << 20
 DELAY = ((1 << 53) - 2 * PRIME_LIMIT) // (BLOCK * PRIME_LIMIT ** 2)
 assert DELAY >= 1 and DELAY * BLOCK * PRIME_LIMIT ** 2 + 2 * PRIME_LIMIT <= 1 << 53
+assert BLOCK * (PRIME_LIMIT - 1) ** 2 + PRIME_LIMIT < 1 << 63
+assert CHAR_POLY_CAP * (PRIME_LIMIT - 1) ** 2 + PRIME_LIMIT < 1 << 63
 
 
 def _primes():
@@ -183,45 +190,58 @@ def _mod(x: np.ndarray, p: int) -> np.ndarray:
     return r
 
 
-def _matmul_mod(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
-    out = np.zeros((x.shape[0], y.shape[1]))
-    for s in range(0, x.shape[1], DELAY * BLOCK):
-        out = _mod(out + x[:, s:s + DELAY * BLOCK] @ y[s:s + DELAY * BLOCK], p)
-    return out
+def _panel_rref(panel: np.ndarray, p: int) -> Tuple[List[int], List[int], np.ndarray]:
+    """Gauss-Jordan on the int64 residues of a panel mod p, rows unmoved:
+    pivot columns, their rows, and the inverse of the pivot block.  Columns
+    T right of the panel collect the inverse: no row is added to another
+    before it is pivot k, so T[r, k] = 1 set then starts it from [B | I]."""
+    width = panel.shape[1]
+    a = np.hstack([panel, np.zeros_like(panel)])
+    live = np.ones(len(a), dtype=bool)
+    cols: List[int] = []
+    rows: List[int] = []
+    for c in range(width):
+        col = a[:, c] % p
+        nz = np.flatnonzero(col)
+        pivot = nz[live[nz]]
+        if pivot.size == 0:
+            continue
+        r, end = int(pivot[0]), width + len(cols) + 1
+        a[r, end - 1] = 1
+        row = a[r, c:end] % p * pow(int(col[r]), p - 2, p) % p
+        nz = nz[nz != r]
+        a[nz, c:end] += (p - col[nz])[:, None] * row
+        a[r, c:end] = row
+        live[r] = False
+        cols.append(c)
+        rows.append(r)
+    return cols, rows, a[rows, width:width + len(cols)] % p
 
 
-def _rref_mod(a: np.ndarray, p: int, width: int = BLOCK) -> Tuple[List[int], np.ndarray]:
+def _rref_mod(a: np.ndarray, p: int) -> Tuple[List[int], np.ndarray]:
     """Reduces the float64 residues a in place to reduced row echelon form
     mod p, rows unmoved; returns the pivot columns and their rows.
-    The pivots of each width-column panel of the rows without a pivot come
-    from eliminating that panel one column at a time; the inverse of the
-    pivot block normalises the pivot rows, and one product clears the pivot
-    columns from all other rows.  The rest of a is reduced every DELAY panels.
+    The pivots of each BLOCK-column panel of the rows without a pivot, and
+    the inverse of their pivot block, come from one pass of int64 column
+    steps; that inverse normalises the pivot rows, and one float64 product
+    clears the pivot columns from all other rows.  The rest of a is reduced
+    every DELAY panels.
     """
     live = np.ones(a.shape[0], dtype=bool)
     piv: List[int] = []
     piv_rows: List[int] = []
-    for c0 in range(0, a.shape[1], width):
+    for c0 in range(0, a.shape[1], BLOCK):
         rows = np.flatnonzero(live)
         if rows.size == 0:
             break
-        stop = None if c0 and c0 // width % DELAY == 0 else c0 + width
+        obs.count("linalg.panels")
+        stop = None if c0 and c0 // BLOCK % DELAY == 0 else c0 + BLOCK
         a[:, c0:stop] = _mod(a[:, c0:stop], p)
-        if width == 1:
-            nz = np.flatnonzero(a[rows, c0])
-            if nz.size == 0:
-                continue
-            pr, pc = rows[nz[:1]], [c0]
-            inv = np.array([[pow(int(a[pr[0], c0]), p - 2, p)]], dtype=np.float64)
-        else:
-            cols, order = _rref_mod(a[rows, c0:c0 + width], p, 1)
-            if not cols:
-                continue
-            pr, pc = rows[order], [c0 + c for c in cols]
-            block = np.hstack([a[np.ix_(pr, pc)], np.eye(len(pc))])
-            _, order = _rref_mod(block, p, 1)
-            inv = block[order, len(pc):]
-        top = _mod(inv @ _mod(a[pr, c0:], p), p)
+        cols, order, inv = _panel_rref(a[rows, c0:c0 + BLOCK].astype(np.int64), p)
+        if not cols:
+            continue
+        pr, pc = rows[order], [c0 + c for c in cols]
+        top = _mod(inv.astype(np.float64) @ _mod(a[pr, c0:], p), p)
         neg = p - a[:, pc]
         neg[pr] = 0
         a[pr, c0:] = top
@@ -254,24 +274,40 @@ def _symmetric(res: np.ndarray, modulus: int) -> np.ndarray:
     return np.where(res > modulus // 2, res - modulus, res)
 
 
+def _denominator(x: int, modulus: int, bound: int) -> Optional[int]:
+    """The least d > 0 with d x = n mod modulus for some |n| <= bound, by
+    extended Euclid; None when it shares a factor with modulus."""
+    a0, a1, t0, t1 = modulus, x, 0, 1
+    while a1 > bound:
+        q = a0 // a1
+        a0, a1, t0, t1 = a1, a0 - q * a1, t1, t0 - q * t1
+    return abs(t1) if gcd(t1, modulus) == 1 else None
+
+
 def _rational_lift(res: np.ndarray, modulus: int) -> Optional[np.ndarray]:
-    """Kernel rows by rational reconstruction, denominators cleared: each
-    residue becomes the n/d with |n|, d <= sqrt(modulus/2) congruent to it."""
+    """Kernel rows by rational reconstruction with one denominator per row:
+    den grows by the denominator of den x_i at the first entry whose
+    symmetric lift exceeds sqrt(modulus/2), until den x lifts within it.
+    This finds every row den x with den and its entries within that bound,
+    as the Hadamard argument of int_kernel_basis needs; None once a den
+    would pass the bound, where the reconstruction need not be unique."""
     bound = isqrt((modulus - 1) // 2)
-    out = []
-    for row in res.tolist():
-        fracs = []
-        for x in row:
-            a0, a1, t0, t1 = modulus, x, 0, 1
-            while a1 > bound:
-                q = a0 // a1
-                a0, a1, t0, t1 = a1, a0 - q * a1, t1, t0 - q * t1
-            if abs(t1) > bound or gcd(t1, modulus) != 1:
+    res = res.astype(object)
+    den = np.ones((len(res), 1), dtype=object)
+    out = np.empty_like(res)
+    todo = np.arange(len(res))
+    while todo.size:
+        lifted = _symmetric(res[todo] * den[todo] % modulus, modulus)
+        big = np.abs(lifted) > bound
+        done = ~big.any(axis=1)
+        out[todo[done]] = lifted[done]
+        for i, j in zip(np.flatnonzero(~done), big[~done].argmax(axis=1)):
+            d = _denominator(int(lifted[i, j]) % modulus, modulus, bound)
+            if d is None or den[todo[i], 0] * d > bound:
                 return None
-            fracs.append((a1, t1))
-        denom = lcm(*(t for _, t in fracs))
-        out.append([a * denom // t for a, t in fracs])
-    return _primitive(np.array(out, dtype=object).reshape(res.shape))
+            den[todo[i], 0] *= d
+        todo = todo[~done]
+    return _primitive(out)
 
 
 def _primitive(vecs: np.ndarray) -> np.ndarray:
@@ -283,11 +319,18 @@ def _primitive(vecs: np.ndarray) -> np.ndarray:
 
 def _annihilates(mat: np.ndarray, vecs: np.ndarray) -> bool:
     """Exact check that M v = 0 for every row v of vecs: v is cut into
-    base-2^bits digits small enough that each float64 product is exact."""
+    base-2^bits digits small enough that each float64 product is exact.
+    Before more than one such product, one product mod the prime 65521
+    turns most wrong vectors away; residues mod the kernel primes cannot,
+    as every lift annihilates M modulo them."""
     bits = 52 - max(_row_l1(mat)).bit_length()
+    top, q = int(np.abs(vecs).max(initial=0)).bit_length(), 65521
+    if top >= bits and mat.shape[1] * q * q < 1 << 52:
+        if np.any(_mod((mat % q).astype(np.float64) @ (vecs % q).astype(np.float64).T, q)):
+            return False
     if bits < 1:
         return not np.any(mat.astype(object) @ vecs.astype(object).T)
-    top, m, total = int(np.abs(vecs).max(initial=0)).bit_length(), mat.astype(np.float64), 0
+    m, total = mat.astype(np.float64), 0
     for shift in range(0, top + 1, bits):
         digit = vecs >> shift if shift + bits > top else (vecs >> shift) & ((1 << bits) - 1)
         part = m @ digit.astype(np.float64).T
@@ -304,29 +347,35 @@ def int_kernel_basis(mat: Sequence[Sequence[int]], cols: Optional[int] = None) -
     norms, so primes missing the rational pivots multiply to at most h, and
     reconstruction succeeds once the others pass 2h^2 + 2."""
     if len(mat) == 0:
-        if cols is None:
+        if isinstance(mat, np.ndarray) and mat.ndim == 2:
+            cols = mat.shape[1]
+        elif cols is None:
             raise ValueError("cannot infer column count of an empty matrix")
         return [tuple(1 if i == f else 0 for i in range(cols)) for f in range(cols)]
     m = _int_matrix(mat, cols)
     if m.shape[1] == 0:
         return []
-    h = prod(max(s, 1) for s in _row_l1(m))
-    spent, best = 1, None
-    for p in _primes():
-        piv, kern = _modp_kernel(m, p)
-        if best is None or (-len(piv), piv) < (-len(best[0]), best[0]):
-            best = (piv, kern, p)
-        elif piv == best[0]:
-            best = (piv, *_crt(best[1], best[2], kern, p))
-        _, res, modulus = best
-        vecs = _primitive(_symmetric(res, modulus))
-        if not _annihilates(m, vecs):
-            vecs = _rational_lift(res, modulus)
-        if vecs is not None and _annihilates(m, vecs):
-            return [tuple(v) for v in vecs.tolist()]
-        spent *= p
-        if spent > (2 * h * h + 2) * h:
-            raise ArithmeticError("modular kernel not certified within the Hadamard bound")
+    with obs.span("linalg.int_kernel_basis"):
+        h = prod(max(s, 1) for s in _row_l1(m))
+        spent, best = 1, None
+        for p in _primes():
+            obs.count("linalg.primes")
+            piv, kern = _modp_kernel(m, p)
+            if best is None or (-len(piv), piv) < (-len(best[0]), best[0]):
+                best = (piv, kern, p)
+            elif piv == best[0]:
+                obs.count("linalg.crt_rounds")
+                best = (piv, *_crt(best[1], best[2], kern, p))
+            _, res, modulus = best
+            vecs = _primitive(_symmetric(res, modulus))
+            if not _annihilates(m, vecs):
+                obs.count("linalg.rational_lifts")
+                vecs = _rational_lift(res, modulus)
+            if vecs is not None and _annihilates(m, vecs):
+                return [tuple(v) for v in vecs.tolist()]
+            spent *= p
+            if spent > (2 * h * h + 2) * h:
+                raise ArithmeticError("modular kernel not certified within the Hadamard bound")
 
 
 def int_rank(mat: Sequence[Sequence[int]], cols: Optional[int] = None) -> int:
@@ -346,7 +395,7 @@ def _hessenberg_char_poly(mat: np.ndarray, p: int) -> np.ndarray:
     of M: the leading m x m blocks of H have characteristic polynomials
     p_m = x p_(m-1) - sum_(i<m) h_(i,m-1) t_i p_i, with t_i the product of
     the subdiagonal entries h_(l,l-1) for i < l < m."""
-    h = (mat % p).astype(np.float64)
+    h = (mat % p).astype(np.int64)
     n = h.shape[0]
     for j in range(n - 2):
         nz = np.flatnonzero(h[j + 1:, j])
@@ -355,18 +404,19 @@ def _hessenberg_char_poly(mat: np.ndarray, p: int) -> np.ndarray:
         i = j + 1 + int(nz[0])
         h[[i, j + 1]] = h[[j + 1, i]]
         h[:, [i, j + 1]] = h[:, [j + 1, i]]
-        u = _mod(h[j + 2:, j] * pow(int(h[j + 1, j]), p - 2, p), p)
-        h[j + 2:, j:] = _mod(h[j + 2:, j:] + (p - u)[:, None] * h[j + 1, j:], p)
-        h[:, j + 1] = _mod(h[:, j + 1] + _matmul_mod(h[:, j + 2:], u[:, None], p)[:, 0], p)
-    polys = np.zeros((n + 1, n + 1))
+        u = h[j + 2:, j] * pow(int(h[j + 1, j]), p - 2, p) % p
+        rest = h[j + 2:, j:] + np.multiply.outer(p - u, h[j + 1, j:])
+        h[j + 2:, j:] = rest - rest // p * p  # rest % p: numpy divides faster
+        h[:, j + 1] = (h[:, j + 1] + h[:, j + 2:] @ u) % p
+    polys = np.zeros((n + 1, n + 1), dtype=np.int64)
     polys[0, 0] = 1
-    t = np.zeros(0)
+    t = np.zeros(0, dtype=np.int64)
     for m in range(1, n + 1):
-        t = np.append(_mod(t * h[m - 1, m - 2], p), 1)
-        w = _mod(h[:m, m - 1] * t, p)
+        t = np.append(t * h[m - 1, m - 2] % p, 1)
+        w = h[:m, m - 1] * t % p
         polys[m, 1:] = polys[m - 1, :-1]
-        polys[m] = _mod(polys[m] + p - _matmul_mod(w[None, :], polys[:m], p)[0], p)
-    return polys[n].astype(np.int64)
+        polys[m, :m] = (polys[m, :m] - w @ polys[:m, :m]) % p
+    return polys[n]
 
 
 def char_poly(mat: Sequence[Sequence[int]], max_n: int = CHAR_POLY_CAP) -> List[int]:
@@ -386,10 +436,13 @@ def char_poly(mat: Sequence[Sequence[int]], max_n: int = CHAR_POLY_CAP) -> List[
         raise ValueError("characteristic polynomial needs a square matrix")
     bound = 2 * (1 + max(_row_l1(m))) ** n
     res, modulus = np.zeros(n + 1, dtype=object), 1
-    for p in _primes():
-        res, modulus = _crt(res, modulus, _hessenberg_char_poly(m, p), p)
-        if modulus > bound:
-            return [int(c) for c in _symmetric(res, modulus)]
+    with obs.span("linalg.char_poly"):
+        for p in _primes():
+            obs.count("linalg.primes")
+            obs.count("linalg.crt_rounds")
+            res, modulus = _crt(res, modulus, _hessenberg_char_poly(m, p), p)
+            if modulus > bound:
+                return [int(c) for c in _symmetric(res, modulus)]
 
 
 def poly_mul(p: Sequence[int], q: Sequence[int]) -> List[int]:

@@ -14,6 +14,7 @@ an argument list stands for the path of input file name.json.
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 
@@ -158,3 +159,13 @@ def run_case(argv, paths, capsys):
 @pytest.mark.parametrize("argv, code, digest", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
 def test_golden(argv, code, digest, inputs, capsys):
     assert run_case(argv, inputs, capsys) == (code, digest)
+
+
+@pytest.mark.parametrize("argv, code, digest", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
+def test_golden_with_stats(argv, code, digest, inputs, capsys):
+    # --stats adds one JSON line to stderr and changes nothing on stdout
+    got = run(["--stats"] + [arg.format(**inputs) for arg in argv])
+    captured = capsys.readouterr()
+    assert (got, hashlib.sha256(captured.out.encode("utf-8")).hexdigest()) == (code, digest)
+    stats = json.loads(captured.err.splitlines()[-1])["stats"]
+    assert set(stats) == {"spans_ms", "counters"}

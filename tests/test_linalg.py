@@ -131,6 +131,17 @@ def test_int_kernel_primitive_and_canonical():
     assert kern == [(1, 2, 0), (0, 0, 1)]
 
 
+def test_int_kernel_of_a_matrix_without_rows():
+    units = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert int_kernel_basis(np.zeros((0, 3), dtype=np.int64)) == units
+    assert int_kernel_basis(np.zeros((0, 0), dtype=np.int64)) == []
+    assert int_kernel_basis([], 3) == units
+    assert int_rank(np.zeros((0, 3), dtype=np.int64)) == 0
+    # a list without rows carries no column count
+    with pytest.raises(ValueError, match="column count"):
+        int_kernel_basis([])
+
+
 def _sympy_nullity(m):
     return len(sympy.Matrix(m).nullspace())
 

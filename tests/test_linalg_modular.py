@@ -1,33 +1,39 @@
 """Differential tests of the modular integer linear algebra.
 
-The blocked float64 elimination is compared with a column-at-a-time
-int64 elimination, and the Hessenberg characteristic polynomial with the
-Faddeev-LeVerrier recurrence over Z; both references are kept here as
-oracles only.  Kernels with entries too large for the float64 check are
-compared with sympy.
+The blocked elimination is compared with a column-at-a-time int64
+elimination, the Hessenberg characteristic polynomial with the
+Faddeev-LeVerrier recurrence over Z, and the one-denominator rational
+lift with a per-entry lift; all three references are kept here as oracles
+only.  Kernels with entries too large for the float64 check are compared
+with sympy.
 """
 
 from __future__ import annotations
 
 from itertools import islice
-from math import gcd
-from typing import List, Tuple
+from math import gcd, isqrt, lcm, prod
+from typing import List, Optional, Tuple
 
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from effdom import linalg
 from effdom.graphs import adjacency_matrix, hamming_graph
 from effdom.linalg import (
     BLOCK,
+    CHAR_POLY_CAP,
     DELAY,
     PRIME_LIMIT,
+    _hessenberg_char_poly,
     _int_matrix,
-    _matmul_mod,
     _mod,
     _modp_kernel,
+    _panel_rref,
     _primes,
+    _primitive,
+    _rational_lift,
     char_poly,
     int_kernel_basis,
     int_rank,
@@ -70,6 +76,27 @@ def oracle_modp_kernel(rows: List[List[int]], n_cols: int, p: int) -> Tuple[Tupl
         for i, pc in enumerate(piv):
             kern[idx, pc] = (-int(a[i, f])) % p
     return tuple(piv), kern
+
+
+def oracle_rational_lift(res: np.ndarray, modulus: int) -> Optional[np.ndarray]:
+    """Kernel rows by rational reconstruction, one entry at a time: each
+    residue becomes the n/d with |n|, d <= sqrt(modulus/2) congruent to it,
+    and each row is cleared by the lcm of its denominators."""
+    bound = isqrt((modulus - 1) // 2)
+    out = []
+    for row in res.tolist():
+        fracs = []
+        for x in row:
+            a0, a1, t0, t1 = modulus, x, 0, 1
+            while a1 > bound:
+                q = a0 // a1
+                a0, a1, t0, t1 = a1, a0 - q * a1, t1, t0 - q * t1
+            if abs(t1) > bound or gcd(t1, modulus) != 1:
+                return None
+            fracs.append((a1, t1))
+        denom = lcm(*(t for _, t in fracs))
+        out.append([a * denom // t for a, t in fracs])
+    return _primitive(np.array(out, dtype=object).reshape(res.shape))
 
 
 def oracle_char_poly(mat: List[List[int]]) -> List[int]:
@@ -126,17 +153,20 @@ def test_mod_matches_integer_remainder():
         assert [int(v) for v in got] == [v % p for v in x]
 
 
-def test_matmul_mod_exact_when_one_product_would_round():
+def test_int64_steps_stay_below_2_63():
+    # a panel takes at most BLOCK column steps and a Hessenberg product sums
+    # at most CHAR_POLY_CAP terms, each below p^2, onto a residue below p
+    top = PRIME_LIMIT - 1
+    assert BLOCK * (top - 1) ** 2 + top < 2 ** 63
+    assert CHAR_POLY_CAP * (top - 1) ** 2 + top < 2 ** 63
+
+
+def test_hessenberg_exact_at_the_largest_prime():
     p = next(_primes())
-    n = 2 * DELAY * BLOCK + 1
     rng = np.random.default_rng(5)
-    x = rng.integers(p - 1000, p, (4, n))
-    y = rng.integers(p - 1000, p, (n, 4))
-    want = (x.astype(object) @ y.astype(object)) % p
-    # a single float64 product would sum past 2^53, where odd sums round
-    assert want.size == 16 and (x.astype(object) @ y.astype(object)).min() > 2 ** 53
-    got = _matmul_mod(x.astype(np.float64), y.astype(np.float64), p)
-    assert got.astype(np.int64).tolist() == want.tolist()
+    for mat in (np.full((30, 30), p - 1), rng.integers(p - 1000, p, (30, 30))):
+        want = [c % p for c in oracle_char_poly(mat.tolist())]
+        assert _hessenberg_char_poly(mat, p).tolist() == want
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +203,66 @@ def test_modp_kernel_matches_oracle(rows, cols, rank, entries, delay, monkeypatc
         want_piv, want_kern = oracle_modp_kernel(mat, cols, p)
         assert got_piv == want_piv
         assert np.array_equal(got_kern, want_kern)
+
+
+def _pivots_out_of_row_order(rng):
+    # the rows of an upper triangular matrix, row c moved to (3c + 5) mod 70:
+    # the pivot of column c sits there
+    upper = np.triu(rng.integers(0, 3, (70, 70)), 1) + np.diag(rng.integers(1, 9, 70))
+    mat = np.empty_like(upper)
+    mat[(3 * np.arange(70) + 5) % 70] = upper
+    return mat.tolist()
+
+
+def _pivot_free_then_full_rank(rng):
+    mat = np.zeros((80, 2 * BLOCK + 10), dtype=np.int64)
+    mat[:, BLOCK:] = rng.integers(-4, 5, (80, BLOCK + 10))
+    return mat.tolist()
+
+
+def _pivot_in_last_live_row(rng):
+    # rows 0..8 take the pivots of columns 0..8; column 9 is nonzero only in
+    # the last row, which is the last row still live
+    mat = np.zeros((10, 12), dtype=np.int64)
+    mat[:9, :9] = np.triu(rng.integers(1, 5, (9, 9)))
+    mat[:9, 10:] = rng.integers(-3, 4, (9, 2))
+    mat[9, 9:] = rng.integers(1, 5, 3)
+    return mat.tolist()
+
+
+PANEL_CASES = {
+    "pivots-out-of-row-order": _pivots_out_of_row_order,
+    "pivot-free-then-full-rank": _pivot_free_then_full_rank,
+    "pivot-in-last-live-row": _pivot_in_last_live_row,
+    "narrower-than-block": lambda rng: _random_matrix(rng, 40, 11, 7, -3, 4),
+    "ragged-last-panel": lambda rng: _random_matrix(rng, 150, 2 * BLOCK + 17, 100, -2, 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PANEL_CASES))
+@pytest.mark.parametrize("delay", [DELAY, 1])
+def test_panel_edge_cases_match_oracle(case, delay, monkeypatch):
+    monkeypatch.setattr(linalg, "DELAY", delay)
+    mat = PANEL_CASES[case](np.random.default_rng(11))
+    for p in (next(_primes()), 7):
+        got_piv, got_kern = _modp_kernel(_int_matrix(mat, None), p)
+        want_piv, want_kern = oracle_modp_kernel(mat, len(mat[0]), p)
+        assert got_piv == want_piv
+        assert np.array_equal(got_kern, want_kern)
+
+
+def test_panel_rref_inverts_the_pivot_block():
+    p = next(_primes())
+    rng = np.random.default_rng(2)
+    for panel, rank in ((np.array(_pivots_out_of_row_order(rng))[:, :BLOCK], BLOCK),
+                        (np.array(_random_matrix(rng, 90, BLOCK, 40, -9, 10)), 40)):
+        panel %= p
+        cols, rows, inv = _panel_rref(panel.copy(), p)
+        assert len(cols) == rank and (rank < BLOCK or rows != sorted(rows))
+        block = panel[np.ix_(rows, cols)].astype(object)
+        assert (inv.astype(object) @ block % p).tolist() == np.eye(rank, dtype=int).tolist()
+        # the pivots are those of the column-at-a-time elimination
+        assert tuple(cols) == oracle_modp_kernel(panel.tolist(), BLOCK, p)[0]
 
 
 def test_modp_kernel_small_prime_and_huge_entries():
@@ -230,6 +320,61 @@ def test_kernel_with_huge_entries_uses_exact_check_and_matches_sympy():
         assert l1 * max(abs(e) for v in kern for e in v) >= 2 ** 53
 
 
+@st.composite
+def kernel_rows(draw):
+    """Integer rows v with v[f] != 0, as residues of v / v[f] modulo a
+    product of kernel primes, with v[f] prime to that product."""
+    n = draw(st.integers(1, 6))
+    f = draw(st.integers(0, n - 1))
+    primes = list(islice(_primes(), draw(st.integers(1, 3))))
+    modulus = prod(primes)
+    top = draw(st.sampled_from([30, 2000, isqrt(modulus // 2), 2 ** 70]))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        scale = draw(st.sampled_from([1, 6, 30, 210, 2 ** 10]))
+        v = [draw(st.integers(-top, top)) * draw(st.sampled_from([1, 2, 3, 5, 7, scale])) for _ in range(n)]
+        v[f] = draw(st.integers(1, top)) * scale
+        if gcd(v[f], modulus) != 1:
+            v[f] += 1
+        rows.append(v)
+    inv = [pow(v[f], -1, modulus) for v in rows]
+    res = np.array([[e * i % modulus for e in v] for v, i in zip(rows, inv)], dtype=object)
+    return rows, res, modulus
+
+
+@given(kernel_rows())
+@settings(max_examples=300, deadline=None)
+def test_rational_lift_finds_what_the_per_entry_lift_finds(case):
+    rows, res, modulus = case
+    bound = isqrt((modulus - 1) // 2)
+    got = _rational_lift(res, modulus)
+    want = oracle_rational_lift(res, modulus)
+    # the Hadamard argument of int_kernel_basis needs the lift to succeed
+    # once every entry of the primitive vector is within the bound
+    if want is not None and np.abs(want).max() <= bound:
+        assert got is not None and got.tolist() == want.tolist()
+    if max(abs(e) for v in rows for e in v) <= bound:
+        assert got is not None and got.tolist() == _primitive(np.array(rows, dtype=object)).tolist()
+
+
+def test_rational_lift_stops_when_the_denominator_passes_the_bound():
+    p = next(_primes())
+    bound = isqrt((p - 1) // 2)
+    d1, d2 = 509, 521  # primes below the bound whose product is above it
+    assert d1 < bound < d1 * d2 < p // 2
+    row = [pow(d1, -1, p), pow(d2, -1, p), 1]
+    assert oracle_rational_lift(np.array([row], dtype=object), p).tolist() == [[d2, d1, d1 * d2]]
+    assert _rational_lift(np.array([row], dtype=object), p) is None
+    # within the bound, one denominator serves every entry
+    row = [3 * pow(d1, -1, p) % p, pow(d1, -1, p), 1]
+    assert _rational_lift(np.array([row], dtype=object), p).tolist() == [[3, 1, d1]]
+    # y = 5 mod p2 p3 makes p1 y = 5 p1 mod p1 p2 p3, but p1 has no inverse
+    # there, so p1 is no denominator
+    p1, p2, p3 = islice(_primes(), 3)
+    y = 5 + p2 * p3 * 12345
+    assert _rational_lift(np.array([[y, 1]], dtype=object), p1 * p2 * p3) is None
+
+
 def test_kernel_when_the_first_prime_moves_the_pivots():
     p0 = next(_primes())
     # mod p0 the first column vanishes, so its pivot moves to column 1
@@ -241,6 +386,23 @@ def test_kernel_when_the_first_prime_moves_the_pivots():
 # ---------------------------------------------------------------------------
 # characteristic polynomials against Faddeev-LeVerrier
 # ---------------------------------------------------------------------------
+
+def test_hessenberg_with_zero_subdiagonal_and_row_swaps():
+    rng = np.random.default_rng(4)
+    n = 12
+    # block upper triangular: columns 3 and 7 have nothing below the
+    # subdiagonal to eliminate, so the reduction skips them
+    blocks = np.triu(rng.integers(-4, 5, (n, n)), -1)
+    blocks[4, 3] = blocks[8, 7] = 0
+    # zero subdiagonal entries with nonzeros below them force row swaps
+    swaps = rng.integers(-4, 5, (n, n))
+    swaps[np.arange(1, n), np.arange(n - 1)] = 0
+    for mat in (blocks, swaps, np.zeros((n, n), dtype=np.int64), np.eye(n, k=-3, dtype=np.int64)):
+        want = oracle_char_poly(mat.tolist())
+        for p in (next(_primes()), 5):
+            assert _hessenberg_char_poly(mat, p).tolist() == [c % p for c in want]
+        assert char_poly(mat) == want
+
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 15, 24, 40])
 def test_char_poly_matches_oracle_on_random_matrices(n):

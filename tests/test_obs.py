@@ -1,0 +1,88 @@
+"""Opt-in counters and spans, and the CLI's --stats line."""
+
+from __future__ import annotations
+
+import json
+
+import numpy as np
+
+from effdom import obs
+from effdom.cli import run
+from effdom.graphs import adjacency_matrix, cycle, folded_cube
+from effdom.jsonio import dump_json, graph_to_doc
+from effdom.linalg import char_poly, int_kernel_basis
+
+
+def test_off_by_default():
+    obs.count("x")
+    with obs.span("y"):
+        pass
+    with obs.collecting() as stats:
+        pass
+    assert stats.counters == {} and stats.spans_ms == {}
+
+
+def test_collecting_counts_and_times():
+    with obs.collecting() as stats:
+        obs.count("a")
+        obs.count("a", 4)
+        for _ in range(2):
+            with obs.span("s"):
+                pass
+    assert stats.counters == {"a": 5}
+    assert set(stats.spans_ms) == {"s"} and stats.spans_ms["s"] >= 0
+    doc = json.loads(stats.line())
+    assert doc == {"stats": {"counters": {"a": 5}, "spans_ms": {"s": round(stats.spans_ms["s"], 3)}}}
+    # counting stops with the block
+    obs.count("a")
+    assert stats.counters == {"a": 5}
+
+
+def test_nested_blocks_restore_the_outer_one():
+    with obs.collecting() as outer:
+        obs.count("a")
+        with obs.collecting() as inner:
+            obs.count("b")
+        obs.count("a")
+    assert outer.counters == {"a": 2} and inner.counters == {"b": 1}
+
+
+def test_linalg_counters():
+    kernel, poly = "linalg.int_kernel_basis", "linalg.char_poly"
+    cases = [
+        # kernel (3, -2): the residue of -3/2 needs the rational lift
+        (kernel, lambda: int_kernel_basis([[2, 3]]), [(3, -2)],
+         {"linalg.primes": 1, "linalg.panels": 1, "linalg.rational_lifts": 1}),
+        # kernel entry 2^30 + 1 > p / 2: a second prime and one CRT round
+        (kernel, lambda: int_kernel_basis([[1, -(2 ** 30 + 1)]]), [(2 ** 30 + 1, 1)],
+         {"linalg.primes": 2, "linalg.panels": 2, "linalg.crt_rounds": 1, "linalg.rational_lifts": 1}),
+        (kernel, lambda: len(int_kernel_basis(adjacency_matrix(folded_cube(7)) + np.eye(64, dtype=np.int64))),
+         35, {"linalg.primes": 1, "linalg.panels": 1}),
+        (poly, lambda: char_poly(adjacency_matrix(cycle(5))), [-2, 5, 0, -5, 0, 1],
+         {"linalg.primes": 1, "linalg.crt_rounds": 1}),
+    ]
+    for name, call, want, counters in cases:
+        with obs.collecting() as stats:
+            assert call() == want
+        assert stats.counters == counters
+        assert list(stats.spans_ms) == [name]
+
+
+def test_stats_flag_keeps_stdout_and_writes_one_line(tmp_path, capsys):
+    path = tmp_path / "c6.json"
+    path.write_text(dump_json(graph_to_doc(cycle(6))), encoding="utf-8")
+    assert run(["spectrum", "--graph", str(path)]) == 0
+    plain = capsys.readouterr()
+    assert run(["--stats", "spectrum", "--graph", str(path)]) == 0
+    stats = capsys.readouterr()
+    assert stats.out == plain.out and plain.err == ""
+    (line,) = stats.err.splitlines()
+    doc = json.loads(line)["stats"]
+    assert doc["counters"]["linalg.primes"] == 1
+    assert set(doc["spans_ms"]) == {"linalg.int_kernel_basis"}
+
+
+def test_stats_line_on_a_failing_command(capsys):
+    assert run(["--stats", "verify", "--graph", "/nonexistent.json", "--function", "/nonexistent.json"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("error: ") and json.loads(err[-1]) == {"stats": {"counters": {}, "spans_ms": {}}}
