@@ -21,6 +21,8 @@ import os
 import sys
 from typing import List, Optional
 
+import numpy as np
+
 from . import hamming, jsonio, obs, partitions, search, spectral
 from .domination import verify_dominating, verify_efficient
 from .fields import GF, MAX_ORDER
@@ -126,7 +128,7 @@ def _cmd_verify(args) -> int:
         "j": f.j,
         "k": f.k,
         "observed_k": report.observed_k,
-        "violations": [[v, s] for v, s in report.violations],
+        "violations": np.array(report.violations, dtype=object).reshape(-1, 2),
         "j_tight": report.j_tight,
     }
     _emit(doc)
@@ -199,7 +201,7 @@ def _cmd_spectrum(args) -> int:
 def _cmd_search(args) -> int:
     g = _load_graph(args.graph)
     cfg = search.SearchConfig(j=args.j, k=args.k, node_limit=args.limit)
-    outcome = search.enumerate_efficient(g, cfg)
+    outcome = search.enumerate_efficient(g, cfg, count_only=args.count_only)
     doc = {
         "v": SCHEMA_VERSION,
         "j": args.j,
@@ -211,7 +213,7 @@ def _cmd_search(args) -> int:
     if outcome.diagnostic:
         doc["diagnostic"] = outcome.diagnostic
     if not args.count_only:
-        doc["functions"] = [jsonio.function_to_doc(f) for f in outcome.functions]
+        doc["functions"] = jsonio.function_rows(outcome.values, args.j, args.k)
     _emit(doc)
     return 0
 

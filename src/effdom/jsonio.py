@@ -3,7 +3,9 @@
 Every document carries a schema version field "v".  Graphs serialize as
 sorted edge lists with u < v, functions as value vectors with their
 declared (j, k), partitions as canonical cell lists, and matrices in
-row-major order.
+row-major order.  dump_json writes a 2-D integer array (a graph's edges)
+as the list of its rows and `Records` (a search's functions) as a list
+of records; json.loads reads both back as lists.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import gc
 import json
 from contextlib import contextmanager
 from itertools import chain
-from typing import Iterator, List, Sequence
+from typing import Iterator, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -24,7 +26,9 @@ __all__ = [
     "SCHEMA_VERSION",
     "graph_to_doc",
     "graph_from_doc",
+    "Records",
     "function_to_doc",
+    "function_rows",
     "function_from_doc",
     "partition_to_doc",
     "partition_from_doc",
@@ -46,9 +50,9 @@ def _int(x) -> int:
 
 @contextmanager
 def _collector_paused() -> Iterator[None]:
-    """Pause the cyclic garbage collector while JSON values are built in
-    bulk: they hold no cycles, and it would rescan the growing heap every
-    few hundred new lists (half the time of listing H(2,15)'s edges)."""
+    """Pause the cyclic garbage collector while a JSON document is parsed:
+    its values hold no cycles, and it would rescan the growing heap every
+    few hundred new lists."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -59,9 +63,7 @@ def _collector_paused() -> Iterator[None]:
 
 
 def graph_to_doc(x: Graph) -> dict:
-    with _collector_paused():
-        edges = x.edge_array().tolist()
-    return {"v": SCHEMA_VERSION, "name": x.name, "n": x.n, "edges": edges}
+    return {"v": SCHEMA_VERSION, "name": x.name, "n": x.n, "edges": x.edge_array()}
 
 
 def _endpoints(edges) -> List[int]:
@@ -103,13 +105,23 @@ def function_to_doc(f: DominatingFunction) -> dict:
     return {"v": SCHEMA_VERSION, "j": f.j, "k": f.k, "values": list(f.values)}
 
 
+class Records(NamedTuple):
+    """Rows of an integer matrix that dump_json writes as records {**fields, "values": row}."""
+    fields: dict
+    mat: np.ndarray
+
+
+def function_rows(values: np.ndarray, j: int, k: int) -> Records:
+    """The function documents of the rows of values, for dump_json."""
+    return Records({"v": SCHEMA_VERSION, "j": j, "k": k}, values)
+
+
 def function_from_doc(doc: dict) -> DominatingFunction:
     try:
-        return DominatingFunction(
-            values=tuple(_int(x) for x in doc["values"]),
-            j=_int(doc["j"]),
-            k=_int(doc["k"]),
-        )
+        values = tuple(doc["values"])
+        if not set(map(type, values)) <= {int}:
+            _int(next(x for x in values if type(x) is not int))
+        return DominatingFunction(values=values, j=_int(doc["j"]), k=_int(doc["k"]))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"function document missing field or malformed: {exc}") from exc
 
@@ -152,12 +164,13 @@ def load_json(path: str) -> dict:
 
 
 def dump_json(doc: dict) -> str:
-    """json.dumps(doc, indent=2) + "\n", byte for byte.
+    """json.dumps(doc, indent=2) + "\n", byte for byte, where a 2-D integer
+    array stands for the list of its rows and Records for its records.
 
     json falls back to its pure-Python encoder whenever indent is set, so
-    lists of integers and lists of integer lists, which carry nearly all
-    the bytes of a large document, are laid out here; every other value
-    and every key still goes through json.
+    lists of integers and integer matrices, which carry nearly all the bytes
+    of a large document, are laid out here as templates of %d fields filled
+    in one C call; every other value and every key still goes through json.
     """
     return _dumps(doc, "\n") + "\n"
 
@@ -166,6 +179,10 @@ def _dumps(obj, pad: str) -> str:
     """obj in the indent=2 layout, pad (a newline and the indentation of
     obj's own line) starting each of its later lines."""
     inner = pad + "  "
+    if isinstance(obj, np.ndarray):
+        return _matrix(obj, pad)
+    if isinstance(obj, Records):
+        return _matrix(obj.mat, pad, obj)
     if type(obj) is dict and obj and set(map(type, obj)) == {str}:
         body = (json.dumps(key) + ": " + _dumps(value, inner) for key, value in obj.items())
         return "{" + inner + ("," + inner).join(body) + pad + "}"
@@ -175,15 +192,30 @@ def _dumps(obj, pad: str) -> str:
             return json.dumps(obj, indent=2).replace("\n", pad)
         # a scalar or an empty container: json's C encoder gives the same text
         return json.dumps(obj)
-    # a list of integers, or of integer rows of one length such as an edge
-    # list, is laid out as a template of %d fields filled in one C call
     kinds = set(map(type, obj))
     if kinds == {int}:
-        return ("[" + inner + ("," + inner).join(["%d"] * len(obj)) + pad + "]") % tuple(obj)
-    width = len(obj[0]) if kinds == {list} else 0
-    if width and set(map(len, obj)) == {width} and set(map(type, chain.from_iterable(obj))) == {int}:
-        cell = inner + "  "
-        row = "[" + cell + ("," + cell).join(["%d"] * width) + inner + "]"
-        template = "[" + inner + ("," + inner).join([row] * len(obj)) + pad + "]"
-        return template % tuple(chain.from_iterable(obj))
+        return _ints(len(obj), pad) % tuple(obj)
     return "[" + inner + ("," + inner).join(_dumps(item, inner) for item in obj) + pad + "]"
+
+
+def _ints(width: int, pad: str) -> str:
+    """The template of a list of width integers whose line starts at pad."""
+    cell = pad + "  "
+    return "[" + cell + ("," + cell).join(["%d"] * width) + pad + "]" if width else "[]"
+
+
+def _matrix(mat: np.ndarray, pad: str, records: Optional[Records] = None) -> str:
+    """The rows of an integer matrix (any integer dtype, or object dtype
+    holding ints) as one list, each row a list or, with records, the record
+    {**records.fields, "values": row}; one template is filled from the
+    flat entries, and no row is built as a Python list."""
+    if not len(mat):
+        return "[]"
+    inner = pad + "  "
+    at = inner if records is None else inner + "  "  # where each row's line starts
+    row = _ints(mat.shape[1], at)
+    if records is not None:
+        fields = [json.dumps(key) + ": " + _dumps(value, at) for key, value in records.fields.items()]
+        head = "".join(field.replace("%", "%%") + "," + at for field in fields)
+        row = "{" + at + head + '"values": ' + row + inner + "}"
+    return ("[" + inner + ("," + inner).join([row] * len(mat)) + pad + "]") % tuple(mat.ravel().tolist())

@@ -17,15 +17,20 @@ with k - p[w] - min(j,k)·unassigned[w] <= v <= k - p[w] for every w in
 N[u]: one interval per state, found for a whole frame in one numpy step.
 Children are taken from the intervals parent-major, so the first leaf
 found is the preorder-first one.  Every state counts its j + 1 nodes, so
-values above k are counted without being generated.  Listed functions are
-rebuilt as tuples of Python ints from each state's (parent, value) link.
+values above k are counted without being generated.  At the last depth
+every closed neighbourhood is complete, so a state has one leaf or none;
+a frame's leaves are read off the states' (parent, value) links as the
+rows of one array in vertex order, the rows of all frames are sorted once
+with np.lexsort, and DominatingFunctions are built from them only when
+asked for.  A count-only search counts the leaves and never builds them.
 
 Memory.  A chunk holds at most CHUNK_BYTES // (itemsize · width) states,
 where width is the number of frontier columns, at least |N[u]|, and at
 least 8 bytes per state; so no array one expansion allocates exceeds
 CHUNK_BYTES, whatever j, k or n.  Partial sums are kept in the narrowest
 integer dtype that holds -k .. k + 1, object past int64.  A frame whose
-children are all taken keeps only its links.
+children are all taken keeps only its links.  A listing keeps its leaves,
+n values each in that dtype; a count-only search keeps none.
 
 The node limit.  The batched walk counts a frame's nodes before it
 descends into them, so once its count passes the limit, the nodes it has
@@ -39,11 +44,12 @@ functions, node count and exists_efficient witness.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from . import obs
 from .domination import DominatingFunction
 from .graphs import Graph
 
@@ -67,16 +73,25 @@ class SearchConfig:
     order: Optional[Tuple[int, ...]] = None
 
 
-@dataclass
+@dataclass(eq=False)  # values is an array, which == compares entry by entry
 class SearchOutcome:
-    functions: List[DominatingFunction] = field(default_factory=list)
+    """count functions found; values holds them as the rows of one count × n
+    array in vertex order, sorted, or None when they were only counted."""
+
+    j: int
+    k: int
+    values: Optional[np.ndarray] = None
+    count: int = 0
     exhausted: bool = True
     nodes: int = 0
     diagnostic: Optional[str] = None
 
     @property
-    def count(self) -> int:
-        return len(self.functions)
+    def functions(self) -> List[DominatingFunction]:
+        """The rows of values as DominatingFunctions, built on each access."""
+        if self.values is None:
+            raise ValueError("a count-only search lists no functions")
+        return [DominatingFunction(values=tuple(v), j=self.j, k=self.k) for v in self.values.tolist()]
 
 
 def _bfs_order(x: Graph) -> Tuple[int, ...]:
@@ -102,7 +117,7 @@ def _closed(x: Graph) -> List[List[int]]:
 
 
 def _preorder(x: Graph, order: Tuple[int, ...], j: int, k: int, limit: int,
-              first_only: bool) -> SearchOutcome:
+              first_only: bool, count_only: bool = False) -> SearchOutcome:
     """The search one node at a time, in preorder, on an explicit stack so
     that the depth is not bounded by the interpreter's recursion limit."""
     n = x.n
@@ -110,7 +125,8 @@ def _preorder(x: Graph, order: Tuple[int, ...], j: int, k: int, limit: int,
     partial = [0] * n
     unassigned = [len(c) for c in closed]
     values = [0] * n
-    outcome = SearchOutcome()
+    found: List[List[int]] = []
+    outcome = SearchOutcome(j=j, k=k)
 
     # tried[depth] is the value order[depth] holds now, -1 before the first
     tried = [-1] * n
@@ -118,9 +134,9 @@ def _preorder(x: Graph, order: Tuple[int, ...], j: int, k: int, limit: int,
     depth = 0
     while depth >= 0:
         if depth == n:
-            outcome.functions.append(
-                DominatingFunction(values=tuple(values), j=j, k=k)
-            )
+            outcome.count += 1
+            if not count_only:
+                found.append(list(values))
             if first_only:
                 break
             depth -= 1
@@ -159,6 +175,8 @@ def _preorder(x: Graph, order: Tuple[int, ...], j: int, k: int, limit: int,
             depth += 1
 
     outcome.nodes = nodes
+    if not count_only:
+        outcome.values = np.array(found, dtype=np.min_scalar_type(-k - 2)).reshape(len(found), n)
     return outcome
 
 
@@ -257,22 +275,22 @@ class _Frame:
 
 
 def _batched(x: Graph, order: Tuple[int, ...], j: int, k: int, limit: int,
-             first_only: bool) -> Optional[SearchOutcome]:
+             first_only: bool, count_only: bool = False) -> Optional[SearchOutcome]:
     """The search a chunk of states at a time; None once nodes pass limit."""
     n = x.n
-    if n == 0:
-        return SearchOutcome(functions=[DominatingFunction(values=(), j=j, k=k)])
-    jr = min(j, k)
     # every number the walk keeps lies in [-k, k + 1]
     dtype = np.min_scalar_type(-k - 2)
+    if n == 0:
+        return SearchOutcome(j=j, k=k, values=None if count_only else np.zeros((1, 0), dtype), count=1)
+    jr = min(j, k)
     levels, width = _levels(x, order, jr, k, dtype)
     # a chunk's arrays: states, parts of N[u], and an int64 or two per state
     row_bytes = max(dtype.itemsize * max(width, int(x.degrees().max()) + 1), 8)
     cap = max(1, CHUNK_BYTES // row_bytes)
-    leaf_cap = max(1, CHUNK_BYTES // (8 * n))
     position = np.argsort(order)
     stack = [_Frame(np.zeros((1, width), dtype=dtype), None, None, levels[0], jr, k)]
-    functions: List[DominatingFunction] = []
+    found: List[np.ndarray] = []
+    count = chunks = 0
     nodes = j + 1
 
     def leaves(rows, vals):
@@ -280,8 +298,7 @@ def _batched(x: Graph, order: Tuple[int, ...], j: int, k: int, limit: int,
         for frame in reversed(stack[1:]):
             by_depth.append(frame.val[rows])
             rows = frame.up[rows]
-        values = np.stack(by_depth[::-1], axis=1)[:, position]
-        return [DominatingFunction(values=tuple(v), j=j, k=k) for v in values.tolist()]
+        return np.stack(by_depth[::-1], axis=1)[:, position]
 
     while stack and nodes <= limit:
         frame = stack[-1]
@@ -290,9 +307,13 @@ def _batched(x: Graph, order: Tuple[int, ...], j: int, k: int, limit: int,
             continue
         depth = len(stack)
         if depth == n:
-            rows, vals, _ = frame.take(1 if first_only else leaf_cap, k)
-            functions += leaves(rows, vals)
-            if first_only:
+            # every closed neighbourhood is complete here: one leaf or none per state
+            rows = np.flatnonzero(frame.count)[:1 if first_only else None]
+            count += len(rows)
+            if not count_only:
+                found.append(leaves(rows, frame.lo[rows]))
+            stack.pop()
+            if first_only and count:
                 break
             continue
         rows, vals, parents = frame.take(cap, k)
@@ -300,13 +321,16 @@ def _batched(x: Graph, order: Tuple[int, ...], j: int, k: int, limit: int,
         states = parents.take(rows, axis=0)
         states[:, level.dst] = states[:, level.src] + vals[:, None]
         nodes += len(states) * (j + 1)
+        chunks += 1
         stack.append(_Frame(states, rows, vals, levels[depth], jr, k))
+    obs.count("search.chunks", chunks)
     if nodes > limit:
         return None
-    return SearchOutcome(functions=functions, nodes=nodes)
+    values = None if count_only else np.concatenate(found) if found else np.zeros((0, n), dtype)
+    return SearchOutcome(j=j, k=k, values=values, count=count, nodes=nodes)
 
 
-def _search(x: Graph, cfg: SearchConfig, first_only: bool) -> SearchOutcome:
+def _search(x: Graph, cfg: SearchConfig, first_only: bool, count_only: bool = False) -> SearchOutcome:
     if cfg.j < 0 or cfg.k < 0:
         raise ValueError("j and k must be nonnegative")
     order = cfg.order if cfg.order is not None else _bfs_order(x)
@@ -314,20 +338,26 @@ def _search(x: Graph, cfg: SearchConfig, first_only: bool) -> SearchOutcome:
             or sorted(order) != list(range(x.n))):
         raise ValueError("order must be a permutation of the vertices")
     order = tuple(int(v) for v in order)
-    outcome = _batched(x, order, cfg.j, cfg.k, cfg.node_limit, first_only)
+    args = (x, order, cfg.j, cfg.k, cfg.node_limit, first_only, count_only)
+    outcome = _batched(*args)
     if outcome is None:
-        outcome = _preorder(x, order, cfg.j, cfg.k, cfg.node_limit, first_only)
-    outcome.functions.sort(key=lambda f: f.values)
+        obs.count("search.preorder_fallback")
+        outcome = _preorder(*args)
+    obs.count("search.nodes", outcome.nodes)
+    obs.count("search.leaves", outcome.count)
+    if outcome.values is not None and outcome.values.size:
+        outcome.values = outcome.values[np.lexsort(outcome.values.T[::-1])]
     return outcome
 
 
-def enumerate_efficient(x: Graph, cfg: SearchConfig) -> SearchOutcome:
-    """All efficient (j,k)-dominating functions, sorted by value vector.
+def enumerate_efficient(x: Graph, cfg: SearchConfig, count_only: bool = False) -> SearchOutcome:
+    """All efficient (j,k)-dominating functions, sorted by value vector;
+    with count_only, only their count (values is None).
 
     When the node limit interrupts the search, exhausted is False and a
     diagnostic is attached; the functions found so far are still valid.
     """
-    return _search(x, cfg, first_only=False)
+    return _search(x, cfg, first_only=False, count_only=count_only)
 
 
 def exists_efficient(x: Graph, cfg: SearchConfig) -> Tuple[bool, Optional[DominatingFunction]]:
@@ -352,7 +382,7 @@ def k_spectrum(x: Graph, j: int, node_limit: int = DEFAULT_NODE_LIMIT) -> Dict[i
     top = j * (x.regular_degree() + 1)
     counts: Dict[int, int] = {}
     for k in range(top // 2 + 1):
-        outcome = enumerate_efficient(x, SearchConfig(j=j, k=k, node_limit=node_limit))
+        outcome = enumerate_efficient(x, SearchConfig(j=j, k=k, node_limit=node_limit), count_only=True)
         if not outcome.exhausted:
             raise NodeLimitExceeded(f"k = {k}: {outcome.diagnostic}")
         counts[k] = outcome.count

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+from effdom import search
 from effdom.cli import run
 from effdom.graphs import complete, cycle, hamming_graph
 from effdom.jsonio import dump_json, graph_to_doc
@@ -121,6 +125,26 @@ def test_spectrum_k(capsys, write_doc):
     code, doc, _ = invoke(capsys, ["spectrum-k", "--graph", gpath, "--j", "1"])
     assert code == 0
     assert doc["counts"] == {"0": 1, "1": 3, "2": 3, "3": 1}
+
+
+def test_count_only_commands_never_list(capsys, write_doc, monkeypatch):
+    # stdout cannot tell a counted search from a listed one whose functions
+    # are dropped, so the calls are watched
+    modes = []
+    enumerate_efficient = search.enumerate_efficient
+
+    def watched(x, cfg, count_only=False):
+        outcome = enumerate_efficient(x, cfg, count_only=count_only)
+        modes.append(outcome.values is None)
+        return outcome
+
+    monkeypatch.setattr(search, "enumerate_efficient", watched)
+    gpath = write_doc("c6.json", graph_to_doc(cycle(6)))
+    invoke(capsys, ["search", "--graph", gpath, "--j", "1", "--k", "1", "--count-only"])
+    invoke(capsys, ["spectrum-k", "--graph", gpath, "--j", "1"])
+    assert modes == [True] * 3
+    invoke(capsys, ["search", "--graph", gpath, "--j", "1", "--k", "1"])
+    assert modes[-1] is False
 
 
 def test_partition(capsys, write_doc):
@@ -303,3 +327,15 @@ def test_size_cap_before_power(capsys, monkeypatch, write_doc, argv, err):
     code, doc, got = invoke(capsys, [arg.format(**paths) for arg in argv])
     assert time.perf_counter() - start < 1
     assert (code, doc, got) == (2, None, err)
+
+
+def test_spectrum_does_not_import_numpy_ma(write_doc):
+    # np.setdiff1d imports numpy.ma, about 18 ms in a fresh process
+    gpath = write_doc("c6.json", graph_to_doc(cycle(6)))
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys; from effdom.cli import run; code = run(['spectrum', '--graph', sys.argv[1]]); "
+            "print(code, 'numpy.ma' in sys.modules, file=sys.stderr)")
+    done = subprocess.run([sys.executable, "-c", code, gpath], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0 and done.stderr.split() == ["0", "False"], done.stderr
+    assert json.loads(done.stdout)["multiplicity"] == 2

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import gc
 import json
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from effdom.domination import DominatingFunction
 from effdom.graphs import DEFAULT_SIZE_CAP, SizeCapExceeded, complete_bipartite, cycle, hamming_graph
 from effdom.jsonio import (
     SCHEMA_VERSION,
+    Records,
     connection_from_doc,
     dump_json,
     function_from_doc,
@@ -29,7 +32,7 @@ from effdom.partitions import canonical_cells
 
 def test_graph_roundtrip():
     for g in [cycle(6), complete_bipartite(2, 3)]:
-        doc = graph_to_doc(g)
+        doc = json.loads(dump_json(graph_to_doc(g)))
         assert doc["v"] == SCHEMA_VERSION
         assert doc["edges"] == sorted(doc["edges"])
         back = graph_from_doc(doc)
@@ -54,9 +57,10 @@ def test_graph_from_doc_checks_cap_before_allocating():
     # 10^12 adjacency lists would not fit in memory, so the cap must come first
     with pytest.raises(SizeCapExceeded):
         graph_from_doc({"n": 10 ** 12, "edges": []})
+    c6 = json.loads(dump_json(graph_to_doc(cycle(6))))
     with pytest.raises(SizeCapExceeded):
-        graph_from_doc(graph_to_doc(cycle(6)), size_cap=5)
-    assert graph_from_doc(graph_to_doc(cycle(6)), size_cap=6).n == 6
+        graph_from_doc(c6, size_cap=5)
+    assert graph_from_doc(c6, size_cap=6).n == 6
 
 
 def test_function_roundtrip():
@@ -66,6 +70,14 @@ def test_function_roundtrip():
     assert function_from_doc(doc) == f
     with pytest.raises(ValueError):
         function_from_doc({"j": 1, "k": 1})
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.0, 0.5, "1", None, [1]])
+def test_function_from_doc_names_the_first_non_integer(bad):
+    # bool is a subclass of int, and 1.0 == 1, but neither is a JSON integer
+    with pytest.raises(ValueError, match=f"^function document missing field or malformed: "
+                                         f"expected an integer, got {re.escape(repr(bad))}$"):
+        function_from_doc({"values": [1, 0, bad, "later"], "j": 1, "k": 1})
 
 
 def test_partition_roundtrip():
@@ -245,8 +257,9 @@ def test_dump_json_mixed_lists(doc):
 
 
 def test_dump_json_graph_document():
+    # graph_to_doc keeps the edges as the (m, 2) array Graph.edge_array gives
     doc = graph_to_doc(hamming_graph(3, 3))
-    assert dump_json(doc) == json.dumps(doc, indent=2) + "\n"
+    assert dump_json(doc) == json.dumps({**doc, "edges": doc["edges"].tolist()}, indent=2) + "\n"
     assert graph_from_doc(json.loads(dump_json(doc))).adjacency == hamming_graph(3, 3).adjacency
 
 
@@ -262,3 +275,38 @@ def test_collector_restored(tmp_path):
         assert not gc.isenabled()
     finally:
         gc.enable()
+
+
+# entries at both ends of the int64 range, and -0, which json writes as 0
+INT64_ENTRIES = st.one_of(st.integers(-9, 9), st.sampled_from([-0, 2 ** 63 - 1, -(2 ** 63 - 1), -2 ** 63]))
+
+
+@st.composite
+def int_matrices(draw):
+    """An integer matrix, 0 rows or 0 columns included, in a small integer
+    dtype, int64, or object dtype, sometimes holding ints past int64."""
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 4))
+    dtype = draw(st.sampled_from([np.int8, np.int64, object]))
+    if dtype is np.int8:
+        entries = st.integers(-128, 127)
+    elif dtype is object and draw(st.booleans()):
+        entries = st.integers(-2 ** 70, 2 ** 70)
+    else:
+        entries = INT64_ENTRIES
+    flat = draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols))
+    return np.array(flat, dtype=dtype).reshape(rows, cols)
+
+
+FIELD_VALUES = st.one_of(st.integers(-2 ** 70, 2 ** 70), st.text(max_size=4), st.sampled_from(["%d", "%%", "%s"]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_matrices(), st.dictionaries(st.sampled_from(["v", "j", "k", "%d", "a%"]), FIELD_VALUES, max_size=3),
+       st.lists(st.sampled_from(["list", "dict"]), max_size=3))
+def test_matrix_layout_matches_json_dumps(mat, fields, nesting):
+    # both row layouts, each nested in 0-3 levels of lists and dicts
+    for laid, plain in [(mat, mat.tolist()),
+                        (Records(fields, mat), [{**fields, "values": row} for row in mat.tolist()])]:
+        for level in nesting:
+            laid, plain = ([laid], [plain]) if level == "list" else ({"m": laid}, {"m": plain})
+        assert dump_json(laid) == json.dumps(plain, indent=2) + "\n"

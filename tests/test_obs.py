@@ -11,6 +11,7 @@ from effdom.cli import run
 from effdom.graphs import adjacency_matrix, cycle, folded_cube
 from effdom.jsonio import dump_json, graph_to_doc
 from effdom.linalg import char_poly, int_kernel_basis
+from effdom.search import SearchConfig, enumerate_efficient
 
 
 def test_off_by_default():
@@ -66,6 +67,21 @@ def test_linalg_counters():
             assert call() == want
         assert stats.counters == counters
         assert list(stats.spans_ms) == [name]
+
+
+def test_search_counters():
+    # C6, j = k = 1: one chunk at each of the 5 depths below the root, 30
+    # nodes and the 3 perfect codes; with a limit of 10 the batched walk
+    # passes it after 2 chunks and the preorder walk answers
+    for count_only, limit, counters in [
+        (False, 10 ** 8, {"search.chunks": 5, "search.nodes": 30, "search.leaves": 3}),
+        (True, 10 ** 8, {"search.chunks": 5, "search.nodes": 30, "search.leaves": 3}),
+        (False, 10, {"search.chunks": 2, "search.preorder_fallback": 1, "search.nodes": 11, "search.leaves": 1}),
+    ]:
+        with obs.collecting() as stats:
+            outcome = enumerate_efficient(cycle(6), SearchConfig(j=1, k=1, node_limit=limit), count_only=count_only)
+        assert stats.counters == counters and stats.spans_ms == {}
+        assert (outcome.nodes, outcome.count) == (counters["search.nodes"], counters["search.leaves"])
 
 
 def test_stats_flag_keeps_stdout_and_writes_one_line(tmp_path, capsys):

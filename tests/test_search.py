@@ -232,9 +232,12 @@ def search_cases(draw):
     return Graph(n, adj), draw(st.integers(1, 3)), order
 
 
+def tally(outcome):
+    return outcome.count, outcome.nodes, outcome.exhausted, outcome.diagnostic
+
+
 def facts(outcome):
-    return (outcome.count, outcome.nodes, outcome.exhausted, outcome.diagnostic,
-            sorted(f.values for f in outcome.functions))
+    return tally(outcome) + (sorted(f.values for f in outcome.functions),)
 
 
 @settings(max_examples=40, deadline=None)
@@ -266,3 +269,41 @@ def test_batched_walk_matches_preorder_and_product_space(case, chunk_bytes, data
                         exists_efficient(x, cfg)
     finally:
         search.CHUNK_BYTES = saved
+
+
+@settings(max_examples=25, deadline=None)
+@given(search_cases(), st.sampled_from([1, 40, search.CHUNK_BYTES]), st.data())
+def test_leaf_array_and_count_only_match_the_listing(case, chunk_bytes, data):
+    x, j, order = case
+    saved, search.CHUNK_BYTES = search.CHUNK_BYTES, chunk_bytes
+    try:
+        for k in range(j * (max(map(len, x.adjacency)) + 1) + 2):
+            total = enumerate_efficient(x, SearchConfig(j=j, k=k, order=order)).nodes
+            for limit in {total, total - 1, data.draw(st.integers(0, total))}:
+                cfg = SearchConfig(j=j, k=k, node_limit=limit, order=order)
+                listed = enumerate_efficient(x, cfg)
+                rows = listed.values.tolist()
+                assert listed.values.shape == (listed.count, x.n)
+                assert rows == [list(f.values) for f in listed.functions] == sorted(rows)
+                counted = enumerate_efficient(x, cfg, count_only=True)
+                assert counted.values is None and tally(counted) == tally(listed)
+                # a first_only walk below the limit stops at its first leaf
+                first = search._batched(x, order, j, k, limit, True)
+                assert first is None or first.count == min(listed.count, 1)
+                with pytest.raises(ValueError, match="count-only"):
+                    counted.functions
+    finally:
+        search.CHUNK_BYTES = saved
+
+
+def test_count_only_beyond_int64_and_at_dtype_boundaries():
+    big = 2 ** 70
+    outcome = enumerate_efficient(Graph(3, [[], [], []]), SearchConfig(j=big, k=big, node_limit=2 ** 80),
+                                  count_only=True)
+    assert (outcome.count, outcome.nodes, outcome.exhausted, outcome.values) == (1, 3 * (big + 1), True, None)
+    for k in (126, 127, 128, 32767):
+        outcome = enumerate_efficient(complete(2), SearchConfig(j=k, k=k, node_limit=10 ** 12), count_only=True)
+        assert (outcome.count, outcome.nodes) == (k + 1, (k + 1) * (k + 2))
+    outcome = enumerate_efficient(Graph(0, []), SearchConfig(j=1, k=1), count_only=True)
+    assert (outcome.count, outcome.values) == (1, None)
+    assert enumerate_efficient(Graph(0, []), SearchConfig(j=1, k=1)).values.shape == (1, 0)
