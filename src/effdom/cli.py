@@ -151,6 +151,10 @@ def _cmd_construct(args) -> int:
 def _cmd_feasible(args) -> int:
     gf = _field_from_flags(args.q, args.b)
     prof = hamming.feasibility(gf, args.d)
+    cap = _size_cap()
+    # necessary_k holds p^a_p + 1 values, and constructed_k and open_k at most as many
+    if prof.p ** prof.a_p + 1 > cap:
+        raise SizeCapExceeded(f"{prof.p}^{prof.a_p} + 1 values of k exceed the cap of {cap}")
     doc = {
         "v": SCHEMA_VERSION,
         "q": prof.q,

@@ -21,17 +21,23 @@ fibres with the smallest labels.
 The label is GF(p)-linear in the base-p digits of the vertex rank: with
 q = p^b, base-p digit c*b + j of the rank is coefficient j of coordinate
 c, and base-p digit t*b + i of the label is coefficient i of syndrome
-coordinate t.  MCoverPlan.fibre_of applies this (d*b) x (a*b) matrix
-over GF(p) to whole arrays of ranks at once.
+coordinate t.  This (d*b) x (a*b) matrix over GF(p) is the transposed
+GF(p) block matrix (linalg.block_matrix) of the a x d parity check of
+phi, whose columns are the plan's syndrome_cols; MCoverPlan.fibre_of
+applies it to whole arrays of ranks at once.  build_plan builds only
+those columns: phi and the code are built when read, as basis_audit does.
 
 Sampled verification uses a splitmix-style generator (increment
 0x9E3779B97F4A7C15, mix multipliers 0xBF58476D1CE4E5B9 and
-0x94D049BB133111EB) so runs are reproducible bit for bit from the seed.
+0x94D049BB133111EB) so runs are reproducible bit for bit from the seed;
+each vertex takes ceil(log2(q^d)/64) of its 64-bit words, one when
+q^d <= 2^64.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -48,9 +54,8 @@ from .graphs import (
     hamming_graph,
     hamming_neighbors,
     rank_array,
-    vertex_tuple,
 )
-from .linalg import field_rank, kernel_basis, mat_vec, solve_affine
+from .linalg import block_matrix, field_rank, kernel_basis, mat_mul, rref
 from .partitions import CoverCertificate, cells_from_labels, verify_kcover
 
 __all__ = [
@@ -152,6 +157,15 @@ class CodeSubspace:
         return len(self.basis)
 
 
+def _parity_columns(q: int, a: int) -> np.ndarray:
+    """The projective representatives of the nonzero vectors of GF(q)^a
+    (first nonzero coordinate 1), in increasing order of their integer
+    rank, as the rows of an l x a array."""
+    ranks = np.arange(1, q ** a, dtype=np.int64)
+    digits = ranks[:, None] // q ** np.arange(a, dtype=np.int64) % q
+    return digits[digits[np.arange(len(ranks)), np.argmax(digits != 0, axis=1)] == 1]
+
+
 def hamming_code(gf: GF, a: int) -> CodeSubspace:
     """The length-(q^a - 1)/(q - 1) Hamming code over GF(q).
 
@@ -162,28 +176,32 @@ def hamming_code(gf: GF, a: int) -> CodeSubspace:
     """
     if a < 1:
         raise ValueError("a must be at least 1")
-    q = gf.q
-    if a == 1:
-        return CodeSubspace(gf=gf, length=1, basis=(), parity_check=((1,),))
-    vectors = (vertex_tuple(q, a, rank) for rank in range(1, q ** a))
-    columns = [digs for digs in vectors if next(x for x in digs if x) == 1]
-    length = (q ** a - 1) // (q - 1)
-    assert len(columns) == length
-    h = tuple(tuple(col[i] for col in columns) for i in range(a))
-    basis = tuple(tuple(v) for v in kernel_basis(gf, [list(row) for row in h]))
-    return CodeSubspace(gf=gf, length=length, basis=basis, parity_check=h)
+    h = _parity_columns(gf.q, a).T.tolist()
+    basis = tuple(tuple(v) for v in kernel_basis(gf, h))
+    return CodeSubspace(gf=gf, length=len(h[0]), basis=basis, parity_check=tuple(map(tuple, h)))
 
 
 @dataclass(frozen=True)
 class MCoverPlan:
-    """Coordinate split, projection map and code behind the m-cover of K_{q^a}."""
+    """Coordinate split and parity-check columns behind the m-cover of
+    K_{q^a}; the projection map phi and the code are built on first read."""
 
     gf: GF
     profile: FeasibilityProfile
     s_sets: Tuple[Tuple[int, ...], ...]
-    phi: Tuple[Tuple[int, ...], ...]
-    code: CodeSubspace
     syndrome_cols: Tuple[Tuple[int, ...], ...]
+
+    @cached_property
+    def phi(self) -> Tuple[Tuple[int, ...], ...]:
+        """The l x d matrix sending the coordinates of S_i to unit vector i, S_0 to zero."""
+        rows = np.zeros((len(self.s_sets) - 1, self.profile.d), dtype=np.int64)
+        for row, block in zip(rows, self.s_sets[1:]):
+            row[list(block)] = 1
+        return tuple(map(tuple, rows.tolist()))
+
+    @cached_property
+    def code(self) -> CodeSubspace:
+        return hamming_code(self.gf, self.profile.a_q)
 
     @property
     def fibre_count(self) -> int:
@@ -198,21 +216,22 @@ class MCoverPlan:
 
         ranks is one rank (giving an int) or a range or array of ranks
         (giving an int64 array of the same shape).  The GF(p)-linear map
-        of the module docstring is rebuilt from syndrome_cols on each call.
+        of the module docstring is the transposed block matrix of the
+        a x d parity check of phi, whose columns are syndrome_cols.
         """
         gf = self.gf
         p = gf.p
         width = self.profile.a_q * gf.b
         # row c*b + j: the digits of x^j * s for each syndrome coordinate s of column c
-        digit_map = np.array([
-            [c for s in col for c in gf.digits(gf.mul(p ** j, s))]
-            for col in self.syndrome_cols for j in range(gf.b)
-        ], dtype=np.int64).reshape(-1, width)
+        digit_map = block_matrix(gf, np.array(self.syndrome_cols, dtype=np.int64).T).T
         ranks_in = rank_array(ranks, gf.q ** self.profile.d)
-        flat = ranks_in.ravel()
-        acc = np.zeros((len(flat), width), dtype=np.int64)
-        for i, row in enumerate(digit_map):
-            acc += (flat // p ** i % p).astype(np.int64)[:, None] * row
+        rest = ranks_in.ravel()  # rank_array made a copy, so rest may be reduced in place
+        acc = np.zeros((len(rest), width), dtype=np.int64)
+        for row in digit_map:  # peel one base-p digit at a time, lowest first
+            quot = rest // p
+            rest -= quot * p
+            acc += rest.astype(np.int64, copy=False)[:, None] * row
+            rest = quot
         labels = (acc % p) @ p ** np.arange(width, dtype=np.int64)
         return int(labels[0]) if ranks_in.ndim == 0 else labels.reshape(ranks_in.shape)
 
@@ -232,15 +251,10 @@ def build_plan(gf: GF, d: int) -> MCoverPlan:
     assert m * (q ** a - 1) == (q - 1) * d - (m - 1)
     ends = [0] + [s0_size + i * m for i in range(l + 1)]
     s_sets = tuple(tuple(range(lo, hi)) for lo, hi in zip(ends, ends[1:]))
-    block_of = [i for i, block in enumerate(s_sets) for _ in block]
-    phi = tuple(tuple(int(block_of[coord] == i) for coord in range(d)) for i in range(1, l + 1))
-    code = hamming_code(gf, a)
-    h = code.parity_check
-    syndrome_cols = tuple(tuple(h[t][i - 1] if i else 0 for t in range(a)) for i in block_of)
-    return MCoverPlan(
-        gf=gf, profile=profile, s_sets=s_sets, phi=phi,
-        code=code, syndrome_cols=syndrome_cols,
-    )
+    # coordinates of S_i take parity-check column i; those of S_0 the zero column
+    cols = np.vstack([np.zeros((1, a), dtype=np.int64), _parity_columns(q, a)])
+    syndrome_cols = tuple(map(tuple, cols[np.repeat(np.arange(l + 1), np.diff(ends))].tolist()))
+    return MCoverPlan(gf=gf, profile=profile, s_sets=s_sets, syndrome_cols=syndrome_cols)
 
 
 # splitmix-style 64-bit generator for reproducible sampling
@@ -255,6 +269,13 @@ def _splitmix64(seed: int) -> Iterator[int]:
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         yield z ^ (z >> 31)
+
+
+def _draw_ranks(stream: Iterator[int], n: int, count: int) -> List[int]:
+    """count ranks below n, each from ceil(log2(n)/64) words of the stream,
+    least significant first: one word each when n <= 2^64."""
+    words = max(1, -(-(n - 1).bit_length() // 64))
+    return [sum(next(stream) << 64 * i for i in range(words)) % n for _ in range(count)]
 
 
 def verify_plan(
@@ -289,7 +310,7 @@ def verify_plan(
     fibres = plan.fibre_count
     stream = _splitmix64(seed)
     for lo in range(0, sample, BLOCK):
-        drawn = [next(stream) % n for _ in range(min(BLOCK, sample - lo))]
+        drawn = _draw_ranks(stream, n, min(BLOCK, sample - lo))
         ranks = rank_array(drawn, n)
         labels = plan.fibre_of(np.column_stack([hamming_neighbors(q, d, ranks), ranks]))
         cell = labels + fibres * np.arange(len(drawn))[:, None]
@@ -379,19 +400,11 @@ def basis_audit(plan: MCoverPlan) -> BasisAudit:
     l = (q ** a - 1) // (q - 1)
     checks: List[str] = []
 
-    big_b: List[List[int]] = []
-    s0 = plan.s_sets[0]
-    for coord in s0:
-        vec = [0] * d
-        vec[coord] = 1
-        big_b.append(vec)
-    for block in plan.s_sets[1:]:
-        anchor = block[0]
-        for other in block[1:]:
-            vec = [0] * d
-            vec[anchor] = 1
-            vec[other] = gf.neg(1)
-            big_b.append(vec)
+    # the unit vectors of S_0, then e_anchor - e_other inside each block S_i
+    minus_one = gf.neg(1)
+    big_b = [[int(c == coord) for c in range(d)] for coord in plan.s_sets[0]]
+    big_b += [[1 if c == block[0] else minus_one if c == other else 0 for c in range(d)]
+              for block in plan.s_sets[1:] for other in block[1:]]
 
     expected_b = l * (m - 1) + (m - 1) // (q - 1)
     if len(big_b) != expected_b:
@@ -402,21 +415,23 @@ def basis_audit(plan: MCoverPlan) -> BasisAudit:
         raise AuditFailure(f"basis count {expected_b} != q^a (m-1)/(q-1) = {alt}")
     checks.append(f"|B| == q^a(m-1)/(q-1) == {alt}")
 
-    phi_rows = [list(row) for row in plan.phi]
-    for vec in big_b:
-        if any(mat_vec(gf, phi_rows, vec)):
-            raise AuditFailure("a zero-sum basis vector leaves the kernel of phi")
+    phi = plan.phi
+    if any(map(any, mat_mul(gf, big_b, list(zip(*phi))))):
+        raise AuditFailure("a zero-sum basis vector leaves the kernel of phi")
     checks.append("B inside ker(phi)")
     if big_b and field_rank(gf, big_b) != len(big_b):
         raise AuditFailure("B is linearly dependent")
     checks.append("B linearly independent")
 
-    lifted: List[List[int]] = []
-    for bvec in plan.code.basis:
-        pre = solve_affine(gf, phi_rows, list(bvec))
-        if pre is None:
-            raise AuditFailure("a code basis vector has no phi-preimage")
-        lifted.append(pre)
+    # one elimination of [phi | the code basis as columns] lifts every code
+    # vector, free coordinates zero, as solve_affine would one at a time
+    code = plan.code.basis
+    ech, piv = rref(gf, [list(row) + [vec[i] for vec in code] for i, row in enumerate(phi)], d + len(code))
+    if piv and piv[-1] >= d:
+        raise AuditFailure("a code basis vector has no phi-preimage")
+    lifted = np.zeros((len(code), d), dtype=np.int64)
+    lifted[:, piv] = np.array(ech, dtype=np.int64)[:len(piv), d:].T
+    lifted = lifted.tolist()
     checks.append(f"|B_C| == {len(lifted)}")
 
     full = big_b + lifted
@@ -427,15 +442,10 @@ def basis_audit(plan: MCoverPlan) -> BasisAudit:
         raise AuditFailure("B' is linearly dependent")
     checks.append("B' linearly independent")
 
-    h_phi = [
-        [plan.syndrome_cols[coord][t] for coord in range(d)]
-        for t in range(a)
-    ]
-    for vec in full:
-        if any(mat_vec(gf, h_phi, vec)):
-            raise AuditFailure("a B' vector leaves T = phi^{-1}(C)")
+    if any(map(any, mat_mul(gf, full, plan.syndrome_cols))):
+        raise AuditFailure("a B' vector leaves T = phi^{-1}(C)")
     checks.append("B' inside T")
-    dim_t = d - field_rank(gf, h_phi)
+    dim_t = d - field_rank(gf, list(zip(*plan.syndrome_cols)))
     if dim_t != d - a:
         raise AuditFailure(f"dim T = {dim_t} but d - a = {d - a}")
     checks.append(f"dim T == d - a == {d - a}")

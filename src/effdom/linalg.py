@@ -1,14 +1,15 @@
 """Exact linear algebra over GF(q) and over the integers.
 
 Field matrices are lists of rows of GF element codes; integer matrices
-are lists of rows of Python ints, or integer numpy arrays.  Integer
-kernels, ranks and characteristic polynomials are computed modulo primes
-below 2^20: column steps and Hessenberg reduction in int64 below 2^63,
-products of whole panels in float64 BLAS whose sums are integers below
-2^53, so no result depends on rounding, summation order or thread count.
-Kernels are certified by M v = 0 over Z and returned in free-column
-completion form (one vector per free column, in increasing column
-order), primitive, with the first nonzero entry positive.
+are lists of rows of Python ints, or integer numpy arrays.  Both reach
+one elimination, `_rref_mod`, modulo a prime: a GF(q) matrix, q = p^b,
+as its GF(p) block matrix (`block_matrix`), an integer one modulo primes
+below 2^20.  Column steps and Hessenberg reduction run in int64 below
+2^63, products of whole panels in float64 BLAS whose sums are integers
+below 2^53, so no result depends on rounding, summation order or thread
+count.  Integer kernels are certified by M v = 0 over Z and returned in
+free-column completion form (one vector per free column, in increasing
+column order), primitive, with the first nonzero entry positive.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ __all__ = [
     "kernel_basis",
     "solve_affine",
     "mat_vec",
+    "mat_mul",
+    "block_matrix",
     "int_rank",
     "int_kernel_basis",
     "char_poly",
@@ -55,59 +58,52 @@ def _copy_rect(mat: Sequence[Sequence[int]], cols: Optional[int]) -> Tuple[List[
 # GF(q) matrices
 # ---------------------------------------------------------------------------
 
+def block_matrix(gf: GF, mat: np.ndarray) -> np.ndarray:
+    """The GF(p) matrix of an r x c integer array of GF(q) codes, q = p^b:
+    entry a becomes the b x b block of x -> a x on base-p digits, so blocks
+    multiply as their entries do, and column 0 of a block holds its digits.
+    Refuses the first code outside [0, q), in row order."""
+    bad = (mat < 0) | (mat >= gf.q)
+    if bad.any():
+        gf._check(mat.flat[np.argmax(bad)])
+    p, b, mat = gf.p, gf.b, mat.astype(np.int64)
+    basis = [p ** i for i in range(b)]  # the codes of 1, x, ..., x^(b-1)
+    # powers[i][:, k] holds the digits of x^i x^k
+    powers = np.array([[gf.digits(gf.mul(s, t)) for t in basis] for s in basis]).transpose(0, 2, 1)
+    digits = mat[:, :, None] // np.array(basis) % p
+    blocks = np.tensordot(digits, powers, axes=(2, 0)) % p
+    return blocks.transpose(0, 2, 1, 3).reshape(mat.shape[0] * b, mat.shape[1] * b)
+
+
+def _codes(gf: GF, digits: np.ndarray) -> np.ndarray:
+    """GF(q) codes from their base-p digits, held in b consecutive rows each."""
+    return sum(digits[i::gf.b].astype(np.int64, copy=False) * gf.p ** i for i in range(gf.b))
+
+
 def rref(gf: GF, mat: Sequence[Sequence[int]], cols: Optional[int] = None) -> Tuple[List[List[int]], List[int]]:
-    """Reduced row echelon form over GF(q); returns (matrix, pivot columns)."""
-    m, n_rows, n_cols = _copy_rect(mat, cols)
-    for row in m:
-        for e in row:
-            gf._check(e)
-    piv: List[int] = []
-    r = 0
-    for c in range(n_cols):
-        if r == n_rows:
-            break
-        pr = next((i for i in range(r, n_rows) if m[i][c]), None)
-        if pr is None:
-            continue
-        if pr != r:
-            m[r], m[pr] = m[pr], m[r]
-        inv = gf.inv(m[r][c])
-        if inv != 1:
-            m[r] = [gf.mul(inv, e) for e in m[r]]
-        for i in range(n_rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [gf.sub(a, gf.mul(f, b)) for a, b in zip(m[i], m[r])]
-        piv.append(c)
-        r += 1
-    return m, piv
+    """Reduced row echelon form over GF(q); returns (matrix, pivot columns).
+
+    It is read off the GF(p) RREF of the block matrix, which is unique and
+    so the block matrix of the GF(q) RREF: GF(q) pivot t gives the GF(p)
+    pivots t b .. t b + b - 1."""
+    codes = _int_matrix(mat, cols)
+    a = block_matrix(gf, codes).astype(np.float64)
+    piv, piv_rows = _rref_mod(a, gf.p)
+    out = np.zeros(codes.shape, dtype=np.int64)
+    out[:len(piv) // gf.b] = _codes(gf, a[piv_rows, ::gf.b])
+    return out.tolist(), [c // gf.b for c in piv[::gf.b]]
 
 
 def field_rank(gf: GF, mat: Sequence[Sequence[int]], cols: Optional[int] = None) -> int:
-    if not mat:
-        return 0
-    return len(rref(gf, mat, cols)[1])
+    return len(rref(gf, mat, cols)[1]) if mat else 0
 
 
 def kernel_basis(gf: GF, mat: Sequence[Sequence[int]], cols: Optional[int] = None) -> List[List[int]]:
-    """Basis of the right kernel over GF(q), free-column completion form."""
-    if not mat:
-        if cols is None:
-            raise ValueError("cannot infer column count of an empty matrix")
-        return [[1 if i == f else 0 for i in range(cols)] for f in range(cols)]
-    m, piv = rref(gf, mat, cols)
-    n_cols = len(m[0])
-    pivset = set(piv)
-    basis = []
-    for f in range(n_cols):
-        if f in pivset:
-            continue
-        v = [0] * n_cols
-        v[f] = 1
-        for i, pc in enumerate(piv):
-            v[pc] = gf.neg(m[i][f])
-        basis.append(v)
-    return basis
+    """Basis of the right kernel over GF(q), free-column completion form:
+    the digits of the vector for free column f are the GF(p) kernel vector
+    of the block matrix for its free column f b."""
+    kern = _modp_kernel(block_matrix(gf, _int_matrix(mat, cols)), gf.p)[1][::gf.b]
+    return _codes(gf, kern.T).T.tolist()
 
 
 def solve_affine(gf: GF, mat: Sequence[Sequence[int]], target: Sequence[int]) -> Optional[List[int]]:
@@ -118,8 +114,7 @@ def solve_affine(gf: GF, mat: Sequence[Sequence[int]], target: Sequence[int]) ->
     rows, n_rows, n_cols = _copy_rect(mat, None)
     if len(target) != n_rows:
         raise ValueError("target length does not match row count")
-    aug = [row + [t] for row, t in zip(rows, target)]
-    m, piv = rref(gf, aug, n_cols + 1)
+    m, piv = rref(gf, [row + [t] for row, t in zip(rows, target)], n_cols + 1)
     if piv and piv[-1] == n_cols:
         return None
     x = [0] * n_cols
@@ -128,15 +123,21 @@ def solve_affine(gf: GF, mat: Sequence[Sequence[int]], target: Sequence[int]) ->
     return x
 
 
+def mat_mul(gf: GF, left: Sequence[Sequence[int]], right: Sequence[Sequence[int]]) -> List[List[int]]:
+    """The product over GF(q) of an r x c and a c x s matrix: the block
+    matrix of left times the digits of right, float64 products of at most
+    BLOCK * DELAY terms reduced mod p in between, so every sum is exact."""
+    right = _int_matrix(right, None)
+    a = block_matrix(gf, _int_matrix(left, right.shape[0])).astype(np.float64)
+    digits = block_matrix(gf, right)[:, ::gf.b].astype(np.float64)
+    out = np.zeros((a.shape[0], digits.shape[1]))
+    for lo in range(0, a.shape[1], BLOCK * DELAY):
+        out = _mod(out + a[:, lo:lo + BLOCK * DELAY] @ digits[lo:lo + BLOCK * DELAY], gf.p)
+    return _codes(gf, out).tolist()
+
+
 def mat_vec(gf: GF, mat: Sequence[Sequence[int]], vec: Sequence[int]) -> List[int]:
-    out = []
-    for row in mat:
-        acc = 0
-        for a, b in zip(row, vec):
-            if a and b:
-                acc = gf.add(acc, gf.mul(a, b))
-        out.append(acc)
-    return out
+    return [row[0] for row in mat_mul(gf, mat, [[x] for x in vec])] if vec else [0] * len(mat)
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,22 @@ def test_feasible(capsys):
     assert doc["expression"] == "(q-1)*d+1"
 
 
+def test_feasible_checks_the_cap_before_listing(capsys, monkeypatch):
+    monkeypatch.delenv("EFFDOM_SIZE_CAP", raising=False)
+    assert run(["feasible", "--q", "2", "--d", "31"]) == 0
+    plain = capsys.readouterr().out
+    start = time.perf_counter()
+    code, doc, err = invoke(capsys, ["feasible", "--q", "2", "--d", "1099511627775"])
+    assert time.perf_counter() - start < 1
+    assert (code, doc, err) == (2, None, "size cap: 2^40 + 1 values of k exceed the cap of 2097152\n")
+    # necessary_k of H(2,63) holds 2^6 + 1 = 65 values; of H(2,31), 33
+    monkeypatch.setenv("EFFDOM_SIZE_CAP", "64")
+    code, doc, err = invoke(capsys, ["feasible", "--q", "2", "--d", "63"])
+    assert (code, doc, err) == (2, None, "size cap: 2^6 + 1 values of k exceed the cap of 64\n")
+    assert run(["feasible", "--q", "2", "--d", "31"]) == 0
+    assert capsys.readouterr().out == plain
+
+
 def test_verify_plan(capsys):
     code, doc, _ = invoke(capsys, ["verify-plan", "--q", "2", "--d", "5"])
     assert code == 0 and doc["certified"] and doc["fold"] == 3 and doc["mode"] == "full"

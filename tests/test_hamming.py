@@ -9,12 +9,16 @@ from collections import Counter
 
 import pytest
 
+import field_oracle as oracle
 from effdom.domination import verify_efficient
 from effdom.fields import GF
 from effdom.graphs import SizeCapExceeded, hamming_graph
 from effdom.hamming import (
     AuditFailure,
+    BasisAudit,
     InfeasibleK,
+    _draw_ranks,
+    _splitmix64,
     basis_audit,
     build_plan,
     construct_function,
@@ -23,6 +27,7 @@ from effdom.hamming import (
     verify_plan,
 )
 from effdom.linalg import mat_vec
+from test_acceptance import SWEEP_INSTANCES
 
 GF2 = GF(2)
 GF3 = GF(3)
@@ -248,6 +253,15 @@ def test_audit_failure_on_tampered_plan():
         basis_audit(bad)
 
 
+def test_audit_failure_without_a_phi_preimage():
+    # with S_1 emptied, phi's first row is zero, so a code vector with a
+    # nonzero first coordinate has no preimage
+    plan = build_plan(GF2, 7)
+    bad = dataclasses.replace(plan, s_sets=((), ()) + plan.s_sets[2:])
+    with pytest.raises(AuditFailure, match="no phi-preimage"):
+        basis_audit(bad)
+
+
 def _fibre_oracle(plan, v):
     """The per-vertex syndrome loop: one scalar field operation at a time."""
     gf = plan.gf
@@ -275,8 +289,9 @@ def _tampered(plan):
 
 
 @pytest.mark.parametrize("gf, d", [
-    (GF2, 3), (GF2, 5), (GF2, 7), (GF2, 11), (GF2, 15), (GF2, 127),
-    (GF3, 1), (GF3, 4), (GF3, 13),
+    (GF2, 1), (GF2, 3), (GF2, 5), (GF2, 7), (GF2, 9), (GF2, 11), (GF2, 13), (GF2, 15), (GF2, 17),
+    (GF2, 127),
+    (GF3, 1), (GF3, 4), (GF3, 7), (GF3, 10), (GF3, 13),
     (GF(5), 1), (GF(5), 6),
     (GF4, 1), (GF4, 5), (GF4, 9), (GF4, 13),
     (GF(2, 3), 1), (GF(2, 3), 9),
@@ -308,3 +323,65 @@ def test_sampled_tamper_names_first_failing_vertex():
     with pytest.raises(AssertionError) as info:
         verify_plan(bad, sample=8, seed=0)
     assert str(info.value) == "closed neighborhood of vertex 15 meets some coset [4, 2] != 3 times"
+
+
+# every plan that acceptance criterion 9 audits
+AUDITED_PLANS = SWEEP_INSTANCES + [(GF4, 5), (GF4, 9), (GF4, 13)]
+
+
+@pytest.mark.parametrize("gf, d", AUDITED_PLANS, ids=repr)
+def test_plan_data_match_scalar_construction(gf, d):
+    plan = build_plan(gf, d)
+    a = plan.profile.a_q
+    h, basis = oracle.hamming_code_basis(gf, a)
+    assert plan.phi == oracle.phi(plan)
+    assert (plan.code.parity_check, plan.code.basis) == (h, basis)
+    block_of = [i for i, block in enumerate(plan.s_sets) for _ in block]
+    assert plan.syndrome_cols == tuple(tuple(h[t][i - 1] if i else 0 for t in range(a)) for i in block_of)
+
+
+def _expected_audit(gf, d):
+    """The BasisAudit of build_plan(gf, d), from the counting identities alone."""
+    prof = feasibility(gf, d)
+    q, a, m = prof.q, prof.a_q, prof.m_q
+    l = (q ** a - 1) // (q - 1)
+    zero_sum = l * (m - 1) + (m - 1) // (q - 1)
+    return BasisAudit(
+        zero_sum_basis_size=zero_sum,
+        lifted_code_basis_size=l - a,
+        total_basis_size=d - a,
+        dim_t=d - a,
+        checks=(
+            f"|B| == l(m-1) + (m-1)/(q-1) == {zero_sum}",
+            f"|B| == q^a(m-1)/(q-1) == {zero_sum}",
+            "B inside ker(phi)",
+            "B linearly independent",
+            f"|B_C| == {l - a}",
+            f"|B'| == d - a == {d - a}",
+            "B' linearly independent",
+            "B' inside T",
+            f"dim T == d - a == {d - a}",
+        ),
+    )
+
+
+@pytest.mark.parametrize("gf, d", AUDITED_PLANS + [(GF4, 85), (GF2, 255), (GF4, 341)], ids=repr)
+def test_basis_audit_matches_counting_identities(gf, d):
+    assert basis_audit(build_plan(gf, d)) == _expected_audit(gf, d)
+
+
+def test_phi_and_code_follow_a_replaced_plan():
+    plan = build_plan(GF2, 7)
+    moved = dataclasses.replace(plan, s_sets=((), (0,), (1,), (2,), (3,), (4,), (6,), (5,)))
+    assert moved.phi[-1] == (0, 0, 0, 0, 0, 1, 0) and plan.phi[-1] == (0, 0, 0, 0, 0, 0, 1)
+    assert moved.code == plan.code == hamming_code(GF2, 3)
+    assert plan.code is plan.code and plan.phi is plan.phi
+
+
+def test_sampled_ranks_use_enough_words():
+    wide = _draw_ranks(_splitmix64(0), 2 ** 127, 256)
+    assert max(wide) >= 1 << 64 and all(0 <= v < 2 ** 127 for v in wide)
+    # one word per rank up to 2^64: the draws of a single-word generator
+    for n in (2, 3 ** 5, 2 ** 63 + 7, 2 ** 64):
+        stream = _splitmix64(9)
+        assert _draw_ranks(_splitmix64(9), n, 300) == [next(stream) % n for _ in range(300)]

@@ -1,9 +1,10 @@
 """Exact linear algebra tests.
 
-Small cases are cross-checked against sympy's exact rational routines
-(an independent implementation); characteristic polynomials are further
-pinned by evaluating det(xI - M) at integer points and by the
-Cayley-Hamilton identity.
+GF(q) routines are cross-checked against the per-entry scalar
+elimination of `field_oracle`; small integer cases against sympy's exact
+rational routines (an independent implementation); characteristic
+polynomials are further pinned by evaluating det(xI - M) at integer
+points and by the Cayley-Hamilton identity.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ import sympy
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from effdom.fields import GF
+import field_oracle as oracle
+from effdom.fields import GF, MODULI
 from effdom.graphs import adjacency_matrix, cycle, complete
 from effdom.linalg import (
     char_poly,
@@ -100,6 +102,76 @@ def test_rref_idempotent_and_kernel_annihilates(pb, dims, data):
     assert field_rank(gf, m) + len(kernel_basis(gf, m)) == cols
     for v in kernel_basis(gf, m):
         assert not any(mat_vec(gf, m, v))
+
+
+ORACLE_FIELDS = [GF(p) for p in (2, 3, 5, 7, 65521)] + [GF(p, b) for p, b in MODULI]
+
+
+@st.composite
+def field_matrices(draw, gf):
+    """A matrix of at most 12 x 12 codes, mixing drawn rows with zero rows
+    and combinations of drawn rows, and its column count."""
+    cols = draw(st.integers(0, 12))
+    code = st.integers(0, gf.q - 1) | st.just(0)
+    rows = draw(st.lists(st.lists(code, min_size=cols, max_size=cols), max_size=12))
+    for _ in range(draw(st.integers(0, 12 - len(rows)))):
+        if not rows or draw(st.booleans()):
+            rows.append([0] * cols)
+        else:
+            i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+            c1, c2 = draw(code), draw(code)
+            rows.append([gf.add(gf.mul(c1, x), gf.mul(c2, y)) for x, y in zip(rows[i], rows[j])])
+    return draw(st.permutations(rows)), cols
+
+
+@given(st.sampled_from(ORACLE_FIELDS), st.data())
+@settings(max_examples=150, deadline=None)
+def test_field_linalg_matches_scalar_oracle(gf, data):
+    m, cols = data.draw(field_matrices(gf))
+    assert rref(gf, m, cols) == oracle.rref(gf, m, cols)
+    assert field_rank(gf, m, cols) == oracle.field_rank(gf, m, cols)
+    assert kernel_basis(gf, m, cols) == oracle.kernel_basis(gf, m, cols)
+    x = data.draw(st.lists(st.integers(0, gf.q - 1), min_size=cols, max_size=cols))
+    assert mat_vec(gf, m, x) == oracle.mat_vec(gf, m, x)
+    if m:
+        # a target in the image half the time, else a drawn one
+        target = oracle.mat_vec(gf, m, x) if data.draw(st.booleans()) else \
+            data.draw(st.lists(st.integers(0, gf.q - 1), min_size=len(m), max_size=len(m)))
+        assert solve_affine(gf, m, target) == oracle.solve_affine(gf, m, target)
+
+
+def test_field_linalg_edge_shapes():
+    for gf in (gf2, gf4, GF(65521)):
+        for mat, cols in [([[]], None), ([[], []], 0), ([], 3), ([], 0)]:
+            assert rref(gf, mat, cols) == oracle.rref(gf, mat, cols)
+            assert kernel_basis(gf, mat, cols) == oracle.kernel_basis(gf, mat, cols)
+            assert field_rank(gf, mat, cols) == oracle.field_rank(gf, mat, cols)
+        assert solve_affine(gf, [[]], [0]) == oracle.solve_affine(gf, [[]], [0]) == []
+        assert solve_affine(gf, [[]], [1]) is None
+        assert mat_vec(gf, [[], []], []) == oracle.mat_vec(gf, [[], []], []) == [0, 0]
+        for call in (rref, kernel_basis):
+            with pytest.raises(ValueError, match="cannot infer column count"):
+                call(gf, [])
+
+
+@pytest.mark.parametrize("gf", [gf2, gf4, GF(5, 2), GF(65521)], ids=repr)
+def test_out_of_range_codes_refused_alike(gf):
+    cases = [
+        (rref, ([[0, 1], [gf.q, 0]],)),
+        (rref, ([[0, -1], [gf.q + 5, 0]],)),
+        (field_rank, ([[1, 0, gf.q]],)),
+        (kernel_basis, ([[0, 0], [0, -3]],)),
+        (solve_affine, ([[1, 0], [0, 1]], [0, gf.q])),
+        (solve_affine, ([[1, gf.q + 1], [0, 1]], [-1, 0])),
+    ]
+    for call, args in cases:
+        with pytest.raises(ValueError) as want:
+            getattr(oracle, call.__name__)(gf, *args)
+        with pytest.raises(ValueError) as got:
+            call(gf, *args)
+        assert str(got.value) == str(want.value)
+    with pytest.raises(ValueError, match="outside"):
+        mat_vec(gf, [[1, gf.q]], [1, 1])
 
 
 # ---------------------------------------------------------------------------

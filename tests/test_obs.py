@@ -8,9 +8,10 @@ import numpy as np
 
 from effdom import obs
 from effdom.cli import run
+from effdom.fields import GF
 from effdom.graphs import adjacency_matrix, cycle, folded_cube
 from effdom.jsonio import dump_json, graph_to_doc
-from effdom.linalg import char_poly, int_kernel_basis
+from effdom.linalg import char_poly, int_kernel_basis, rref
 from effdom.search import SearchConfig, enumerate_efficient
 
 
@@ -67,6 +68,13 @@ def test_linalg_counters():
             assert call() == want
         assert stats.counters == counters
         assert list(stats.spans_ms) == [name]
+
+
+def test_field_rref_counts_panels():
+    # a GF(4) matrix reaches the one elimination as its 4 x 4 GF(2) block matrix
+    with obs.collecting() as stats:
+        assert rref(GF(2, 2), [[1, 2], [2, 1]]) == ([[1, 0], [0, 1]], [0, 1])
+    assert stats.counters == {"linalg.panels": 1} and stats.spans_ms == {}
 
 
 def test_search_counters():
