@@ -55,7 +55,7 @@ def _size_cap() -> int:
 
 
 def _load_graph(path: str) -> Graph:
-    return jsonio.graph_from_doc(jsonio.load_json(path), size_cap=_size_cap())
+    return jsonio.load_graph(path, size_cap=_size_cap())
 
 
 def _field_from_flags(q: int, b: Optional[int]) -> GF:

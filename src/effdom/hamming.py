@@ -298,7 +298,7 @@ def verify_plan(
         x = graph if graph is not None else hamming_graph(q, d, size_cap=size_cap)
         if x.n != q ** d:
             raise ValueError("supplied graph is not H(q,d) for this plan")
-        cells = cells_from_labels(plan.fibre_of(range(x.n)).tolist())
+        cells = cells_from_labels(plan.fibre_of(range(x.n)))
         cert = verify_kcover(x, cells, complete(plan.fibre_count), m)
         if cert is None:
             raise AssertionError("coset partition failed the m-cover check")

@@ -5,19 +5,22 @@ sorted edge lists with u < v, functions as value vectors with their
 declared (j, k), partitions as canonical cell lists, and matrices in
 row-major order.  dump_json writes a 2-D integer array (a graph's edges)
 as the list of its rows and `Records` (a search's functions) as a list
-of records; json.loads reads both back as lists.
+of records; json.loads reads both back as lists.  load_graph reads a graph
+file's edge rows from its bytes into one array, and everything else with json.
 """
 
 from __future__ import annotations
 
 import gc
 import json
+import re
 from contextlib import contextmanager
 from itertools import chain
-from typing import Iterator, List, NamedTuple, Optional, Sequence
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import obs
 from .domination import DominatingFunction
 from .graphs import DEFAULT_SIZE_CAP, Graph, SizeCapExceeded
 from .partitions import Cells, canonical_cells
@@ -26,6 +29,7 @@ __all__ = [
     "SCHEMA_VERSION",
     "graph_to_doc",
     "graph_from_doc",
+    "load_graph",
     "Records",
     "function_to_doc",
     "function_rows",
@@ -66,8 +70,10 @@ def graph_to_doc(x: Graph) -> dict:
     return {"v": SCHEMA_VERSION, "name": x.name, "n": x.n, "edges": x.edge_array()}
 
 
-def _endpoints(edges) -> List[int]:
-    """The endpoints, in order, of a list of [u, w] pairs of JSON integers."""
+def _endpoints(edges):
+    """The endpoints, in order, of a list of [u, w] pairs of JSON integers or of an int64 array."""
+    if isinstance(edges, np.ndarray):
+        return edges.reshape(-1)
     if type(edges) is not list or not set(map(type, edges)) <= {list}:
         raise TypeError("edges must be a list of [u, w] pairs")
     if not set(map(len, edges)) <= {2}:
@@ -87,7 +93,7 @@ def graph_from_doc(doc: dict, size_cap: int = DEFAULT_SIZE_CAP) -> Graph:
     if n > size_cap:
         raise SizeCapExceeded(f"{n} vertices exceeds the cap of {size_cap}")
     try:
-        ends = np.fromiter(flat, dtype=np.int64, count=len(flat))
+        ends = np.asarray(flat, dtype=np.int64)
     except OverflowError:
         ends = None
     if ends is None or ((ends < 0) | (ends >= n)).any():
@@ -99,6 +105,65 @@ def graph_from_doc(doc: dict, size_cap: int = DEFAULT_SIZE_CAP) -> Graph:
     g = Graph.from_csr(n, indptr, keys % n, str(doc.get("name", "graph")))
     g.validate()
     return g
+
+
+def load_graph(path: str, size_cap: int = DEFAULT_SIZE_CAP) -> Graph:
+    """graph_from_doc(load_json(path), size_cap), the same graph or exception; a
+    file _graph_doc refuses goes through json, counted as "jsonio.json_fallback"."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        doc = _graph_doc(text)
+    except (ValueError, RecursionError):
+        obs.count("jsonio.json_fallback")
+        doc = load_json(path)
+    return graph_from_doc(doc, size_cap)
+
+
+_WS = "[ \t\n\r]*"  # JSON's whitespace
+_OPEN, _KEY, _COLON, _NEXT = (re.compile(_WS + p).match for p in (r"\{", '"', ":" + _WS, "[,}]"))
+_DECODER = json.JSONDecoder()
+_EMPTY, _ROWS_END = re.compile(r"\[%s\]" % _WS).match, re.compile(r"\]%s\]" % _WS).search
+_SPACES, _TENS = bytes.maketrans(b"[],", b"   "), 10 ** np.arange(1, 19, dtype=np.int64)
+
+
+def _graph_doc(text: str) -> dict:
+    """json.loads(text) for a JSON object, with "edges" read by _edge_rows;
+    ValueError for any text json refuses and any "edges" _edge_rows refuses."""
+
+    def skip(match, at: int) -> int:
+        m = match(text, at)
+        if m is None:
+            raise ValueError("not a JSON object")
+        return m.end()
+
+    doc, i = {}, skip(_OPEN, 0)
+    while text[i - 1] != "}":
+        key, i = json.decoder.scanstring(text, skip(_KEY, i))
+        doc[key], i = (_edge_rows if key == "edges" else _DECODER.raw_decode)(text, skip(_COLON, i))
+        i = skip(_NEXT, i)
+    if text[i:].strip(" \t\n\r"):
+        raise ValueError("text after the object")
+    return doc
+
+
+def _edge_rows(text: str, i: int) -> Tuple[np.ndarray, int]:
+    """The endpoints of the JSON list of [u, w] rows at text[i] as one int64
+    array, and the index past it; ValueError unless each is an integer in
+    [0, 10^18) with as many digits as its value needs, as json writes it."""
+    m = _EMPTY(text, i) or _ROWS_END(text, i)
+    span = text[i:m.end()].encode() if m else b""
+    packed = span.translate(None, b" \t\n\r")
+    skeleton = packed.translate(None, b"0123456789")
+    e = (len(skeleton) - 1) // 4
+    # rows [,] joined by ",", with digits in every place
+    rows = skeleton == b"[" + (b"[,]," * e)[:-1] + b"]" and b"[," not in packed and b",]" not in packed
+    ends = np.fromstring(span.translate(_SPACES), np.int64, sep=" ") if rows and e else np.zeros(0, np.int64)
+    # a number split by a blank or with a leading zero leaves more digits than 2e values need
+    if not rows or ends.max(initial=0) >= 10 ** 18 \
+            or np.searchsorted(_TENS, ends, "right").sum() + 2 * e != len(packed) - len(skeleton):
+        raise ValueError("edges are not rows [u, w] of integers in [0, 10^18) written as json writes them")
+    return ends, m.end()
 
 
 def function_to_doc(f: DominatingFunction) -> dict:

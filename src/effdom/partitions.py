@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import chain
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -55,40 +56,39 @@ Cells = Tuple[Tuple[int, ...], ...]
 
 
 def canonical_cells(cells: Sequence[Sequence[int]], n: int) -> Cells:
-    """Validate a partition of 0..n-1 and put it in canonical cell order."""
-    seen = [False] * n
-    cleaned = []
-    for cell in cells:
-        if not cell:
-            raise ValueError("empty cell")
-        cs = sorted(cell)
-        for v in cs:
-            if not 0 <= v < n:
-                raise ValueError(f"vertex {v} out of range")
-            if seen[v]:
-                raise ValueError(f"vertex {v} appears in two cells")
-            seen[v] = True
-        cleaned.append(tuple(cs))
-    if not all(seen):
-        missing = seen.index(False)
-        raise ValueError(f"vertex {missing} not covered by any cell")
-    cleaned.sort(key=lambda c: c[0])
-    return tuple(cleaned)
+    """Validate a partition of 0..n-1 and put it in canonical cell order.
+    The first fault, reading each cell sorted, is an empty cell or a vertex
+    out of range or read before; then the least vertex in no cell."""
+    cells = [sorted(cell) for cell in cells]
+    flat = list(chain.from_iterable(cells))
+    ends = np.array(flat)  # int64, or object past int64
+    order = np.argsort(ends, kind="stable")
+    bad = (ends < 0) | (ends >= n)
+    bad[order[1:]] |= ends[order[1:]] == ends[order[:-1]]
+    p = int(np.argmax(bad)) if bad.any() else len(flat)
+    if [] in cells and sum(map(len, cells[:cells.index([])])) <= p:
+        raise ValueError("empty cell")
+    if p < len(flat):
+        raise ValueError(f"vertex {flat[p]} " + ("appears in two cells" if 0 <= flat[p] < n else "out of range"))
+    if len(flat) < n:
+        raise ValueError(f"vertex {np.setdiff1d(np.arange(n), flat)[0]} not covered by any cell")
+    return tuple(tuple(cells[i]) for i in np.argsort([cell[0] for cell in cells]))
 
 
 def cells_from_labels(labels: Sequence[int]) -> Cells:
-    """Group vertices by label value; labels may be any hashable ints."""
-    groups: dict = {}
-    for v, lab in enumerate(labels):
-        groups.setdefault(lab, []).append(v)
-    return canonical_cells(list(groups.values()), len(labels))
+    """Group vertices by label value (any ints, in a sequence or an array),
+    the cells ordered by their first vertex."""
+    _, first, inverse = np.unique(np.asarray(labels), return_index=True, return_inverse=True)
+    cell = first[inverse]  # each vertex's cell, named by its first vertex
+    flat = np.argsort(cell, kind="stable")
+    bounds = np.flatnonzero(np.diff(cell[flat], prepend=-1)).tolist() + [len(flat)]
+    flat = flat.tolist()
+    return tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
 
 
-def _cell_index(cells: Cells, n: int) -> List[int]:
-    idx = [-1] * n
-    for i, cell in enumerate(cells):
-        for v in cell:
-            idx[v] = i
+def _cell_index(cells: Cells, n: int) -> np.ndarray:
+    idx = np.empty(n, dtype=np.int64)
+    idx[list(chain.from_iterable(cells))] = np.repeat(np.arange(len(cells)), list(map(len, cells)))
     return idx
 
 
@@ -98,11 +98,8 @@ def characteristic_matrix(x: Graph, cells: Sequence[Sequence[int]]) -> Optional[
     rows = equitable_quotient(x, _cell_index(cells, x.n))
     if rows is None:
         return None
-    b = [[0] * len(cells) for _ in cells]
-    for i, row in rows.items():
-        for j in row:
-            b[i][j] += 1
-    return b
+    # equitable_quotient keys the rows by cell, in increasing order
+    return [np.bincount(np.array(row, dtype=np.int64), minlength=len(cells)).tolist() for row in rows.values()]
 
 
 def is_dominatable(x: Graph, cells: Sequence[Sequence[int]]) -> Optional[List[int]]:
@@ -114,16 +111,9 @@ def is_dominatable(x: Graph, cells: Sequence[Sequence[int]]) -> Optional[List[in
     b = characteristic_matrix(x, cells)
     if b is None:
         return None
-    s = len(b)
-    weights = []
-    for col in range(s):
-        a = b[col][col] + 1
-        for row in range(s):
-            expected = a - 1 if row == col else a
-            if b[row][col] != expected:
-                return None
-        weights.append(a)
-    return weights
+    b = np.array(b, dtype=np.int64).reshape(len(b), len(b))
+    a = b.diagonal() + 1
+    return None if (b != a - np.eye(len(b), dtype=np.int64)).any() else a.tolist()
 
 
 def function_from_dominatable(
@@ -144,10 +134,7 @@ def function_from_dominatable(
     for a in alpha:
         if not 0 <= a <= j:
             raise ValueError(f"alpha value {a} outside [0, {j}]")
-    values = [0] * x.n
-    for cell, a in zip(cells, alpha):
-        for v in cell:
-            values[v] = a
+    values = np.array(alpha, dtype=object)[_cell_index(cells, x.n)].tolist()
     k = sum(a * w for a, w in zip(alpha, weights))
     return DominatingFunction(values=tuple(values), j=j, k=k)
 
@@ -221,7 +208,7 @@ def _cover_certificate(x: Graph, cells: Cells, y: Graph, k: int, fold: int, kind
         base_size=y.n,
         fold=fold,
         kind=kind,
-        fibre_map=tuple(idx),
+        fibre_map=tuple(idx.tolist()),
     )
 
 
@@ -275,14 +262,12 @@ def push(f: DominatingFunction, cert: CoverCertificate) -> Optional[DominatingFu
         raise ValueError("certificate has no explicit fibre map")
     if len(f.values) != len(cert.fibre_map):
         raise ValueError("function does not live on the certificate's cover")
-    base_vals: List[Optional[int]] = [None] * cert.base_size
-    for v, c in enumerate(cert.fibre_map):
-        val = f.values[v]
-        if base_vals[c] is None:
-            base_vals[c] = val
-        elif base_vals[c] != val:
-            return None
-    return DominatingFunction(values=tuple(base_vals), j=f.j, k=f.k)  # type: ignore[arg-type]
+    fibre, values = np.array(cert.fibre_map, dtype=np.int64), np.array(f.values, dtype=object)
+    base = np.full(cert.base_size, None, dtype=object)
+    base[fibre] = values
+    if (base[fibre] != values).any():
+        return None
+    return DominatingFunction(values=tuple(base.tolist()), j=f.j, k=f.k)
 
 
 def translate_cover(

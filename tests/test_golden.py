@@ -6,7 +6,8 @@ kernels were unified (the two verify-plan cases beyond int64 and over
 GF(9), before the labels became digit arrays; the four search cases at and
 beyond the node limit and the j = 2 spectrum-k, before the search walked
 its tree in batches; the H(2,10) and H(3,4) cases, before graphs became
-CSR arrays and dump_json wrote its own layout); a refactor that keeps them
+CSR arrays and dump_json wrote its own layout; the twelve cases on graph
+files in other layouts, before graph files were read as bytes); a refactor that keeps them
 keeps stdout byte for byte.  Input files are written to a temporary directory, and "{name}" in
 an argument list stands for the path of input file name.json.
 """
@@ -47,6 +48,23 @@ INPUTS = {
     "k4_halves": {"cells": [[0, 1], [2, 3]]},
     "q3_conn": {"connection": [1, 2, 4]},
 }
+
+
+def _layouts(name, doc):
+    """A graph document in three layouts the reader must accept besides
+    dump_json's: compact with no newline, tab-indented with CRLF line ends,
+    and "edges" first under an escaped key."""
+    doc = {**doc, "edges": doc["edges"].tolist()}
+    first = json.dumps({"edges": doc["edges"], **doc}, indent=1)
+    return {
+        f"{name}_compact": json.dumps(doc, separators=(",", ":")),
+        f"{name}_crlf": json.dumps(doc, indent="\t").replace("\n", "\r\n") + "\r\n",
+        f"{name}_escaped": first.replace('"edges"', '"\\u0065dges"', 1),
+    }
+
+
+# raw texts, written byte for byte
+LAYOUTS = {**_layouts("c6", INPUTS["c6"]), **_layouts("h210", INPUTS["h210"])}
 
 CASES = [
     ("gen-complete", ["gen", "--family", "complete", "--n", "5"], 0,
@@ -137,6 +155,30 @@ CASES = [
     ("translate", ["translate", "--q", "2", "--d", "3", "--function", "{h23_code}",
                    "--connection", "{q3_conn}"], 0,
      "30c3b251c6535ba08d91a7fc9c2eef9330d61aadda5cc765a2a2d7de0f9aab37"),
+    ("verify-c6-compact", ["verify", "--graph", "{c6_compact}", "--function", "{c6_code}"], 0,
+     "cdb630a5ff3b1b1d4642d36fcc6d6a67a55baa29a67838ca2015fb7684303358"),
+    ("spectrum-c6-compact", ["spectrum", "--graph", "{c6_compact}"], 0,
+     "6d290682e57815bb92b8264019431b7267ebc92f7101161845985934859abfeb"),
+    ("verify-c6-crlf", ["verify", "--graph", "{c6_crlf}", "--function", "{c6_code}"], 0,
+     "cdb630a5ff3b1b1d4642d36fcc6d6a67a55baa29a67838ca2015fb7684303358"),
+    ("spectrum-c6-crlf", ["spectrum", "--graph", "{c6_crlf}"], 0,
+     "6d290682e57815bb92b8264019431b7267ebc92f7101161845985934859abfeb"),
+    ("verify-c6-escaped", ["verify", "--graph", "{c6_escaped}", "--function", "{c6_code}"], 0,
+     "cdb630a5ff3b1b1d4642d36fcc6d6a67a55baa29a67838ca2015fb7684303358"),
+    ("spectrum-c6-escaped", ["spectrum", "--graph", "{c6_escaped}"], 0,
+     "6d290682e57815bb92b8264019431b7267ebc92f7101161845985934859abfeb"),
+    ("verify-h210-compact", ["verify", "--graph", "{h210_compact}", "--function", "{h210_all}"], 0,
+     "5d9663fb337eba490467b56f7ecd65bfc0ec12dd75340eaef33640aadf0dc68d"),
+    ("spectrum-h210-compact", ["spectrum", "--graph", "{h210_compact}"], 0,
+     "a8a6d2344806261371e6e8a8234e4802260558f76d7c358ee847dd7d285d2fce"),
+    ("verify-h210-crlf", ["verify", "--graph", "{h210_crlf}", "--function", "{h210_all}"], 0,
+     "5d9663fb337eba490467b56f7ecd65bfc0ec12dd75340eaef33640aadf0dc68d"),
+    ("spectrum-h210-crlf", ["spectrum", "--graph", "{h210_crlf}"], 0,
+     "a8a6d2344806261371e6e8a8234e4802260558f76d7c358ee847dd7d285d2fce"),
+    ("verify-h210-escaped", ["verify", "--graph", "{h210_escaped}", "--function", "{h210_all}"], 0,
+     "5d9663fb337eba490467b56f7ecd65bfc0ec12dd75340eaef33640aadf0dc68d"),
+    ("spectrum-h210-escaped", ["spectrum", "--graph", "{h210_escaped}"], 0,
+     "a8a6d2344806261371e6e8a8234e4802260558f76d7c358ee847dd7d285d2fce"),
 ]
 
 
@@ -146,6 +188,10 @@ def inputs(tmp_path):
     for name, doc in INPUTS.items():
         path = tmp_path / f"{name}.json"
         path.write_text(dump_json(doc), encoding="utf-8")
+        paths[name] = str(path)
+    for name, text in LAYOUTS.items():
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(text.encode("utf-8"))
         paths[name] = str(path)
     return paths
 

@@ -22,6 +22,7 @@ from effdom.jsonio import (
     function_to_doc,
     graph_from_doc,
     graph_to_doc,
+    load_graph,
     load_json,
     matrix_to_doc,
     partition_from_doc,
@@ -37,6 +38,7 @@ def test_graph_roundtrip():
         assert doc["edges"] == sorted(doc["edges"])
         back = graph_from_doc(doc)
         assert back.adjacency == g.adjacency and back.name == g.name
+        assert graph_from_doc(graph_to_doc(g)).adjacency == g.adjacency  # edges as an (E, 2) array
 
 
 def test_graph_from_doc_rejects_bad_edges():
@@ -310,3 +312,105 @@ def test_matrix_layout_matches_json_dumps(mat, fields, nesting):
         for level in nesting:
             laid, plain = ([laid], [plain]) if level == "list" else ({"m": laid}, {"m": plain})
         assert dump_json(laid) == json.dumps(plain, indent=2) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# load_graph against the json path, on graph files written as text
+# ---------------------------------------------------------------------------
+
+
+def render(value, indent, pad, nl, level=0):
+    """JSON text of value, whose leaves are already JSON text: a list is
+    an array, a tuple of (key text, value) pairs an object (so keys may
+    repeat or be escaped).  indent is None for one line, or the string
+    repeated per level after each nl; pad goes around every token."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, tuple):
+        items, brackets = [key + pad + ":" + pad + render(v, indent, pad, nl, level + 1) for key, v in value], "{}"
+    else:
+        items, brackets = [render(v, indent, pad, nl, level + 1) for v in value], "[]"
+    inner, outer = ("", "") if indent is None else (nl + indent * (level + 1), nl + indent * level)
+    if not items:
+        return brackets[0] + pad + brackets[1]
+    return brackets[0] + pad + inner + (pad + "," + pad + inner).join(items) + pad + outer + brackets[1]
+
+
+# a blank inside a number, a leading zero, and places that only json reads
+ODD_ENDPOINTS = ["-0", "01", "-1", "1.0", "1e2", "true", str(2 ** 63), "1" * 19, "00", "0 1", "1 0", "2\n 1",
+                 '"1"', "null"]
+ODD_EDGES = ["[]", "[[0]]", "[[0,1,2]]", "[" * 10 ** 5 + "]" * 10 ** 5, "[[[0,1]]]", "{}", "[[0,1],]", "[[0,1]",
+             "[[,1]2,[0,2]]", "[2[0,],[1,2]]", "[[0,1],[,2]1]", "[[0,1]1,[2,]]", "[[0,01],[1,2]]", "[[0,1] 2]",
+             "[[1 1,2 2],[,]]", "[[0],[1]]", "[[0,1],[2],[3]]"]
+
+
+@st.composite
+def graph_texts(draw):
+    """A graph file: a simple graph's rows in some layout and key order,
+    sometimes with an odd endpoint, odd edges, a repeated, escaped or
+    nested "edges" key, a name holding brackets, or a byte order mark."""
+    n = draw(st.integers(1, 7))
+    rows = [[str(u), str(w)] for u in range(n) for w in range(u + 1, n) if draw(st.booleans())]
+    rows = [r[::-1] if draw(st.booleans()) else r for r in draw(st.permutations(rows))]
+    if rows and draw(st.integers(0, 3)) == 0:
+        rows[draw(st.integers(0, len(rows) - 1))][draw(st.integers(0, 1))] = draw(st.sampled_from(ODD_ENDPOINTS))
+    edges = draw(st.sampled_from(ODD_EDGES)) if draw(st.integers(0, 5)) == 0 else rows
+    name = draw(st.sampled_from(["C(6)", "[[0,1]]", "caf\u00e9 ]", "\u65e5\"]\\"]))
+    n_text = draw(st.sampled_from([str(n)] * 6 + [str(n + 1), "0", "-1", "3.0", "true", str(2 ** 70)]))
+    key = draw(st.sampled_from(['"edges"'] * 3 + ['"\\u0065dges"', '"e\\u0064ges"']))
+    members = [('"v"', "1"), ('"name"', json.dumps(name)), ('"n"', n_text), (key, edges)]
+    members = draw(st.permutations(members))
+    extra = draw(st.sampled_from([None, "repeat", "nested", "other"]))
+    if extra == "repeat":
+        members.insert(draw(st.integers(0, len(members))), ('"edges"', draw(st.sampled_from([[["0", "1"]], '"x"', "[]"]))))
+    elif extra == "nested":
+        members.insert(draw(st.integers(0, len(members))), ('"meta"', (('"edges"', [["0", "1"]]),)))
+    elif extra == "other":
+        members.insert(draw(st.integers(0, len(members))), ('"x"', [["1", "2"], "[[3]]", '{"a": [0]}']))
+    text = render(tuple(members), draw(st.sampled_from([None, "", "  ", "\t"])),
+                  draw(st.sampled_from(["", " "])), draw(st.sampled_from(["\n", "\r\n"])))
+    head, tail = draw(st.sampled_from(["", "", "\ufeff", " \r\n"])), draw(st.sampled_from(["", "\n", "\r\n", " x", "{}"]))
+    return head + text + tail
+
+
+def outcome(load):
+    """The CSR arrays and name of the loaded graph, or its exception."""
+    try:
+        g = load()
+    except Exception as exc:  # noqa: BLE001 - the class and message are compared
+        return type(exc), str(exc)
+    return g.n, g.name, g.indptr.tolist(), g.indices.tolist()
+
+
+@settings(max_examples=400, deadline=None)
+@given(graph_texts(), st.sampled_from([4, DEFAULT_SIZE_CAP]))
+def test_load_graph_matches_json_path(tmp_path_factory, text, cap):
+    path = tmp_path_factory.mktemp("g") / "g.json"
+    path.write_bytes(text.encode("utf-8"))
+    want = outcome(lambda: graph_from_doc(load_json(str(path)), size_cap=cap))
+    assert outcome(lambda: load_graph(str(path), size_cap=cap)) == want
+
+
+@pytest.mark.parametrize("edges", [f"[[0, {e}], [1, 2]]" for e in ODD_ENDPOINTS] + ODD_EDGES)
+def test_load_graph_odd_edges(tmp_path, edges):
+    path = tmp_path / "g.json"
+    path.write_text('{"n": 3, "edges": %s}' % edges, encoding="utf-8")
+    want = outcome(lambda: graph_from_doc(load_json(str(path))))
+    assert outcome(lambda: load_graph(str(path))) == want
+
+
+def test_graph_refusal_messages():
+    # both readers share these messages
+    for doc, message in [({"n": 3, "edges": [[0, 1], [2, 3]]}, "edge [2, 3] has an endpoint outside [0, 3)"),
+                         ({"n": 3, "edges": [[-1, 2 ** 70]]}, f"edge [-1, {2 ** 70}] has an endpoint outside [0, 3)"),
+                         ({"n": 3, "edges": [[0, 1], [1, 0]]}, "adjacency of 0 not sorted or has repeats")]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            graph_from_doc(doc)
+
+
+def test_load_graph_reads_written_graphs(tmp_path):
+    path = tmp_path / "g.json"
+    for g in [cycle(6), complete_bipartite(2, 3), hamming_graph(3, 3)]:
+        path.write_text(dump_json(graph_to_doc(g)), encoding="utf-8")
+        back = load_graph(str(path))
+        assert (back.name, back.indptr.tolist(), back.indices.tolist()) == (g.name, g.indptr.tolist(), g.indices.tolist())

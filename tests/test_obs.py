@@ -10,9 +10,10 @@ from effdom import obs
 from effdom.cli import run
 from effdom.fields import GF
 from effdom.graphs import adjacency_matrix, cycle, folded_cube
-from effdom.jsonio import dump_json, graph_to_doc
+from effdom.jsonio import dump_json, graph_to_doc, load_graph
 from effdom.linalg import char_poly, int_kernel_basis, rref
 from effdom.search import SearchConfig, enumerate_efficient
+from test_golden import INPUTS, LAYOUTS
 
 
 def test_off_by_default():
@@ -110,3 +111,27 @@ def test_stats_line_on_a_failing_command(capsys):
     assert run(["--stats", "verify", "--graph", "/nonexistent.json", "--function", "/nonexistent.json"]) == 2
     err = capsys.readouterr().err.splitlines()
     assert err[0].startswith("error: ") and json.loads(err[-1]) == {"stats": {"counters": {}, "spans_ms": {}}}
+
+
+def test_json_fallback_counter(tmp_path, capsys):
+    # gen output (with no edges too) and every golden graph file are read as
+    # arrays; a float endpoint sends the file through json, and --stats counts it
+    texts = dict(LAYOUTS)
+    for name, family in [("gen", ["hamming", "--q", "2", "--d", "5"]), ("gen_k1", ["complete", "--n", "1"])]:
+        assert run(["gen", "--family", *family]) == 0
+        texts[name] = capsys.readouterr().out
+    texts.update({name: dump_json(doc) for name, doc in INPUTS.items() if "edges" in doc})
+    for name, text in texts.items():
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(text.encode("utf-8"))
+        with obs.collecting() as stats:
+            load_graph(str(path))
+        assert stats.counters == {}, name
+    path = tmp_path / "float.json"
+    path.write_text('{"n": 3, "edges": [[0, 1.0], [1, 2]]}', encoding="utf-8")
+    assert run(["spectrum", "--graph", str(path)]) == 2
+    plain = capsys.readouterr()
+    assert run(["--stats", "spectrum", "--graph", str(path)]) == 2
+    stats = capsys.readouterr()
+    assert stats.out == plain.out == "" and stats.err.startswith(plain.err)
+    assert json.loads(stats.err.splitlines()[-1])["stats"]["counters"] == {"jsonio.json_fallback": 1}

@@ -4,12 +4,16 @@ from __future__ import annotations
 
 from typing import Iterator, List
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from effdom.domination import DominatingFunction, verify_efficient
 from effdom.fields import GF
 from effdom.graphs import complete, cycle, hamming_graph
 from effdom.partitions import (
+    _cell_index,
     canonical_cells,
     cells_from_labels,
     characteristic_matrix,
@@ -60,6 +64,101 @@ def test_canonical_cells():
 
 def test_cells_from_labels():
     assert cells_from_labels([7, 2, 7, 2]) == ((0, 2), (1, 3))
+
+
+# The per-vertex cell bookkeeping the array code replaced, kept as its oracle.
+
+def loop_canonical_cells(cells, n):
+    seen = [False] * n
+    cleaned = []
+    for cell in cells:
+        if not cell:
+            raise ValueError("empty cell")
+        cs = sorted(cell)
+        for v in cs:
+            if not 0 <= v < n:
+                raise ValueError(f"vertex {v} out of range")
+            if seen[v]:
+                raise ValueError(f"vertex {v} appears in two cells")
+            seen[v] = True
+        cleaned.append(tuple(cs))
+    if not all(seen):
+        missing = seen.index(False)
+        raise ValueError(f"vertex {missing} not covered by any cell")
+    cleaned.sort(key=lambda c: c[0])
+    return tuple(cleaned)
+
+
+def loop_cells_from_labels(labels):
+    groups: dict = {}
+    for v, lab in enumerate(labels):
+        groups.setdefault(lab, []).append(v)
+    return loop_canonical_cells(list(groups.values()), len(labels))
+
+
+def loop_cell_index(cells, n):
+    idx = [-1] * n
+    for i, cell in enumerate(cells):
+        for v in cell:
+            idx[v] = i
+    return idx
+
+
+LABELS = st.one_of(st.integers(-3, 3), st.sampled_from([2 ** 63, 2 ** 70, -2 ** 70]))
+VERTICES = st.one_of(st.integers(-2, 9), st.sampled_from([2 ** 63, 2 ** 70, -2 ** 70]))
+
+
+@st.composite
+def cell_lists(draw):
+    """A partition of 0..n-1 from random labels, with up to three edits: a
+    cell emptied, added or merged into another, or a vertex added, moved or
+    dropped; or else arbitrary lists of vertices."""
+    n = draw(st.integers(0, 8))
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.lists(st.lists(VERTICES, max_size=4), max_size=5)), n
+    cells = [list(c) for c in loop_cells_from_labels(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))]
+    cells = draw(st.permutations(cells))
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(["empty", "new", "merge", "add", "move", "drop"]))
+        i = draw(st.integers(0, len(cells)))
+        if edit == "new" or not cells:
+            cells.insert(i, [draw(VERTICES)] if edit != "empty" else [])
+            continue
+        i %= len(cells)
+        if edit == "empty":
+            cells[i] = []
+        elif edit == "merge" and len(cells) > 1:
+            cells[i - 1] += cells.pop(i)
+        elif edit == "add":
+            cells[i].insert(draw(st.integers(0, len(cells[i]))), draw(VERTICES))
+        elif cells[i]:
+            v = cells[i].pop(draw(st.integers(0, len(cells[i]) - 1)))
+            if edit == "move":
+                cells[draw(st.integers(0, len(cells) - 1))].append(v)
+    return cells, n
+
+
+def outcome(call):
+    try:
+        return call()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(cell_lists())
+def test_canonical_cells_matches_loop(case):
+    cells, n = case
+    assert outcome(lambda: canonical_cells(cells, n)) == outcome(lambda: loop_canonical_cells(cells, n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(LABELS, max_size=12), st.booleans())
+def test_cells_from_labels_matches_loop(labels, as_array):
+    want = loop_cells_from_labels(labels)
+    got = cells_from_labels(np.array(labels) if as_array else labels)
+    assert got == want and all(type(v) is int for cell in got for v in cell)
+    assert _cell_index(got, len(labels)).tolist() == loop_cell_index(want, len(labels))
 
 
 def test_characteristic_matrix():
