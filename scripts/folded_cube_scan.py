@@ -29,8 +29,8 @@ def main() -> int:
                     help="smallest d; at d = 2 the fold collapses to K_2 and "
                          "the pattern does not apply")
     ap.add_argument("--max-d", type=int, default=11,
-                    help="largest d; on a 2-vCPU machine d = 12 takes about 2 s "
-                         "and d = 13 about 8 s and 460 MB")
+                    help="largest d; on a 2-vCPU machine d = 12 takes about 1 s "
+                         "and d = 13 about 4 s and 190 MB")
     args = ap.parse_args()
 
     header = f"{'d':>3} {'n':>6} {'mult(-1)':>9} {'expected':>9} {'agree':>6} {'witness':<26} {'sec':>6}"

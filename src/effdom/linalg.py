@@ -5,7 +5,7 @@ are lists of rows of Python ints, or integer numpy arrays.  Both reach
 one elimination, `_rref_mod`, modulo a prime: a GF(q) matrix, q = p^b,
 as its GF(p) block matrix (`block_matrix`), an integer one modulo primes
 below 2^20.  Column steps and Hessenberg reduction run in int64 below
-2^63, products of whole panels in float64 BLAS whose sums are integers
+2^63, products of panels in float64 BLAS whose sums are integers
 below 2^53, so no result depends on rounding, summation order or thread
 count.  Integer kernels are certified by M v = 0 over Z and returned in
 free-column completion form (one vector per free column, in increasing
@@ -14,7 +14,6 @@ column order), primitive, with the first nonzero entry positive.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, isqrt, prod
 from typing import List, Optional, Sequence, Tuple
 
@@ -34,8 +33,6 @@ __all__ = [
     "int_rank",
     "int_kernel_basis",
     "char_poly",
-    "poly_mul",
-    "poly_divides",
     "CHAR_POLY_CAP",
 ]
 
@@ -150,8 +147,10 @@ def mat_vec(gf: GF, mat: Sequence[Sequence[int]], vec: Sequence[int]) -> List[in
 # BLAS adds in.  Column steps in a panel and the Hessenberg reduction run
 # in int64 onto residues: a panel takes at most BLOCK steps, each adding
 # less than p^2 to an entry, and a Hessenberg product sums n <= CHAR_POLY_CAP
-# terms below p^2 (below 2^63 for any n < 2^23).
+# terms below p^2 (below 2^63 for any n < 2^23).  Work across the width of
+# a matrix runs SPAN entries at a time, so no temporary is matrix-sized.
 BLOCK = 64
+SPAN = 1 << 18
 PRIME_LIMIT = 1 << 20
 DELAY = ((1 << 53) - 2 * PRIME_LIMIT) // (BLOCK * PRIME_LIMIT ** 2)
 assert DELAY >= 1 and DELAY * BLOCK * PRIME_LIMIT ** 2 + 2 * PRIME_LIMIT <= 1 << 53
@@ -168,19 +167,30 @@ def _primes():
 
 
 def _int_matrix(mat: Sequence[Sequence[int]], cols: Optional[int]) -> np.ndarray:
-    """The matrix as int64 when its entries are below 2^31 in size, else as Python ints."""
+    """The matrix as a signed integer array: as it is when at most 32 bits
+    wide, else int64 when its entries are below 2^31 in size, else Python ints."""
     if not isinstance(mat, np.ndarray):
         rows, n_rows, n_cols = _copy_rect(mat, cols)
         mat = np.array(rows, dtype=object).reshape(n_rows, n_cols)
-    return mat.astype(np.int64 if np.abs(mat).max(initial=0) < 1 << 31 else object, copy=False)
+    if mat.dtype.kind == "i" and mat.dtype.itemsize <= 4:
+        return mat
+    small = mat.size == 0 or max(-int(mat.min()), int(mat.max())) < 1 << 31
+    return mat.astype(np.int64 if small else object, copy=False)
+
+
+def _row_blocks(n_rows: int, width: int) -> List[slice]:
+    """Slices of rows holding about SPAN entries of the given width each."""
+    step = max(1, SPAN // max(width, 1))
+    return [slice(lo, lo + step) for lo in range(0, n_rows, step)]
 
 
 def _row_l1(mat: np.ndarray) -> List[int]:
-    return [int(s) for s in np.abs(mat).sum(axis=1)]
+    wide = object if mat.dtype == object else np.int64
+    return [int(s) for rows in _row_blocks(*mat.shape) for s in np.abs(mat[rows].astype(wide)).sum(axis=1)]
 
 
 def _mod(x: np.ndarray, p: int) -> np.ndarray:
-    """x mod p for float64 integers 0 <= x <= 2^53 - 2p: the float quotient
+    """x mod p for float64 integers |x| <= 2^53 - 2p: the float quotient
     is off by at most one.  About three times faster than `%` (fmod)."""
     r = x * (1.0 / p)
     np.floor(r, out=r)
@@ -189,6 +199,22 @@ def _mod(x: np.ndarray, p: int) -> np.ndarray:
     np.add(r, p, out=r, where=r < 0)
     np.subtract(r, p, out=r, where=r >= p)
     return r
+
+
+def _reduce(a: np.ndarray, p: int, c0: int = 0, stop: Optional[int] = None) -> None:
+    """a[:, c0:stop] mod p in place, a block of rows at a time."""
+    for rows in _row_blocks(len(a), (stop or a.shape[1]) - c0):
+        a[rows, c0:stop] = _mod(a[rows, c0:stop], p)
+
+
+def _residues(mat: np.ndarray, p: int) -> np.ndarray:
+    """The integer matrix mod p as float64, with no wider integer copy."""
+    if mat.dtype == object:
+        return (mat % p).astype(np.float64)
+    a = mat.astype(np.float64)
+    if mat.min(initial=0) < 0 or mat.max(initial=0) >= p:
+        _reduce(a, p)
+    return a
 
 
 def _panel_rref(panel: np.ndarray, p: int) -> Tuple[List[int], List[int], np.ndarray]:
@@ -224,9 +250,9 @@ def _rref_mod(a: np.ndarray, p: int) -> Tuple[List[int], np.ndarray]:
     mod p, rows unmoved; returns the pivot columns and their rows.
     The pivots of each BLOCK-column panel of the rows without a pivot, and
     the inverse of their pivot block, come from one pass of int64 column
-    steps; that inverse normalises the pivot rows, and one float64 product
-    clears the pivot columns from all other rows.  The rest of a is reduced
-    every DELAY panels.
+    steps; that inverse normalises the pivot rows, and float64 products, a
+    block of rows at a time, clear the pivot columns from all other rows.
+    The rest of a is reduced every DELAY panels.
     """
     live = np.ones(a.shape[0], dtype=bool)
     piv: List[int] = []
@@ -236,8 +262,7 @@ def _rref_mod(a: np.ndarray, p: int) -> Tuple[List[int], np.ndarray]:
         if rows.size == 0:
             break
         obs.count("linalg.panels")
-        stop = None if c0 and c0 // BLOCK % DELAY == 0 else c0 + BLOCK
-        a[:, c0:stop] = _mod(a[:, c0:stop], p)
+        _reduce(a, p, c0, None if c0 and c0 // BLOCK % DELAY == 0 else c0 + BLOCK)
         cols, order, inv = _panel_rref(a[rows, c0:c0 + BLOCK].astype(np.int64), p)
         if not cols:
             continue
@@ -246,17 +271,18 @@ def _rref_mod(a: np.ndarray, p: int) -> Tuple[List[int], np.ndarray]:
         neg = p - a[:, pc]
         neg[pr] = 0
         a[pr, c0:] = top
-        a[:, c0:] += neg @ top
+        for blk in _row_blocks(len(a), top.shape[1]):
+            a[blk, c0:] += neg[blk] @ top
         live[pr] = False
         piv += pc
         piv_rows += pr.tolist()
-    a[:] = _mod(a, p)
+    _reduce(a, p)
     return piv, np.array(piv_rows, dtype=np.intp)
 
 
 def _modp_kernel(mat: np.ndarray, p: int) -> Tuple[Tuple[int, ...], np.ndarray]:
     """Pivot columns and kernel residues of the integer matrix modulo p."""
-    a = (mat % p).astype(np.float64)
+    a = _residues(mat, p)
     piv, piv_rows = _rref_mod(a, p)
     # a mask, not np.setdiff1d, which imports numpy.ma (about 18 ms)
     is_free = np.ones(a.shape[1], dtype=bool)
@@ -268,10 +294,14 @@ def _modp_kernel(mat: np.ndarray, p: int) -> Tuple[Tuple[int, ...], np.ndarray]:
     return tuple(piv), kern
 
 
-def _crt(res: np.ndarray, modulus: int, res_p: np.ndarray, p: int) -> Tuple[np.ndarray, int]:
-    res = res.astype(object)
-    t = (res_p.astype(object) - res) * pow(modulus, -1, p) % p
-    return res + modulus * t, modulus * p
+def _crt(residues: List[Tuple[np.ndarray, int]], rows: Optional[int] = None) -> Tuple[np.ndarray, int]:
+    """The first `rows` rows (all by default) of residue arrays modulo the
+    product of their primes (as Python ints past the first prime)."""
+    res, modulus = residues[0][0][:rows], residues[0][1]
+    for kern, p in residues[1:]:
+        res = res.astype(object)
+        res, modulus = res + modulus * ((kern[:rows] - res) * pow(modulus, -1, p) % p), modulus * p
+    return res, modulus
 
 
 def _symmetric(res: np.ndarray, modulus: int) -> np.ndarray:
@@ -321,62 +351,74 @@ def _primitive(vecs: np.ndarray) -> np.ndarray:
     return vecs * np.where(lead < 0, -1, 1)[:, None]
 
 
-def _annihilates(mat: np.ndarray, vecs: np.ndarray) -> bool:
-    """Exact check that M v = 0 for every row v of vecs: v is cut into
-    base-2^bits digits small enough that each float64 product is exact.
-    Before more than one such product, one product mod the prime 65521
-    turns most wrong vectors away; residues mod the kernel primes cannot,
-    as every lift annihilates M modulo them."""
-    bits = 52 - max(_row_l1(mat)).bit_length()
-    top, q = int(np.abs(vecs).max(initial=0)).bit_length(), 65521
-    if top >= bits and mat.shape[1] * q * q < 1 << 52:
-        if np.any(_mod((mat % q).astype(np.float64) @ (vecs % q).astype(np.float64).T, q)):
-            return False
+def _annihilates(mat: np.ndarray, vecs: np.ndarray, bits: int) -> bool:
+    """Exact check that M v = 0 for every row v of vecs, a block of rows of
+    M at a time, where the row l1 norms of M are below 2^(52 - bits): the
+    base-2^bits digits of v give exact float64 products, which are summed
+    digit by digit in int64 with a carry."""
     if bits < 1:
         return not np.any(mat.astype(object) @ vecs.astype(object).T)
-    m, total = mat.astype(np.float64), 0
-    for shift in range(0, top + 1, bits):
-        digit = vecs >> shift if shift + bits > top else (vecs >> shift) & ((1 << bits) - 1)
-        part = m @ digit.astype(np.float64).T
-        total = part if top < bits else total + (part.astype(np.int64).astype(object) << shift)
-    return not np.any(total)
+    top, mask = int(np.abs(vecs).max(initial=0)).bit_length(), (1 << bits) - 1
+    digits = [(vecs >> s if s + bits > top else (vecs >> s) & mask).astype(np.float64).T
+              for s in range(0, top + 1, bits)]
+    for rows in _row_blocks(*mat.shape):
+        m, carry = mat[rows].astype(np.float64), 0
+        for digit in digits:
+            total = (m @ digit).astype(np.int64) + carry
+            if np.any(total & mask):
+                return False
+            carry = total >> bits
+        if np.any(carry):
+            return False
+    return True
+
+
+def _lift(mat: np.ndarray, residues: List[Tuple[np.ndarray, int]], bits: int) -> Optional[np.ndarray]:
+    """The kernel lifted from its residues (symmetric, else rational) and
+    certified by M v = 0, each lift tried on the first row first; or None."""
+    trial_passed = False
+    for lift in (lambda res, modulus: _primitive(_symmetric(res, modulus)), _rational_lift):
+        if lift is _rational_lift:
+            obs.count("linalg.rational_lifts")
+        trial = lift(*_crt(residues, 1))
+        if trial is not None and _annihilates(mat, trial, bits):
+            trial_passed = True
+            vecs = lift(*_crt(residues))
+            if vecs is not None and _annihilates(mat, vecs, bits):
+                return vecs
+    if not trial_passed:
+        obs.count("linalg.trial_rejects")
+    return None
 
 
 def int_kernel_basis(mat: Sequence[Sequence[int]], cols: Optional[int] = None) -> List[Tuple[int, ...]]:
     """Primitive integer basis of the rational right kernel, certified exact.
 
-    Primes are added until M v = 0 holds for the vectors lifted (symmetric
-    residues, else rational reconstruction) from the primes of largest rank
-    and least pivots.  Minors of M are at most h, the product of its row l1
-    norms, so primes missing the rational pivots multiply to at most h, and
+    Primes are added until M v = 0 holds for the vectors lifted from the
+    primes of largest rank and least pivots; a prime of other pivots adds
+    nothing.  Minors of M are at most h, the product of its row l1 norms,
+    so primes missing the rational pivots multiply to at most h, and
     reconstruction succeeds once the others pass 2h^2 + 2."""
-    if len(mat) == 0:
-        if isinstance(mat, np.ndarray) and mat.ndim == 2:
-            cols = mat.shape[1]
-        elif cols is None:
-            raise ValueError("cannot infer column count of an empty matrix")
-        return [tuple(1 if i == f else 0 for i in range(cols)) for f in range(cols)]
     m = _int_matrix(mat, cols)
-    if m.shape[1] == 0:
-        return []
     with obs.span("linalg.int_kernel_basis"):
-        h = prod(max(s, 1) for s in _row_l1(m))
-        spent, best = 1, None
+        norms = _row_l1(m)
+        h, bits = prod(max(s, 1) for s in norms), 52 - max(norms, default=0).bit_length()
+        obs.count("linalg.hadamard_bits", h.bit_length())
+        spent, best, residues = 1, None, []
         for p in _primes():
             obs.count("linalg.primes")
             piv, kern = _modp_kernel(m, p)
-            if best is None or (-len(piv), piv) < (-len(best[0]), best[0]):
-                best = (piv, kern, p)
-            elif piv == best[0]:
-                obs.count("linalg.crt_rounds")
-                best = (piv, *_crt(best[1], best[2], kern, p))
-            _, res, modulus = best
-            vecs = _primitive(_symmetric(res, modulus))
-            if not _annihilates(m, vecs):
-                obs.count("linalg.rational_lifts")
-                vecs = _rational_lift(res, modulus)
-            if vecs is not None and _annihilates(m, vecs):
-                return [tuple(v) for v in vecs.tolist()]
+            if not len(kern):  # full column rank mod p, so over Q
+                return []
+            if best is None or (-len(piv), piv) < (-len(best), best):
+                best, residues = piv, []
+            if piv == best:
+                if residues:
+                    obs.count("linalg.crt_rounds")
+                residues.append((kern, p))
+                vecs = _lift(m, residues, bits)
+                if vecs is not None:
+                    return [tuple(v) for v in vecs.tolist()]
             spent *= p
             if spent > (2 * h * h + 2) * h:
                 raise ArithmeticError("modular kernel not certified within the Hadamard bound")
@@ -384,10 +426,7 @@ def int_kernel_basis(mat: Sequence[Sequence[int]], cols: Optional[int] = None) -
 
 def int_rank(mat: Sequence[Sequence[int]], cols: Optional[int] = None) -> int:
     """Rank over the rationals, certified exact."""
-    if len(mat) == 0:
-        return 0
-    n_cols = cols if cols is not None else len(mat[0])
-    return n_cols - len(int_kernel_basis(mat, cols))
+    return 0 if len(mat) == 0 else (len(mat[0]) if cols is None else cols) - len(int_kernel_basis(mat, cols))
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +438,7 @@ def _hessenberg_char_poly(mat: np.ndarray, p: int) -> np.ndarray:
     of M: the leading m x m blocks of H have characteristic polynomials
     p_m = x p_(m-1) - sum_(i<m) h_(i,m-1) t_i p_i, with t_i the product of
     the subdiagonal entries h_(l,l-1) for i < l < m."""
-    h = (mat % p).astype(np.int64)
+    h = _residues(mat, p).astype(np.int64)
     n = h.shape[0]
     for j in range(n - 2):
         nz = np.flatnonzero(h[j + 1:, j])
@@ -439,50 +478,11 @@ def char_poly(mat: Sequence[Sequence[int]], max_n: int = CHAR_POLY_CAP) -> List[
     if m.shape != (n, n):
         raise ValueError("characteristic polynomial needs a square matrix")
     bound = 2 * (1 + max(_row_l1(m))) ** n
-    res, modulus = np.zeros(n + 1, dtype=object), 1
+    residues = []
     with obs.span("linalg.char_poly"):
         for p in _primes():
             obs.count("linalg.primes")
             obs.count("linalg.crt_rounds")
-            res, modulus = _crt(res, modulus, _hessenberg_char_poly(m, p), p)
-            if modulus > bound:
-                return [int(c) for c in _symmetric(res, modulus)]
-
-
-def poly_mul(p: Sequence[int], q: Sequence[int]) -> List[int]:
-    if not p or not q:
-        return []
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return out
-
-
-def poly_divides(p: Sequence[int], q: Sequence[int]) -> bool:
-    """True when the integer polynomial p divides q exactly (over Q).
-
-    Coefficient lists are lowest degree first; trailing zeros are ignored.
-    """
-    p = list(p)
-    q = list(q)
-    while p and p[-1] == 0:
-        p.pop()
-    while q and q[-1] == 0:
-        q.pop()
-    if not p:
-        raise ValueError("division by the zero polynomial")
-    if not q:
-        return True
-    if len(q) < len(p):
-        return False
-    rem = [Fraction(c) for c in q]
-    lead = Fraction(p[-1])
-    dp = len(p) - 1
-    for top in range(len(rem) - 1, dp - 1, -1):
-        c = rem[top] / lead
-        if c:
-            for t in range(dp + 1):
-                rem[top - dp + t] -= c * p[t]
-    return not any(rem)
+            residues.append((_hessenberg_char_poly(m, p), p))
+            if prod(q for _, q in residues) > bound:
+                return [int(c) for c in _symmetric(*_crt(residues))]

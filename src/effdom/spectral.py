@@ -15,7 +15,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .domination import DominatingFunction
-from .graphs import Graph, SizeCapExceeded, adjacency_matrix, closed_sums
+from .graphs import Graph, SizeCapExceeded, closed_sums
 from .linalg import int_kernel_basis
 
 __all__ = ["MinusOneReport", "minus_one_multiplicity", "function_from_eigenvector", "DEFAULT_RANK_CAP"]
@@ -33,18 +33,15 @@ def minus_one_multiplicity(x: Graph, size_cap: int = DEFAULT_RANK_CAP) -> MinusO
     """Exact multiplicity of eigenvalue -1, with an integer witness vector.
 
     The witness is the first vector of the canonical kernel basis of
-    A + I, or None when -1 is not an eigenvalue.
+    A + I, or None when -1 is not an eigenvalue; A + I is held as int8.
     """
     x.regular_degree()
     if x.n > size_cap:
         raise SizeCapExceeded(f"{x.n} vertices exceeds the exact rank cap of {size_cap}")
-    a_plus_i = adjacency_matrix(x)
-    np.fill_diagonal(a_plus_i, 1)
+    a_plus_i = np.eye(x.n, dtype=np.int8)
+    a_plus_i[x.rows(), x.indices] = 1
     kernel = int_kernel_basis(a_plus_i)
-    return MinusOneReport(
-        multiplicity=len(kernel),
-        witness=kernel[0] if kernel else None,
-    )
+    return MinusOneReport(multiplicity=len(kernel), witness=kernel[0] if kernel else None)
 
 
 def function_from_eigenvector(x: Graph, vec: Sequence[int]) -> DominatingFunction:

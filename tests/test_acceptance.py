@@ -239,8 +239,8 @@ def test_criterion_6():
     return "duality holds on 3 graphs; C_6 counts equal the 2^6 sweep"
 
 
-@criterion(7, "quotient polynomials divide and the two dominatability tests agree")
-def test_criterion_7():
+def criterion_7_corpus() -> List[Tuple[Graph, List[List[int]], bool]]:
+    """Equitable partitions, each with whether it is dominatable."""
     corpus = []
     for n in range(3, 7):
         corpus.append((complete(n), [[v] for v in range(n)], True))
@@ -255,6 +255,12 @@ def test_criterion_7():
     corpus.append((q3, [evens, [v for v in range(8) if v not in evens]], False))
     corpus.append((cycle(6), [[0, 2, 4], [1, 3, 5]], False))
     corpus.append((cycle(4), [[0, 2], [1, 3]], False))
+    return corpus
+
+
+@criterion(7, "quotient polynomials divide and the two dominatability tests agree")
+def test_criterion_7():
+    corpus = criterion_7_corpus()
     non_dominatable = 0
     for x, cells, expect in corpus:
         b = characteristic_matrix(x, cells)

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import field_oracle as oracle
+from poly_oracle import poly_divides, poly_mul
 from effdom.fields import GF, MODULI
 from effdom.graphs import adjacency_matrix, cycle, complete
 from effdom.linalg import (
@@ -24,8 +25,6 @@ from effdom.linalg import (
     int_rank,
     kernel_basis,
     mat_vec,
-    poly_divides,
-    poly_mul,
     rref,
     solve_affine,
 )

@@ -19,13 +19,14 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from effdom import linalg
+from effdom import linalg, obs
 from effdom.graphs import adjacency_matrix, hamming_graph
 from effdom.linalg import (
     BLOCK,
     CHAR_POLY_CAP,
     DELAY,
     PRIME_LIMIT,
+    _annihilates,
     _hessenberg_char_poly,
     _int_matrix,
     _mod,
@@ -290,7 +291,7 @@ def _sympy_kernel(mat):
     """Primitive sympy nullspace basis, first nonzero entry positive."""
     out = []
     for v in sympy.Matrix(mat).nullspace():
-        den = sympy.ilcm(*[sympy.fraction(e)[1] for e in v])
+        den = sympy.ilcm(1, *[sympy.fraction(e)[1] for e in v])
         ints = [int(e * den) for e in v]
         g = 0
         for e in ints:
@@ -381,6 +382,97 @@ def test_kernel_when_the_first_prime_moves_the_pivots():
     assert int_kernel_basis([[p0, 1]]) == [(1, -p0)]
     assert int_kernel_basis([[p0]]) == []
     assert int_kernel_basis([[p0, p0], [1, 1]]) == [(1, -1)]
+
+
+@st.composite
+def products(draw):
+    """A matrix with entries up to 2^40 and vectors with entries up to about
+    2^100: multiples of its kernel vectors, some moved off the kernel by a
+    power of two in one entry."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(2, 5))
+    top = draw(st.sampled_from([3, 2 ** 20, 2 ** 40]))
+    mat = [[draw(st.integers(-top, top)) for _ in range(cols)] for _ in range(rows)]
+    vecs = [[e * draw(st.integers(1, 2 ** 60)) for e in v] for v in _sympy_kernel(mat)] or [[0] * cols]
+    for v in vecs:
+        if draw(st.booleans()):
+            v[draw(st.integers(0, cols - 1))] += draw(st.sampled_from([-1, 1])) * 2 ** draw(st.integers(0, 100))
+    return mat, vecs
+
+
+@given(products())
+@settings(max_examples=200, deadline=None)
+def test_annihilates_matches_the_exact_product(case):
+    # the digit products are summed with a carry: M v = 2^40 on one digit
+    # is caught only by the carry out of the last digit
+    mat, vecs = case
+    m = _int_matrix(mat, None)
+    bits = 52 - max(sum(abs(e) for e in row) for row in mat).bit_length()
+    want = not any(sum(a * b for a, b in zip(row, v)) for row in mat for v in vecs)
+    assert _annihilates(m, np.array(vecs, dtype=object), bits) == want
+    if max(abs(e) for v in vecs for e in v) < 2 ** 62:
+        assert _annihilates(m, np.array(vecs, dtype=np.int64), bits) == want
+
+
+def test_annihilates_carries_out_of_the_last_digit():
+    assert not _annihilates(np.array([[2 ** 40]]), np.array([[1]]), 52 - 41)
+    assert not _annihilates(np.array([[2 ** 40, 0]]), np.array([[1, 2 ** 30]]), 52 - 41)
+    assert _annihilates(np.array([[2 ** 40, -1]]), np.array([[1, 2 ** 40]]), 52 - 41)
+
+
+LIFT_CASES = {
+    # the trial row (1, -1, 0) lifts at the first prime, the row with
+    # 2^30 + 1 does not, so the prime is passed over without a trial reject
+    "trial-passes-later-row-fails": ([[1, 1, -(2 ** 30 + 1)]], {"linalg.primes": 2, "linalg.crt_rounds": 1}),
+    # the one kernel row needs a second prime
+    "two-primes": ([[1, -(2 ** 30 + 1)]], {"linalg.primes": 2, "linalg.crt_rounds": 1, "linalg.trial_rejects": 1}),
+    # mod the first prime p0 column 0 vanishes: its trial row fails, and the
+    # next prime's pivots replace it rather than joining it by CRT; the
+    # entry -1/p0 then lifts once the modulus of primes 2..4 passes 2 p0^2
+    "first-prime-moves-the-pivots": ([[next(_primes()), 1]],
+                                     {"linalg.primes": 4, "linalg.crt_rounds": 2, "linalg.trial_rejects": 3}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LIFT_CASES))
+def test_lift_trial_matches_sympy(case):
+    mat, counters = LIFT_CASES[case]
+    with obs.collecting() as stats:
+        assert int_kernel_basis(mat) == _sympy_kernel(mat)
+    assert {k: v for k, v in stats.counters.items() if k in counters or k == "linalg.trial_rejects"} == counters
+
+
+WIDTHS = {"int8": np.int8, "int16": np.int16, "int32": np.int32, "int64": np.int64, "object": object}
+
+
+@st.composite
+def narrow_matrices(draw):
+    """Small integer matrices with negative entries and entries at the
+    edges of the narrow dtypes."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    edge = st.sampled_from([127, -127, -128, 2 ** 15 - 1, -(2 ** 15), 2 ** 31, -(2 ** 31), 2 ** 31 - 1])
+    entry = st.one_of(st.integers(-3, 3), edge)
+    return [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+
+
+def _holds(rows, width) -> bool:
+    if width is object:
+        return True
+    info = np.iinfo(width)
+    return all(info.min <= e <= info.max for row in rows for e in row)
+
+
+@given(narrow_matrices())
+@settings(max_examples=80, deadline=None)
+def test_narrow_dtypes_give_identical_results(rows):
+    # int8 % p raises OverflowError in numpy 2 for p >= 128, so every step
+    # that reduces a narrow matrix must widen first
+    want = (int_kernel_basis(rows), int_rank(rows), char_poly(rows) if len(rows) == len(rows[0]) else None)
+    assert want[0] == _sympy_kernel(rows)
+    for name, width in WIDTHS.items():
+        if _holds(rows, width):
+            mat = np.array(rows, dtype=width)
+            got = (int_kernel_basis(mat), int_rank(mat), char_poly(mat) if mat.shape[0] == mat.shape[1] else None)
+            assert got == want, name
 
 
 # ---------------------------------------------------------------------------

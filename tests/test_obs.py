@@ -53,14 +53,17 @@ def test_nested_blocks_restore_the_outer_one():
 def test_linalg_counters():
     kernel, poly = "linalg.int_kernel_basis", "linalg.char_poly"
     cases = [
-        # kernel (3, -2): the residue of -3/2 needs the rational lift
+        # kernel (3, -2): the residue of -3/2 needs the rational lift; h = 5
         (kernel, lambda: int_kernel_basis([[2, 3]]), [(3, -2)],
-         {"linalg.primes": 1, "linalg.panels": 1, "linalg.rational_lifts": 1}),
-        # kernel entry 2^30 + 1 > p / 2: a second prime and one CRT round
+         {"linalg.hadamard_bits": 3, "linalg.primes": 1, "linalg.panels": 1, "linalg.rational_lifts": 1}),
+        # kernel entry 2^30 + 1 > p / 2: the first prime's trial row lifts
+        # neither way, so a second prime and one CRT round; h = 2^30 + 2
         (kernel, lambda: int_kernel_basis([[1, -(2 ** 30 + 1)]]), [(2 ** 30 + 1, 1)],
-         {"linalg.primes": 2, "linalg.panels": 2, "linalg.crt_rounds": 1, "linalg.rational_lifts": 1}),
+         {"linalg.hadamard_bits": 31, "linalg.primes": 2, "linalg.panels": 2, "linalg.crt_rounds": 1,
+          "linalg.rational_lifts": 1, "linalg.trial_rejects": 1}),
+        # 64 rows of l1 norm 8: h = 2^192
         (kernel, lambda: len(int_kernel_basis(adjacency_matrix(folded_cube(7)) + np.eye(64, dtype=np.int64))),
-         35, {"linalg.primes": 1, "linalg.panels": 1}),
+         35, {"linalg.hadamard_bits": 193, "linalg.primes": 1, "linalg.panels": 1}),
         (poly, lambda: char_poly(adjacency_matrix(cycle(5))), [-2, 5, 0, -5, 0, 1],
          {"linalg.primes": 1, "linalg.crt_rounds": 1}),
     ]

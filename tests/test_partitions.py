@@ -11,7 +11,10 @@ from hypothesis import strategies as st
 
 from effdom.domination import DominatingFunction, verify_efficient
 from effdom.fields import GF
-from effdom.graphs import complete, cycle, hamming_graph
+from effdom.graphs import Graph, adjacency_matrix, complete, cycle, hamming_graph
+from effdom.hamming import build_plan
+from effdom.jsonio import graph_from_doc
+from effdom.linalg import char_poly
 from effdom.partitions import (
     _cell_index,
     canonical_cells,
@@ -27,6 +30,8 @@ from effdom.partitions import (
     verify_cover,
     verify_kcover,
 )
+from poly_oracle import poly_divides
+from test_acceptance import criterion_7_corpus
 
 C6_CELLS = [[0, 3], [1, 2, 4, 5]]
 C6_BIPART = [[0, 2, 4], [1, 3, 5]]
@@ -226,6 +231,79 @@ def test_charpoly_divides_graph():
     assert charpoly_divides_graph(q3, [evens, [v for v in range(8) if v not in evens]])
     with pytest.raises(ValueError):
         charpoly_divides_graph(cycle(6), [[0, 1], [2, 3, 4, 5]])
+
+
+def _computed_division(x: Graph, cells) -> bool:
+    """The oracle: the division that charpoly_divides_graph proves, computed
+    from both characteristic polynomials."""
+    return poly_divides(char_poly(characteristic_matrix(x, cells)), char_poly(adjacency_matrix(x)))
+
+
+def _parity_cells(d: int) -> List[List[int]]:
+    parity = [bin(v).count("1") % 2 for v in range(1 << d)]
+    return [[v for v in range(1 << d) if parity[v] == side] for side in (0, 1)]
+
+
+def test_charpoly_divides_graph_on_criterion_7_matches_the_computed_division():
+    for x, cells, _ in criterion_7_corpus():
+        assert charpoly_divides_graph(x, cells) is True and _computed_division(x, cells), x.name
+
+
+def test_charpoly_divides_graph_past_the_characteristic_polynomial_cap():
+    # n = 1024 > max_n: the n x n polynomial was refused; the proof needs none
+    assert charpoly_divides_graph(hamming_graph(2, 10), _parity_cells(10)) is True
+    assert charpoly_divides_graph(hamming_graph(2, 10), _parity_cells(10), max_n=1) is True
+
+
+def _fibre_cells(gf: GF, d: int) -> List[List[int]]:
+    return [list(c) for c in cells_from_labels(build_plan(gf, d).fibre_of(range(gf.q ** d)))]
+
+
+def _coset_cells(d: int, gens: List[int]) -> List[List[int]]:
+    """Orbits of the translations by the span of gens on H(2,d)."""
+    span = {0}
+    for g in gens:
+        span |= {w ^ g for w in span}
+    return [list(c) for c in cells_from_labels([min(v ^ w for w in span) for v in range(1 << d)])]
+
+
+@st.composite
+def equitable_partitions(draw):
+    """An equitable partition with n <= 128, as fibre, weight-parity,
+    weight or orbit cells, under a random relabelling."""
+    kind = draw(st.sampled_from(["fibre", "parity", "weight", "cosets", "rotations"]))
+    if kind == "fibre":
+        gf, d = draw(st.sampled_from([(GF(2), 3), (GF(2), 5), (GF(2), 7), (GF(3), 4), (GF(2, 2), 1), (GF(5), 1)]))
+        x, cells = hamming_graph(gf.q, d), _fibre_cells(gf, d)
+    elif kind == "parity":
+        d = draw(st.integers(1, 7))
+        x, cells = hamming_graph(2, d), _parity_cells(d)
+    elif kind == "weight":
+        q, d = draw(st.sampled_from([(2, 5), (2, 7), (3, 3), (3, 4), (4, 3), (5, 3)]))
+        x = hamming_graph(q, d)
+        weight = np.zeros(x.n, dtype=np.int64)
+        for i in range(d):
+            weight += np.arange(x.n) // q ** i % q != 0
+        cells = [list(c) for c in cells_from_labels(weight)]
+    elif kind == "cosets":
+        d = draw(st.integers(2, 7))
+        x, cells = hamming_graph(2, d), _coset_cells(d, draw(st.lists(st.integers(1, (1 << d) - 1), max_size=3)))
+    else:
+        n = draw(st.integers(3, 128))
+        g = draw(st.sampled_from([k for k in range(1, n + 1) if n % k == 0]))
+        x, cells = cycle(n), [list(range(i, n, g)) for i in range(g)]
+    perm = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).permutation(x.n)
+    edges = np.sort(perm[np.array(x.edges(), dtype=np.int64).reshape(-1, 2)], axis=1)
+    relabelled = graph_from_doc({"v": 1, "name": x.name, "n": x.n, "edges": edges})
+    return relabelled, [perm[c].tolist() for c in cells]
+
+
+@given(equitable_partitions())
+@settings(max_examples=40, deadline=None)
+def test_charpoly_divides_graph_matches_the_computed_division(case):
+    x, cells = case
+    assert characteristic_matrix(x, cells) is not None
+    assert charpoly_divides_graph(x, cells) is True and _computed_division(x, cells)
 
 
 def test_verify_cover_c6_over_k3():
