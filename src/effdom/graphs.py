@@ -93,6 +93,16 @@ class Graph:
     def validate(self) -> None:
         """Raise ValueError unless every row is sorted and in range, with no
         loops or repeats, and every edge appears in both directions."""
+        rows, keys = self._validate_rows()
+        reverse = self.indices * self.n + rows
+        if not np.array_equal(np.sort(reverse), keys):
+            found = keys[np.minimum(np.searchsorted(keys, reverse), len(keys) - 1)] == reverse
+            i = int(np.argmin(found))
+            raise ValueError(f"edge {int(rows[i])}-{int(self.indices[i])} not symmetric")
+
+    def _validate_rows(self) -> Tuple[np.ndarray, np.ndarray]:
+        """validate() without the symmetry check, for arrays symmetric by
+        construction; returns rows() and the row-major keys rows·n + indices."""
         n, indices = self.n, self.indices
         if n < 1 or len(self.indptr) != n + 1:
             raise ValueError("adjacency length does not match vertex count")
@@ -110,11 +120,7 @@ class Graph:
             if u == v:
                 raise ValueError(f"loop at vertex {v}")
             raise ValueError(f"adjacency of {v} not sorted or has repeats")
-        reverse = indices * n + rows
-        if not np.array_equal(np.sort(reverse), keys):
-            found = keys[np.minimum(np.searchsorted(keys, reverse), len(keys) - 1)] == reverse
-            i = int(np.argmin(found))
-            raise ValueError(f"edge {int(rows[i])}-{int(indices[i])} not symmetric")
+        return rows, keys
 
     def degree(self, v: int) -> int:
         return int(self.indptr[v + 1] - self.indptr[v])

@@ -203,8 +203,9 @@ def _cover_certificate(x: Graph, cells: Cells, y: Graph, k: int, fold: int, kind
     rows = equitable_quotient(x, idx)
     if rows is None:
         return None
-    for i, nbrs in enumerate(y.adjacency):
-        if rows[i] != sorted([i] * (k - 1) + nbrs * k):
+    ptr, flat = y.indptr.tolist(), y.indices.tolist()
+    for i in range(y.n):
+        if rows[i] != sorted([i] * (k - 1) + flat[ptr[i]:ptr[i + 1]] * k):
             return None
     return CoverCertificate(
         base_size=y.n,

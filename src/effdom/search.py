@@ -32,17 +32,23 @@ integer dtype that holds -k .. k + 1, object past int64.  A frame whose
 children are all taken keeps only its links.  A listing keeps its leaves,
 n values each in that dtype; a count-only search keeps none.
 
-The node limit.  The batched walk counts a frame's nodes before it
-descends into them, so once its count passes the limit, the nodes it has
-counted are not the preorder prefix that the limit stands for.  The call
-is then answered by the plain preorder backtracking (`_preorder`), which
-is also the tests' oracle.  Below the limit the batched walk has counted
-every preorder predecessor of what it returns, so both give the same
-functions, node count and exists_efficient witness.
+The node limit.  Nodes are numbered from 1 in preorder; a search cut by
+its limit returns the functions whose last node is among the first limit,
+with nodes = limit + 1.  States are made in preorder at each depth, and a
+frame records base, the states made at its depth before it.  When the
+depth-t frame is on top, the node giving v_t to order[t] in its row r_t is
+numbered sum_{s<=t} ((j+1)(base_s + r_s) + v_s + 1) over it and its
+ancestors (read off the links), plus j + 1 per state made deeper than t,
+each the root of an earlier subtree.  The walk counts a frame's nodes
+before descending, so its count passes the limit early; from then on it
+keeps only leaves numbered at most limit and stops before a state
+numbered past it.  Below the limit it has counted every preorder
+predecessor of what it returns (and, if first_only, maybe nodes after).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -95,6 +101,7 @@ class SearchOutcome:
 
 
 def _bfs_order(x: Graph) -> Tuple[int, ...]:
+    ptr, flat = x.indptr.tolist(), x.indices.tolist()
     seen = [False] * x.n
     order: List[int] = []
     for start in range(x.n):
@@ -105,7 +112,7 @@ def _bfs_order(x: Graph) -> Tuple[int, ...]:
         while queue:
             v = queue.popleft()
             order.append(v)
-            for u in x.adjacency[v]:
+            for u in flat[ptr[v]:ptr[v + 1]]:
                 if not seen[u]:
                     seen[u] = True
                     queue.append(u)
@@ -113,71 +120,8 @@ def _bfs_order(x: Graph) -> Tuple[int, ...]:
 
 
 def _closed(x: Graph) -> List[List[int]]:
-    return [list(x.adjacency[v]) + [v] for v in range(x.n)]
-
-
-def _preorder(x: Graph, order: Tuple[int, ...], j: int, k: int, limit: int,
-              first_only: bool, count_only: bool = False) -> SearchOutcome:
-    """The search one node at a time, in preorder, on an explicit stack so
-    that the depth is not bounded by the interpreter's recursion limit."""
-    n = x.n
-    closed = _closed(x)
-    partial = [0] * n
-    unassigned = [len(c) for c in closed]
-    values = [0] * n
-    found: List[List[int]] = []
-    outcome = SearchOutcome(j=j, k=k)
-
-    # tried[depth] is the value order[depth] holds now, -1 before the first
-    tried = [-1] * n
-    nodes = 0
-    depth = 0
-    while depth >= 0:
-        if depth == n:
-            outcome.count += 1
-            if not count_only:
-                found.append(list(values))
-            if first_only:
-                break
-            depth -= 1
-            continue
-        u = order[depth]
-        cu = closed[u]
-        val = tried[depth]
-        if val < 0:
-            for w in cu:
-                unassigned[w] -= 1
-        elif val:
-            for w in cu:
-                partial[w] -= val
-        val += 1
-        if val > j:
-            tried[depth] = -1
-            for w in cu:
-                unassigned[w] += 1
-            depth -= 1
-            continue
-        nodes += 1
-        if nodes > limit:
-            outcome.exhausted = False
-            outcome.diagnostic = f"node limit {limit} reached"
-            break
-        values[u] = val
-        tried[depth] = val
-        if val:
-            for w in cu:
-                partial[w] += val
-        for w in cu:
-            ps = partial[w]
-            if ps > k or ps + j * unassigned[w] < k:
-                break
-        else:
-            depth += 1
-
-    outcome.nodes = nodes
-    if not count_only:
-        outcome.values = np.array(found, dtype=np.min_scalar_type(-k - 2)).reshape(len(found), n)
-    return outcome
+    ptr, flat = x.indptr.tolist(), x.indices.tolist()
+    return [flat[ptr[v]:ptr[v + 1]] + [v] for v in range(x.n)]
 
 
 @dataclass
@@ -234,11 +178,12 @@ class _Frame:
 
     up and val link each state to its parent's row one depth up and to the
     value its parent's vertex took; the children of row i are the values
-    lo[i] .. lo[i] + count[i] - 1.
+    lo[i] .. lo[i] + count[i] - 1.  base is the number of states at this
+    depth made before this frame.
     """
 
-    def __init__(self, states, up, val, level: _Level, jr: int, k: int):
-        self.states, self.up, self.val = states, up, val
+    def __init__(self, states, up, val, level: _Level, jr: int, k: int, base: int = 0):
+        self.states, self.up, self.val, self.base = states, up, val, base
         part = states[:, level.cols]
         hi = np.minimum(k - part.max(axis=1), jr)
         self.lo = np.maximum((level.need - part).max(axis=1), 0)
@@ -275,8 +220,8 @@ class _Frame:
 
 
 def _batched(x: Graph, order: Tuple[int, ...], j: int, k: int, limit: int,
-             first_only: bool, count_only: bool = False) -> Optional[SearchOutcome]:
-    """The search a chunk of states at a time; None once nodes pass limit."""
+             first_only: bool, count_only: bool = False) -> SearchOutcome:
+    """The search a chunk of states at a time."""
     n = x.n
     # every number the walk keeps lies in [-k, k + 1]
     dtype = np.min_scalar_type(-k - 2)
@@ -289,6 +234,7 @@ def _batched(x: Graph, order: Tuple[int, ...], j: int, k: int, limit: int,
     cap = max(1, CHUNK_BYTES // row_bytes)
     position = np.argsort(order)
     stack = [_Frame(np.zeros((1, width), dtype=dtype), None, None, levels[0], jr, k)]
+    made = [0] * n  # states made so far at each depth
     found: List[np.ndarray] = []
     count = chunks = 0
     nodes = j + 1
@@ -300,7 +246,17 @@ def _batched(x: Graph, order: Tuple[int, ...], j: int, k: int, limit: int,
             rows = frame.up[rows]
         return np.stack(by_depth[::-1], axis=1)[:, position]
 
-    while stack and nodes <= limit:
+    def index(row, value) -> int:
+        """The preorder number of the node giving value to the vertex of
+        the top frame's state at row, in Python ints."""
+        # each state made deeper than the top frame roots a subtree before the node
+        i, row = (j + 1) * sum(made[len(stack):]), int(row)
+        for frame in stack[:0:-1]:
+            i += (j + 1) * (frame.base + row) + int(value) + 1
+            row, value = int(frame.up[row]), frame.val[row]
+        return i + int(value) + 1
+
+    while stack:
         frame = stack[-1]
         if frame.next == frame.end:
             stack.pop()
@@ -308,7 +264,12 @@ def _batched(x: Graph, order: Tuple[int, ...], j: int, k: int, limit: int,
         depth = len(stack)
         if depth == n:
             # every closed neighbourhood is complete here: one leaf or none per state
-            rows = np.flatnonzero(frame.count)[:1 if first_only else None]
+            rows = np.flatnonzero(frame.count)
+            if nodes > limit:
+                rows = rows[:bisect_right(rows, limit, key=lambda r: index(r, frame.lo[r]))]
+                if first_only and rows.size:
+                    nodes = index(rows[0], frame.lo[rows[0]])
+            rows = rows[:1 if first_only else None]
             count += len(rows)
             if not count_only:
                 found.append(leaves(rows, frame.lo[rows]))
@@ -316,18 +277,28 @@ def _batched(x: Graph, order: Tuple[int, ...], j: int, k: int, limit: int,
             if first_only and count:
                 break
             continue
-        rows, vals, parents = frame.take(cap, k)
+        size = cap
+        if nodes > limit:
+            # a state is numbered past the one taken before it and its j + 1 children
+            over = limit - index(frame.next, int(frame.lo[frame.next]) + frame.offset)
+            if over < 0:
+                break
+            size = min(cap, over // (j + 2) + 1)
+        rows, vals, parents = frame.take(size, k)
         level = levels[depth - 1]
         states = parents.take(rows, axis=0)
         states[:, level.dst] = states[:, level.src] + vals[:, None]
         nodes += len(states) * (j + 1)
         chunks += 1
-        stack.append(_Frame(states, rows, vals, levels[depth], jr, k))
+        stack.append(_Frame(states, rows, vals, levels[depth], jr, k, made[depth]))
+        made[depth] += len(states)
     obs.count("search.chunks", chunks)
-    if nodes > limit:
-        return None
     values = None if count_only else np.concatenate(found) if found else np.zeros((0, n), dtype)
-    return SearchOutcome(j=j, k=k, values=values, count=count, nodes=nodes)
+    outcome = SearchOutcome(j=j, k=k, values=values, count=count, nodes=nodes)
+    if nodes > limit:
+        outcome.nodes, outcome.exhausted = max(limit, 0) + 1, False
+        outcome.diagnostic = f"node limit {limit} reached"
+    return outcome
 
 
 def _search(x: Graph, cfg: SearchConfig, first_only: bool, count_only: bool = False) -> SearchOutcome:
@@ -338,11 +309,7 @@ def _search(x: Graph, cfg: SearchConfig, first_only: bool, count_only: bool = Fa
             or sorted(order) != list(range(x.n))):
         raise ValueError("order must be a permutation of the vertices")
     order = tuple(int(v) for v in order)
-    args = (x, order, cfg.j, cfg.k, cfg.node_limit, first_only, count_only)
-    outcome = _batched(*args)
-    if outcome is None:
-        obs.count("search.preorder_fallback")
-        outcome = _preorder(*args)
+    outcome = _batched(x, order, cfg.j, cfg.k, cfg.node_limit, first_only, count_only)
     obs.count("search.nodes", outcome.nodes)
     obs.count("search.leaves", outcome.count)
     if outcome.values is not None and outcome.values.size:

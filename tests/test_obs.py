@@ -83,12 +83,13 @@ def test_field_rref_counts_panels():
 
 def test_search_counters():
     # C6, j = k = 1: one chunk at each of the 5 depths below the root, 30
-    # nodes and the 3 perfect codes; with a limit of 10 the batched walk
-    # passes it after 2 chunks and the preorder walk answers
+    # nodes and the 3 perfect codes; with a limit of 10 the walk passes it
+    # after 2 chunks, still takes one chunk at each later depth, and keeps
+    # the one leaf made within the first 10 nodes in preorder (node 8)
     for count_only, limit, counters in [
         (False, 10 ** 8, {"search.chunks": 5, "search.nodes": 30, "search.leaves": 3}),
         (True, 10 ** 8, {"search.chunks": 5, "search.nodes": 30, "search.leaves": 3}),
-        (False, 10, {"search.chunks": 2, "search.preorder_fallback": 1, "search.nodes": 11, "search.leaves": 1}),
+        (False, 10, {"search.chunks": 5, "search.nodes": 11, "search.leaves": 1}),
     ]:
         with obs.collecting() as stats:
             outcome = enumerate_efficient(cycle(6), SearchConfig(j=1, k=1, node_limit=limit), count_only=count_only)

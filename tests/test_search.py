@@ -1,6 +1,6 @@
 """Search tests, checked against a direct product-space oracle, against the
-preorder backtracking the batched walk replaces, and frozen counts on small
-graphs."""
+one-node-at-a-time preorder search (tests/search_oracle.py), against closed
+forms past int64, and frozen counts on small graphs."""
 
 from __future__ import annotations
 
@@ -18,6 +18,7 @@ from effdom.graphs import (
     cycle,
     hamming_graph,
 )
+from effdom.jsonio import graph_from_doc
 from effdom.search import (
     NodeLimitExceeded,
     SearchConfig,
@@ -25,6 +26,7 @@ from effdom.search import (
     exists_efficient,
     k_spectrum,
 )
+from search_oracle import preorder
 
 # counts of efficient (j,k) functions, computed by scanning all (j+1)^n
 # value vectors
@@ -202,7 +204,7 @@ def test_dtype_boundaries():
         assert [f.values for f in outcome.functions] == [(a, k - a) for a in range(k + 1)]
         assert outcome.nodes == (k + 1) * (k + 2)
         if k < 1000:
-            want = search._preorder(complete(2), (0, 1), k, k, 10 ** 12, False)
+            want = preorder(complete(2), (0, 1), k, k, 10 ** 12, False)
             assert want.nodes == outcome.nodes and want.count == outcome.count
 
 
@@ -249,17 +251,21 @@ def test_batched_walk_matches_preorder_and_product_space(case, chunk_bytes, data
     saved, search.CHUNK_BYTES = search.CHUNK_BYTES, chunk_bytes
     try:
         for k in range(j * (max(map(len, x.adjacency)) + 1) + 2):
-            total = search._preorder(x, order, j, k, 10 ** 9, False)
+            total = preorder(x, order, j, k, 10 ** 9, False)
             assert total.exhausted and facts(total)[4] == oracle.get(k, [])
-            for limit in {total.nodes, total.nodes - 1, data.draw(st.integers(0, total.nodes))}:
-                want = search._preorder(x, order, j, k, limit, False)
+            for limit in {total.nodes, total.nodes - 1, -1, data.draw(st.integers(0, total.nodes))}:
+                want = preorder(x, order, j, k, limit, False)
                 cfg = SearchConfig(j=j, k=k, node_limit=limit, order=order)
                 assert facts(enumerate_efficient(x, cfg)) == facts(want)
-                batched = search._batched(x, order, j, k, limit, False)
-                assert (batched is None) == (limit < total.nodes)
-                if batched is not None:
-                    assert facts(batched) == facts(want)
-                first = search._preorder(x, order, j, k, limit, True)
+                assert facts(search._batched(x, order, j, k, limit, False)) == facts(want)
+                counted = search._batched(x, order, j, k, limit, False, count_only=True)
+                assert tally(counted) == tally(preorder(x, order, j, k, limit, False, count_only=True))
+                first = preorder(x, order, j, k, limit, True)
+                # below the limit a first_only walk counts whole chunks
+                # before its leaf, so its nodes may run past the preorder's
+                batched = search._batched(x, order, j, k, limit, True)
+                assert facts(batched)[:1] + facts(batched)[2:] == facts(first)[:1] + facts(first)[2:]
+                assert batched.nodes == first.nodes or first.nodes <= batched.nodes <= limit
                 if first.functions:
                     assert exists_efficient(x, cfg) == (True, first.functions[0])
                 elif first.exhausted:
@@ -287,9 +293,9 @@ def test_leaf_array_and_count_only_match_the_listing(case, chunk_bytes, data):
                 assert rows == [list(f.values) for f in listed.functions] == sorted(rows)
                 counted = enumerate_efficient(x, cfg, count_only=True)
                 assert counted.values is None and tally(counted) == tally(listed)
-                # a first_only walk below the limit stops at its first leaf
+                # a first_only walk stops at its first leaf within the limit
                 first = search._batched(x, order, j, k, limit, True)
-                assert first is None or first.count == min(listed.count, 1)
+                assert first.count == min(listed.count, 1)
                 with pytest.raises(ValueError, match="count-only"):
                     counted.functions
     finally:
@@ -307,3 +313,46 @@ def test_count_only_beyond_int64_and_at_dtype_boundaries():
     outcome = enumerate_efficient(Graph(0, []), SearchConfig(j=1, k=1), count_only=True)
     assert (outcome.count, outcome.values) == (1, None)
     assert enumerate_efficient(Graph(0, []), SearchConfig(j=1, k=1)).values.shape == (1, 0)
+
+
+def test_node_limit_past_int64():
+    # K2 with j = k: the leaf f(0) = a is made by node (k+1)(a+1) + 1 in
+    # preorder, after the k + 1 values of vertex 0 and the k + 1 values of
+    # vertex 1 below each of f(0) = 0 .. a - 1
+    k = 2 ** 70
+    for a in (0, 1, 5):
+        for limit in ((k + 1) * (a + 1), (k + 1) * (a + 1) + 1):
+            cfg = SearchConfig(j=k, k=k, node_limit=limit)
+            outcome = enumerate_efficient(complete(2), cfg)
+            want = a + (limit % (k + 1))
+            assert [f.values for f in outcome.functions] == [(b, k - b) for b in range(want)]
+            assert (outcome.nodes, outcome.exhausted) == (limit + 1, False)
+            assert tally(enumerate_efficient(complete(2), cfg, count_only=True)) == tally(outcome)
+    found, witness = exists_efficient(complete(2), SearchConfig(j=k, k=k, node_limit=k + 2))
+    assert found and witness.values == (0, k)
+    with pytest.raises(NodeLimitExceeded):
+        exists_efficient(complete(2), SearchConfig(j=k, k=k, node_limit=k + 1))
+    # three isolated vertices: one leaf, made by the last of the 3(k+1) nodes
+    total = 3 * (k + 1)
+    for limit, count, exhausted in [(total - 1, 0, False), (total, 1, True)]:
+        outcome = enumerate_efficient(Graph(3, [[], [], []]), SearchConfig(j=k, k=k, node_limit=limit))
+        assert (outcome.count, outcome.nodes, outcome.exhausted) == (count, total, exhausted)
+
+
+def test_node_limit_on_a_large_tree():
+    # the default limit cuts this search at 100,000,001 nodes; 2·10^6 cuts
+    # it where preorder has found 5,001 functions
+    cfg = SearchConfig(j=1, k=4, node_limit=2 * 10 ** 6)
+    outcome = enumerate_efficient(hamming_graph(2, 7), cfg, count_only=True)
+    assert tally(outcome) == (5001, 2 * 10 ** 6 + 1, False, "node limit 2000000 reached")
+
+
+def test_first_leaf_within_the_limit():
+    # relabelled H(3,4), j = 1, k = 3: preorder reaches its first function at
+    # node 1,222, long before a walk of whole chunks would
+    g = hamming_graph(3, 4)
+    perm = np.random.default_rng(0).permutation(g.n)
+    x = graph_from_doc({"v": 1, "name": g.name, "n": g.n, "edges": np.sort(perm[g.edge_array()], axis=1)})
+    want = preorder(x, search._bfs_order(x), 1, 3, 2000, True)
+    assert (want.count, want.nodes) == (1, 1222)
+    assert exists_efficient(x, SearchConfig(j=1, k=3, node_limit=2000)) == (True, want.functions[0])
