@@ -1,5 +1,5 @@
-"""Time the graph file layer: reading and writing graph files, and the
-verify-plan check whose cell bookkeeping runs on label arrays.
+"""Time the graph file layer, reading and writing graph files, and the
+full verify-plan check, which counts coset labels without building a graph.
 
 Each stage runs once in this process, timed with time.perf_counter.  The
 output is one JSON line mapping each stage to its seconds, plus a sha256
@@ -11,7 +11,8 @@ directory, as `effdom gen` writes them:
     load_graph: the CLI's graph loader, cli._load_graph (jsonio.load_graph,
         or graph_from_doc(load_json(path)) on checkouts that predate it)
     dump_json(graph_to_doc(graph))
-and verify_plan(build_plan(GF(2), 15)), the full m-cover check.
+and the full m-cover check verify_plan(build_plan(gf, d)) for GF(2), d=15;
+GF(2,2), d=9; and GF(3), d=13.
 
 Usage (from the root of a checkout):
     PYTHONPATH=src python3 scripts/io_layers.py
@@ -51,8 +52,9 @@ def main() -> int:
             back, doc[f"load_graph_h2_{d}_s"] = _timed(lambda: _load_graph(path))
             csr = hashlib.sha256(back.indptr.tobytes() + back.indices.tobytes())
             doc[f"load_graph_h2_{d}_sha256"] = csr.hexdigest()[:16]
-    plan = build_plan(GF(2), 15)
-    _, doc["verify_plan_gf2_d15_s"] = _timed(lambda: verify_plan(plan))
+    for gf, name, d in [(GF(2), "gf2", 15), (GF(2, 2), "gf4", 9), (GF(3), "gf3", 13)]:
+        plan = build_plan(gf, d)
+        _, doc[f"verify_plan_{name}_d{d}_s"] = _timed(lambda: verify_plan(plan))
     print(json.dumps(doc))
     return 0
 

@@ -238,7 +238,7 @@ def _cmd_partition(args) -> int:
     g = _load_graph(args.graph)
     cells = jsonio.partition_from_doc(jsonio.load_json(args.partition), g.n)
     b = partitions.characteristic_matrix(g, cells)
-    weights = partitions.is_dominatable(g, cells) if b is not None else None
+    weights = partitions.dominatable_weights(b) if b is not None else None
     doc = {
         "v": SCHEMA_VERSION,
         "equitable": b is not None,

@@ -345,5 +345,8 @@ def equitable_quotient(x: Graph, labels: Sequence[int]) -> Optional[Dict[int, Li
     offset = np.arange(len(nbr)) - indptr[rows]
     if (nbr != nbr[indptr[rep][rows] + offset]).any():
         return None
-    out, ptr = classes[nbr].tolist(), indptr.tolist()
-    return {label: out[ptr[v]:ptr[v + 1]] for label, v in zip(classes.tolist(), first.tolist())}
+    # only the representatives' rows become lists, laid end to end in out
+    k = deg[first]
+    start = np.cumsum(k) - k
+    out = classes[nbr[np.arange(k.sum()) + np.repeat(indptr[first] - start, k)]].tolist()
+    return {label: out[s:s + r] for label, s, r in zip(classes.tolist(), start.tolist(), k.tolist())}

@@ -27,11 +27,12 @@ phi, whose columns are the plan's syndrome_cols; MCoverPlan.fibre_of
 applies it to whole arrays of ranks at once.  build_plan builds only
 those columns: phi and the code are built when read, as basis_audit does.
 
-Sampled verification uses a splitmix-style generator (increment
-0x9E3779B97F4A7C15, mix multipliers 0xBF58476D1CE4E5B9 and
-0x94D049BB133111EB) so runs are reproducible bit for bit from the seed;
-each vertex takes ceil(log2(q^d)/64) of its 64-bit words, one when
-q^d <= 2^64.
+verify_plan counts the coset labels of each closed neighborhood it checks
+(every one, or a seeded sample) and never builds H(q,d).  Sampling uses a
+splitmix-style generator (increment 0x9E3779B97F4A7C15, mix multipliers
+0xBF58476D1CE4E5B9 and 0x94D049BB133111EB) so runs are reproducible bit
+for bit from the seed; each vertex takes ceil(log2(q^d)/64) of its 64-bit
+words, one when q^d <= 2^64.
 """
 
 from __future__ import annotations
@@ -42,21 +43,13 @@ from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from . import obs
 from .domination import DominatingFunction
 from .fields import GF
-from .graphs import (
-    BLOCK,
-    DEFAULT_SIZE_CAP,
-    Graph,
-    SizeCapExceeded,
-    capped_power,
-    complete,
-    hamming_graph,
-    hamming_neighbors,
-    rank_array,
-)
+from .graphs import (BLOCK, DEFAULT_SIZE_CAP, SizeCapExceeded, _check_power_cap, capped_power,
+                     hamming_neighbors, rank_array)
 from .linalg import block_matrix, field_rank, kernel_basis, mat_mul, rref
-from .partitions import CoverCertificate, cells_from_labels, verify_kcover
+from .partitions import CoverCertificate
 
 __all__ = [
     "FeasibilityProfile",
@@ -278,52 +271,52 @@ def _draw_ranks(stream: Iterator[int], n: int, count: int) -> List[int]:
     return [sum(next(stream) << 64 * i for i in range(words)) % n for _ in range(count)]
 
 
-def verify_plan(
-    plan: MCoverPlan,
-    sample: Optional[int] = None,
-    seed: int = 0,
-    size_cap: int = DEFAULT_SIZE_CAP,
-    graph: Optional[Graph] = None,
-) -> CoverCertificate:
-    """Check that the plan's coset partition really is an m-cover of K_{q^a}.
+def verify_plan(plan: MCoverPlan, sample: Optional[int] = None, seed: int = 0,
+                size_cap: int = DEFAULT_SIZE_CAP) -> CoverCertificate:
+    """Check that the plan's coset partition is an m-cover of K_{q^a}: every
+    checked closed neighborhood meets every coset exactly m times.
 
-    Full mode (sample=None) materializes H(q,d) and certifies every
-    vertex.  Sampled mode draws `sample` vertices from the seeded
-    generator and checks their closed neighborhoods against the implicit
-    adjacency, BLOCK vertices at a time, never materializing the graph.
+    Full mode (sample=None) checks every vertex, reading its neighbours'
+    labels off one array of all q^d labels, which is the fibre_map
+    (build_plan's labels number the cosets in order of their first vertex).
+    Sampled mode checks `sample` vertices from the seeded generator and
+    labels their neighborhoods with fibre_of.  Both count BLOCK rows of
+    labels per bincount.  Raises AssertionError naming the first failure.
     """
     profile = plan.profile
     q, d, m = profile.q, profile.d, profile.m_q
-    if sample is None:
-        x = graph if graph is not None else hamming_graph(q, d, size_cap=size_cap)
-        if x.n != q ** d:
-            raise ValueError("supplied graph is not H(q,d) for this plan")
-        cells = cells_from_labels(plan.fibre_of(range(x.n)))
-        cert = verify_kcover(x, cells, complete(plan.fibre_count), m)
-        if cert is None:
-            raise AssertionError("coset partition failed the m-cover check")
-        return cert
-
-    if sample < 1:
-        raise ValueError("sample count must be positive")
-    n = q ** d
     fibres = plan.fibre_count
-    stream = _splitmix64(seed)
-    for lo in range(0, sample, BLOCK):
-        drawn = _draw_ranks(stream, n, min(BLOCK, sample - lo))
-        ranks = rank_array(drawn, n)
-        labels = plan.fibre_of(np.column_stack([hamming_neighbors(q, d, ranks), ranks]))
-        cell = labels + fibres * np.arange(len(drawn))[:, None]
-        counts = np.bincount(cell.ravel(), minlength=fibres * len(drawn)).reshape(-1, fibres)
-        for v, row in zip(drawn, counts.tolist()):
-            if any(c != m for c in row):
-                raise AssertionError(f"closed neighborhood of vertex {v} meets some coset {row} != {m} times")
+    if sample is None:
+        n = _check_power_cap(q, d, size_cap)
+        labels = plan.fibre_of(range(n))
+        label_of = labels.take
+        blocks = (np.arange(lo, min(lo + BLOCK, n), dtype=np.int64) for lo in range(0, n, BLOCK))
+        fibre_map, mode = tuple(labels.tolist()), "full"
+    elif sample < 1:
+        raise ValueError("sample count must be positive")
+    else:
+        n = q ** d
+        stream = _splitmix64(seed)
+        label_of = plan.fibre_of
+        blocks = (rank_array(_draw_ranks(stream, n, min(BLOCK, sample - lo)), n) for lo in range(0, sample, BLOCK))
+        fibre_map, mode = None, f"sampled:{sample}:{seed}"
+    for ranks in blocks:
+        cell = label_of(np.column_stack([hamming_neighbors(q, d, ranks), ranks]))
+        cell += fibres * np.arange(len(ranks))[:, None]
+        counts = np.bincount(cell.ravel(), minlength=fibres * len(ranks)).reshape(-1, fibres)
+        bad = (counts != m).any(axis=1)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise AssertionError(
+                f"closed neighborhood of vertex {ranks[i]} meets some coset {counts[i].tolist()} != {m} times"
+            )
+        obs.count("hamming.cover_vertices", len(ranks))
     return CoverCertificate(
-        base_size=plan.fibre_count,
+        base_size=fibres,
         fold=plan.fibre_size if m == 1 else m,
         kind="cover" if m == 1 else "m-cover",
-        fibre_map=None,
-        mode=f"sampled:{sample}:{seed}",
+        fibre_map=fibre_map,
+        mode=mode,
     )
 
 

@@ -42,6 +42,7 @@ __all__ = [
     "cells_from_labels",
     "characteristic_matrix",
     "is_dominatable",
+    "dominatable_weights",
     "function_from_dominatable",
     "dominatable_eigen_check",
     "charpoly_divides_graph",
@@ -104,14 +105,14 @@ def characteristic_matrix(x: Graph, cells: Sequence[Sequence[int]]) -> Optional[
 
 
 def is_dominatable(x: Graph, cells: Sequence[Sequence[int]]) -> Optional[List[int]]:
-    """Cell weights (a_1..a_s) if the partition is dominatable, else None.
-
-    Requires column l of the characteristic matrix to be constantly a_l
-    off the diagonal and a_l - 1 on it.
-    """
+    """Cell weights (a_1..a_s) if the partition is dominatable, else None."""
     b = characteristic_matrix(x, cells)
-    if b is None:
-        return None
+    return None if b is None else dominatable_weights(b)
+
+
+def dominatable_weights(b: Sequence[Sequence[int]]) -> Optional[List[int]]:
+    """Cell weights (a_1..a_s) read off a characteristic matrix, or None
+    when some column l is not a_l off the diagonal and a_l - 1 on it."""
     b = np.array(b, dtype=np.int64).reshape(len(b), len(b))
     a = b.diagonal() + 1
     return None if (b != a - np.eye(len(b), dtype=np.int64)).any() else a.tolist()

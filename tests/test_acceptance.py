@@ -95,7 +95,7 @@ def _sweep_results() -> List[dict]:
         assert gf.q ** d <= 1 << 18
         plan = build_plan(gf, d)
         graph = hamming_graph(gf.q, d)
-        cert = verify_plan(plan, graph=graph)
+        cert = verify_plan(plan)
         assert cert.mode == "full"
         verified_k = []
         for k in prof.constructed_k:

@@ -335,7 +335,9 @@ def test_field_flags_checked_before_arithmetic(capsys, flags):
      "size cap: 2^99999999 vertices exceeds the cap of 2097152\n"),
     (["gen", "--family", "hamming", "--q", "2", "--d", "22"],
      "size cap: 4194304 vertices exceeds the cap of 2097152\n"),
-], ids=["gen", "gen-alphabet", "construct", "translate", "gen-folded-cube", "gen-small-n"])
+    (["verify-plan", "--q", "2", "--d", "23"],
+     "size cap: 2^23 vertices exceeds the cap of 2097152\n"),
+], ids=["gen", "gen-alphabet", "construct", "translate", "gen-folded-cube", "gen-small-n", "verify-plan"])
 def test_size_cap_before_power(capsys, monkeypatch, write_doc, argv, err):
     monkeypatch.delenv("EFFDOM_SIZE_CAP", raising=False)
     paths = {"f": write_doc("f.json", CODE_Q3), "c": write_doc("c.json", {"connection": [1]})}

@@ -12,7 +12,7 @@ import pytest
 import field_oracle as oracle
 from effdom.domination import verify_efficient
 from effdom.fields import GF
-from effdom.graphs import SizeCapExceeded, hamming_graph
+from effdom.graphs import SizeCapExceeded, complete, hamming_graph
 from effdom.hamming import (
     AuditFailure,
     BasisAudit,
@@ -27,6 +27,7 @@ from effdom.hamming import (
     verify_plan,
 )
 from effdom.linalg import mat_vec
+from effdom.partitions import cells_from_labels, verify_kcover
 from test_acceptance import SWEEP_INSTANCES
 
 GF2 = GF(2)
@@ -128,15 +129,6 @@ def test_verify_plan_full():
     plan7 = build_plan(GF2, 7)
     cert7 = verify_plan(plan7)
     assert cert7.kind == "cover" and cert7.fold == 16 and cert7.base_size == 8
-
-
-def test_verify_plan_reuses_graph():
-    plan = build_plan(GF3, 4)
-    x = hamming_graph(3, 4)
-    cert = verify_plan(plan, graph=x)
-    assert cert.base_size == 9 and cert.fold == plan.fibre_size
-    with pytest.raises(ValueError):
-        verify_plan(plan, graph=hamming_graph(2, 5))
 
 
 def test_verify_plan_sampled():
@@ -323,6 +315,33 @@ def test_sampled_tamper_names_first_failing_vertex():
     with pytest.raises(AssertionError) as info:
         verify_plan(bad, sample=8, seed=0)
     assert str(info.value) == "closed neighborhood of vertex 15 meets some coset [4, 2] != 3 times"
+
+
+def _materialised_cover(plan):
+    """The cover check on the built graph: verify_kcover of H(q,d) against
+    K_{q^a} with the coset cells, or None when it fails."""
+    q, d = plan.gf.q, plan.profile.d
+    cells = cells_from_labels(plan.fibre_of(range(q ** d)))
+    if len(cells) != plan.fibre_count:  # a coset is empty
+        return None
+    return verify_kcover(hamming_graph(q, d), cells, complete(plan.fibre_count), plan.profile.m_q)
+
+
+@pytest.mark.parametrize("gf, d", SWEEP_INSTANCES + [(GF4, 5), (GF4, 9)], ids=repr)
+def test_full_verify_plan_matches_materialised_cover(gf, d):
+    plan = build_plan(gf, d)
+    cert, want = verify_plan(plan), _materialised_cover(plan)
+    fields = ("kind", "fold", "base_size", "mode", "fibre_map")
+    assert want is not None
+    assert [getattr(cert, f) for f in fields] == [getattr(want, f) for f in fields]
+    # a zero column made nonzero, or a nonzero one zero, moves q - 1 of the
+    # origin's neighbours to another coset
+    cols = list(plan.syndrome_cols)
+    cols[0] = (0,) * len(cols[0]) if any(cols[0]) else (1,) + (0,) * (len(cols[0]) - 1)
+    bad = dataclasses.replace(plan, syndrome_cols=tuple(cols))
+    with pytest.raises(AssertionError, match="closed neighborhood of vertex 0 "):
+        verify_plan(bad)
+    assert _materialised_cover(bad) is None
 
 
 # every plan that acceptance criterion 9 audits

@@ -139,3 +139,16 @@ def test_json_fallback_counter(tmp_path, capsys):
     stats = capsys.readouterr()
     assert stats.out == plain.out == "" and stats.err.startswith(plain.err)
     assert json.loads(stats.err.splitlines()[-1])["stats"]["counters"] == {"jsonio.json_fallback": 1}
+
+
+def test_verify_plan_counts_the_vertices_it_checks(capsys):
+    # H(4,5) has 1024 vertices; a sample of 1500 takes two blocks
+    for argv, checked in [(["verify-plan", "--q", "4", "--b", "2", "--d", "5"], 1024),
+                          (["verify-plan", "--q", "4", "--b", "2", "--d", "5", "--sample", "1500"], 1500)]:
+        assert run(argv) == 0
+        plain = capsys.readouterr()
+        assert run(["--stats", *argv]) == 0
+        stats = capsys.readouterr()
+        assert stats.out == plain.out and plain.err == ""
+        (line,) = stats.err.splitlines()
+        assert json.loads(line)["stats"]["counters"] == {"hamming.cover_vertices": checked}
