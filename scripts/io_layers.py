@@ -1,5 +1,5 @@
 """Time the graph file layer, reading and writing graph files, and the
-full verify-plan check, which counts coset labels without building a graph.
+verify-plan check, which counts coset labels without building a graph.
 
 Each stage runs once in this process, timed with time.perf_counter.  The
 output is one JSON line mapping each stage to its seconds, plus a sha256
@@ -11,8 +11,10 @@ directory, as `effdom gen` writes them:
     load_graph: the CLI's graph loader, cli._load_graph (jsonio.load_graph,
         or graph_from_doc(load_json(path)) on checkouts that predate it)
     dump_json(graph_to_doc(graph))
-and the full m-cover check verify_plan(build_plan(gf, d)) for GF(2), d=15;
-GF(2,2), d=9; and GF(3), d=13.
+the full m-cover check verify_plan(build_plan(gf, d)) for GF(2), d=15;
+GF(2,2), d=9; and GF(3), d=13; and the sampled check verify_plan(plan,
+sample, seed=0) for GF(2), d=127 with 10^4 samples (ranks past 2^64) and
+GF(2,2), d=13 with 10^3 samples.  The plans are built outside the timings.
 
 Usage (from the root of a checkout):
     PYTHONPATH=src python3 scripts/io_layers.py
@@ -55,6 +57,9 @@ def main() -> int:
     for gf, name, d in [(GF(2), "gf2", 15), (GF(2, 2), "gf4", 9), (GF(3), "gf3", 13)]:
         plan = build_plan(gf, d)
         _, doc[f"verify_plan_{name}_d{d}_s"] = _timed(lambda: verify_plan(plan))
+    for gf, name, d, sample in [(GF(2), "gf2", 127, 10 ** 4), (GF(2, 2), "gf4", 13, 10 ** 3)]:
+        plan = build_plan(gf, d)
+        _, doc[f"verify_plan_{name}_d{d}_sample{sample}_s"] = _timed(lambda: verify_plan(plan, sample, seed=0))
     print(json.dumps(doc))
     return 0
 

@@ -30,6 +30,7 @@ from .graphs import (
     DEFAULT_SIZE_CAP,
     Graph,
     SizeCapExceeded,
+    _check_power_cap,
     complete,
     complete_bipartite,
     cycle,
@@ -178,11 +179,17 @@ def _cmd_feasible(args) -> int:
 
 def _cmd_verify_plan(args) -> int:
     gf = _field_from_flags(args.q, args.b)
+    cap = _size_cap()
+    # the caps come before build_plan, whose plan holds O(d) entries; build_plan
+    # refuses a d with a_q = 0 before any such work, so that refusal comes first
+    plannable = hamming.feasibility(gf, args.d).a_q > 0
+    if plannable and args.sample is None:
+        _check_power_cap(gf.q, args.d, cap)
+    elif plannable and args.d > cap:
+        raise SizeCapExceeded(f"{args.d} coordinates exceeds the cap of {cap}")
     plan = hamming.build_plan(gf, args.d)
     try:
-        cert = hamming.verify_plan(
-            plan, sample=args.sample, seed=args.seed, size_cap=_size_cap()
-        )
+        cert = hamming.verify_plan(plan, sample=args.sample, seed=args.seed, size_cap=cap)
     except AssertionError as exc:
         sys.stderr.write(f"plan verification failed: {exc}\n")
         return 1

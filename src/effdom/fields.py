@@ -21,7 +21,8 @@ from typing import Dict, List, Tuple
 __all__ = ["GF", "MODULI", "digitwise"]
 
 # Irreducible moduli for the supported extension fields, as coefficient
-# tuples lowest degree first (monic, so the last entry is 1).
+# tuples lowest degree first (monic, so the last entry is 1); the tests
+# check each one by brute force.
 MODULI: Dict[Tuple[int, int], Tuple[int, ...]] = {
     (2, 2): (1, 1, 1),           # x^2 + x + 1
     (2, 3): (1, 1, 0, 1),        # x^3 + x + 1
@@ -77,22 +78,6 @@ def _poly_mod(num: List[int], den: Tuple[int, ...], p: int) -> List[int]:
     return num[:db]
 
 
-def _is_irreducible(mod: Tuple[int, ...], p: int) -> bool:
-    """Trial division by every monic polynomial of degree 1..deg//2."""
-    deg = len(mod) - 1
-    for fdeg in range(1, deg // 2 + 1):
-        for packed in range(p ** fdeg):
-            den = []
-            rem = packed
-            for _ in range(fdeg):
-                den.append(rem % p)
-                rem //= p
-            den.append(1)
-            if not any(_poly_mod(list(mod), tuple(den), p)):
-                return False
-    return True
-
-
 class GF:
     """The finite field GF(p^b), operating on integer element codes."""
 
@@ -115,8 +100,6 @@ class GF:
                 modulus = MODULI[(p, b)]
             except KeyError:
                 raise ValueError(f"no built-in modulus for GF({p}^{b})") from None
-            if not _is_irreducible(modulus, p):
-                raise ValueError(f"modulus for GF({p}^{b}) is not irreducible")
         self.p = p
         self.b = b
         self.q = q

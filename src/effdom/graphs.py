@@ -32,8 +32,6 @@ __all__ = [
     "folded_cube",
     "cayley_graph",
     "capped_power",
-    "rank_array",
-    "hamming_neighbors",
     "adjacency_matrix",
     "closed_neighborhood_sum",
     "closed_sums",
@@ -175,12 +173,6 @@ def _check_power_cap(q: int, d: int, size_cap: int) -> int:
     return n
 
 
-def rank_array(ranks, n: int) -> np.ndarray:
-    """Ranks below n as an array: int64 when n < 2^62, else object dtype
-    holding Python ints, so rank arithmetic never wraps."""
-    return np.array(ranks, dtype=np.int64 if n < 1 << 62 else object)
-
-
 def vertex_rank(q: int, tup: Sequence[int]) -> int:
     rank = 0
     for i, t in enumerate(tup):
@@ -239,22 +231,13 @@ def hamming_graph(q, d: int, size_cap: int = DEFAULT_SIZE_CAP) -> Graph:
     nbrs = np.empty((n, (q - 1) * d), dtype=np.int64)
     for lo in range(0, n, BLOCK):
         block = np.arange(lo, min(lo + BLOCK, n), dtype=np.int64)
-        nbrs[lo:lo + BLOCK] = np.sort(hamming_neighbors(q, d, block), axis=1)
+        rows = nbrs[lo:lo + BLOCK]
+        for i in range(d):  # replace digit i by each other symbol
+            x = block // q ** i % q
+            for s in range(1, q):
+                rows[:, i * (q - 1) + s - 1] = block + ((x + s) % q - x) * q ** i
+        rows.sort(axis=1)
     return _regular(n, nbrs, f"H({q},{d})")
-
-
-def hamming_neighbors(q: int, d: int, ranks: np.ndarray) -> np.ndarray:
-    """Neighbours in H(q, d) of each rank in a 1-D array (see rank_array).
-
-    Row i holds the (q-1)d neighbours of ranks[i], unsorted, in the dtype
-    of ranks: for each coordinate, the ranks with that digit replaced.
-    """
-    out = np.empty((len(ranks), (q - 1) * d), dtype=ranks.dtype)
-    for i in range(d):
-        x = ranks // q ** i % q
-        for s in range(1, q):
-            out[:, i * (q - 1) + s - 1] = ranks + ((x + s) % q - x) * q ** i
-    return out
 
 
 def folded_cube(d: int, size_cap: int = DEFAULT_SIZE_CAP) -> Graph:

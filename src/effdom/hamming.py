@@ -21,14 +21,16 @@ fibres with the smallest labels.
 The label is GF(p)-linear in the base-p digits of the vertex rank: with
 q = p^b, base-p digit c*b + j of the rank is coefficient j of coordinate
 c, and base-p digit t*b + i of the label is coefficient i of syndrome
-coordinate t.  This (d*b) x (a*b) matrix over GF(p) is the transposed
-GF(p) block matrix (linalg.block_matrix) of the a x d parity check of
-phi, whose columns are the plan's syndrome_cols; MCoverPlan.fibre_of
-applies it to whole arrays of ranks at once.  build_plan builds only
-those columns: phi and the code are built when read, as basis_audit does.
+coordinate t.  This (d*b) x (a*b) matrix over GF(p), MCoverPlan.label_matrix,
+is the transposed GF(p) block matrix (linalg.block_matrix) of the a x d
+parity check of phi, whose columns are the plan's syndrome_cols, and
+fibre_of applies it to arrays of ranks.  build_plan builds only those
+columns: phi and the code are built when read, as basis_audit does.
 
 verify_plan counts the coset labels of each closed neighborhood it checks
-(every one, or a seeded sample) and never builds H(q,d).  Sampling uses a
+(every one, or a seeded sample) and builds neither H(q,d) nor a neighbour
+rank: N[v] = v + N[0] in the Cayley graph H(q,d) on GF(q)^d, so the labels
+of N[v] are L(v) + L(N[0]), added digitwise mod p.  Sampling uses a
 splitmix-style generator (increment 0x9E3779B97F4A7C15, mix multipliers
 0xBF58476D1CE4E5B9 and 0x94D049BB133111EB) so runs are reproducible bit
 for bit from the seed; each vertex takes ceil(log2(q^d)/64) of its 64-bit
@@ -37,6 +39,7 @@ words, one when q^d <= 2^64.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, List, Optional, Tuple
@@ -45,9 +48,8 @@ import numpy as np
 
 from . import obs
 from .domination import DominatingFunction
-from .fields import GF
-from .graphs import (BLOCK, DEFAULT_SIZE_CAP, SizeCapExceeded, _check_power_cap, capped_power,
-                     hamming_neighbors, rank_array)
+from .fields import GF, digitwise
+from .graphs import BLOCK, DEFAULT_SIZE_CAP, SizeCapExceeded, _check_power_cap, capped_power
 from .linalg import block_matrix, field_rank, kernel_basis, mat_mul, rref
 from .partitions import CoverCertificate
 
@@ -204,29 +206,47 @@ class MCoverPlan:
     def fibre_size(self) -> int:
         return self.gf.q ** (self.profile.d - self.profile.a_q)
 
+    @cached_property
+    def label_matrix(self) -> np.ndarray:
+        """The GF(p) matrix of the label map (module docstring): row c*b + j
+        holds the digits of x^j * s for each syndrome coordinate s of column c."""
+        return block_matrix(self.gf, np.array(self.syndrome_cols, dtype=np.int64).T).T
+
     def fibre_of(self, ranks):
         """Coset label of each rank: the syndrome of phi(v), read as a rank.
 
         ranks is one rank (giving an int) or a range or array of ranks
-        (giving an int64 array of the same shape).  The GF(p)-linear map
-        of the module docstring is the transposed block matrix of the
-        a x d parity check of phi, whose columns are syndrome_cols.
+        (giving an int64 array of the same shape), labelled by label_matrix.
         """
-        gf = self.gf
-        p = gf.p
-        width = self.profile.a_q * gf.b
-        # row c*b + j: the digits of x^j * s for each syndrome coordinate s of column c
-        digit_map = block_matrix(gf, np.array(self.syndrome_cols, dtype=np.int64).T).T
-        ranks_in = rank_array(ranks, gf.q ** self.profile.d)
-        rest = ranks_in.ravel()  # rank_array made a copy, so rest may be reduced in place
-        acc = np.zeros((len(rest), width), dtype=np.int64)
-        for row in digit_map:  # peel one base-p digit at a time, lowest first
+        p, n = self.gf.p, self.gf.q ** self.profile.d
+        # int64 below 2^62, else Python ints (object dtype), so rank arithmetic never wraps
+        ranks_in = np.array(ranks, dtype=np.int64 if n < 1 << 62 else object)
+        rest = ranks_in.ravel()  # np.array made a copy, so rest may be reduced in place
+        acc = np.zeros((len(rest), self.label_matrix.shape[1]), dtype=np.int64)
+        for row in self.label_matrix:  # peel one base-p digit at a time, lowest first
             quot = rest // p
             rest -= quot * p
             acc += rest.astype(np.int64, copy=False)[:, None] * row
             rest = quot
-        labels = (acc % p) @ p ** np.arange(width, dtype=np.int64)
+        labels = (acc % p) @ p ** np.arange(acc.shape[1], dtype=np.int64)
         return int(labels[0]) if ranks_in.ndim == 0 else labels.reshape(ranks_in.shape)
+
+    def origin_labels(self) -> np.ndarray:
+        """The labels of N[0]: 0, then L(c*e_i), the label of rank c*q^i, for
+        i < d and c = 1..q-1: the base-p digits of c times rows i*b .. i*b+b-1."""
+        p, b = self.gf.p, self.gf.b
+        digits = np.arange(1, self.gf.q, dtype=np.int64)[:, None] // p ** np.arange(b, dtype=np.int64) % p
+        rows = self.label_matrix.reshape(self.profile.d, b, -1)
+        return np.concatenate(([0], (digits @ rows % p @ p ** np.arange(rows.shape[2], dtype=np.int64)).ravel()))
+
+    def all_labels(self) -> np.ndarray:
+        """fibre_of(range(q^d)), built by translation from origin_labels():
+        rank r + c*q^i with r < q^i has the label L(r) + L(c*e_i)."""
+        p, width = self.gf.p, self.label_matrix.shape[1]
+        labels = np.zeros(1, dtype=np.int64)
+        for unit in self.origin_labels()[1:].reshape(self.profile.d, self.gf.q - 1, 1):
+            labels = np.concatenate((labels, digitwise(p, width, operator.add, labels, unit).ravel()))
+        return labels
 
 
 def build_plan(gf: GF, d: int) -> MCoverPlan:
@@ -276,32 +296,33 @@ def verify_plan(plan: MCoverPlan, sample: Optional[int] = None, seed: int = 0,
     """Check that the plan's coset partition is an m-cover of K_{q^a}: every
     checked closed neighborhood meets every coset exactly m times.
 
-    Full mode (sample=None) checks every vertex, reading its neighbours'
-    labels off one array of all q^d labels, which is the fibre_map
-    (build_plan's labels number the cosets in order of their first vertex).
-    Sampled mode checks `sample` vertices from the seeded generator and
-    labels their neighborhoods with fibre_of.  Both count BLOCK rows of
-    labels per bincount.  Raises AssertionError naming the first failure.
+    Only the checked vertices are labelled: N[v] has the labels L(v) +
+    origin_labels(), added digitwise.  Full mode (sample=None) checks every
+    vertex; their labels, all_labels(), are the fibre_map (build_plan's
+    labels number the cosets in order of their first vertex).  Sampled
+    mode checks `sample` vertices from the seeded generator, labelled by
+    fibre_of.  Each bincount counts at most BLOCK rows and at most
+    max(2^18, 1 + (q-1)d) labels.  Raises AssertionError naming the first failure.
     """
     profile = plan.profile
     q, d, m = profile.q, profile.d, profile.m_q
-    fibres = plan.fibre_count
+    p, width, fibres = plan.gf.p, profile.a_q * plan.gf.b, plan.fibre_count
+    origin = plan.origin_labels()
+    rows = max(1, min(BLOCK, (1 << 18) // len(origin)))
     if sample is None:
         n = _check_power_cap(q, d, size_cap)
-        labels = plan.fibre_of(range(n))
-        label_of = labels.take
-        blocks = (np.arange(lo, min(lo + BLOCK, n), dtype=np.int64) for lo in range(0, n, BLOCK))
+        labels = plan.all_labels()
+        blocks = ((range(lo, min(lo + rows, n)), labels[lo:lo + rows]) for lo in range(0, n, rows))
         fibre_map, mode = tuple(labels.tolist()), "full"
     elif sample < 1:
         raise ValueError("sample count must be positive")
     else:
-        n = q ** d
-        stream = _splitmix64(seed)
-        label_of = plan.fibre_of
-        blocks = (rank_array(_draw_ranks(stream, n, min(BLOCK, sample - lo)), n) for lo in range(0, sample, BLOCK))
+        n, stream = q ** d, _splitmix64(seed)
+        draws = (_draw_ranks(stream, n, min(rows, sample - lo)) for lo in range(0, sample, rows))
+        blocks = ((ranks, plan.fibre_of(ranks)) for ranks in draws)
         fibre_map, mode = None, f"sampled:{sample}:{seed}"
-    for ranks in blocks:
-        cell = label_of(np.column_stack([hamming_neighbors(q, d, ranks), ranks]))
+    for ranks, own in blocks:
+        cell = digitwise(p, width, operator.add, own[:, None], origin)
         cell += fibres * np.arange(len(ranks))[:, None]
         counts = np.bincount(cell.ravel(), minlength=fibres * len(ranks)).reshape(-1, fibres)
         bad = (counts != m).any(axis=1)
@@ -363,7 +384,7 @@ def construct_function(gf: GF, d: int, k: int, size_cap: int = DEFAULT_SIZE_CAP)
     else:
         plan = build_plan(gf, d)
         t = k // profile.m_q
-        values = tuple((plan.fibre_of(range(n)) < t).astype(np.int64).tolist())
+        values = tuple((plan.all_labels() < t).astype(np.int64).tolist())
     func = DominatingFunction(values=values, j=1, k=k)
     return DominatingFunctionWithPlan(function=func, profile=profile, plan=plan)
 

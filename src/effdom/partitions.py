@@ -157,12 +157,12 @@ def dominatable_eigen_check(b: Sequence[Sequence[int]]) -> bool:
     return char_poly(b) == [(comb(s - 1, i - 1) if i else 0) - r * comb(s - 1, i) for i in range(s + 1)]
 
 
-def charpoly_divides_graph(x: Graph, cells: Sequence[Sequence[int]], max_n: int = 512) -> bool:
+def charpoly_divides_graph(x: Graph, cells: Sequence[Sequence[int]]) -> bool:
     """True for every equitable partition, by proof, not computation: the
     characteristic matrix P of the cells has full column rank and AP = PB
     for the quotient B, so det(xI - B) divides det(xI - A) (Godsil and
     Royle, Algebraic Graph Theory, Thm 9.3.3).  Raises ValueError when the
-    partition is not equitable; max_n bounds nothing."""
+    partition is not equitable."""
     if characteristic_matrix(x, cells) is None:
         raise ValueError("partition is not equitable")
     return True

@@ -337,7 +337,16 @@ def test_field_flags_checked_before_arithmetic(capsys, flags):
      "size cap: 4194304 vertices exceeds the cap of 2097152\n"),
     (["verify-plan", "--q", "2", "--d", "23"],
      "size cap: 2^23 vertices exceeds the cap of 2097152\n"),
-], ids=["gen", "gen-alphabet", "construct", "translate", "gen-folded-cube", "gen-small-n", "verify-plan"])
+    (["verify-plan", "--q", "2", "--d", "100000001"],
+     "size cap: 2^100000001 vertices exceeds the cap of 2097152\n"),
+    (["verify-plan", "--q", "2", "--d", "100000001", "--sample", "1"],
+     "size cap: 100000001 coordinates exceeds the cap of 2097152\n"),
+    (["verify-plan", "--q", "2", "--d", "24"],
+     "error: (q-1)d+1 = 25 has no factor 2; only the trivial k are constructible\n"),
+    (["verify-plan", "--q", "2", "--d", "100000000", "--sample", "1"],
+     "error: (q-1)d+1 = 100000001 has no factor 2; only the trivial k are constructible\n"),
+], ids=["gen", "gen-alphabet", "construct", "translate", "gen-folded-cube", "gen-small-n", "verify-plan",
+        "verify-plan-huge-d", "verify-plan-sampled-huge-d", "verify-plan-infeasible", "verify-plan-sampled-infeasible"])
 def test_size_cap_before_power(capsys, monkeypatch, write_doc, argv, err):
     monkeypatch.delenv("EFFDOM_SIZE_CAP", raising=False)
     paths = {"f": write_doc("f.json", CODE_Q3), "c": write_doc("c.json", {"connection": [1]})}
@@ -345,6 +354,15 @@ def test_size_cap_before_power(capsys, monkeypatch, write_doc, argv, err):
     code, doc, got = invoke(capsys, [arg.format(**paths) for arg in argv])
     assert time.perf_counter() - start < 1
     assert (code, doc, got) == (2, None, err)
+
+
+def test_sampled_verify_plan_caps_coordinates(capsys, monkeypatch):
+    # sampled mode bounds d, not q^d: the plan and its label matrix hold O(d) entries
+    monkeypatch.setenv("EFFDOM_SIZE_CAP", "64")
+    code, doc, err = invoke(capsys, ["verify-plan", "--q", "2", "--d", "127", "--sample", "5"])
+    assert (code, doc, err) == (2, None, "size cap: 127 coordinates exceeds the cap of 64\n")
+    code, doc, err = invoke(capsys, ["verify-plan", "--q", "2", "--d", "63", "--sample", "5"])
+    assert code == 0 and err == "" and doc["mode"] == "sampled:5:0"
 
 
 def test_spectrum_does_not_import_numpy_ma(write_doc):

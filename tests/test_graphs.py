@@ -21,8 +21,6 @@ from effdom.graphs import (
     cycle,
     folded_cube,
     hamming_graph,
-    hamming_neighbors,
-    rank_array,
     vertex_rank,
     vertex_tuple,
 )
@@ -93,16 +91,9 @@ def _neighbors_oracle(q, d, v):
     return sorted(nbrs)
 
 
-@pytest.mark.parametrize("q, d", [(2, 13), (3, 5), (5, 3), (7, 2), (2, 127), (3, 80)])
+@pytest.mark.parametrize("q, d", [(2, 13), (3, 5), (5, 3), (7, 2)])
 def test_hamming_neighbors_match_per_vertex_loop(q, d):
-    n = q ** d
-    rng = random.Random(q * 1000 + d)
-    ranks = [0, n - 1] + [rng.randrange(n) for _ in range(300)]
-    got = hamming_neighbors(q, d, rank_array(ranks, n))
-    assert got.dtype == (object if n >= 1 << 62 else "int64")
-    assert [sorted(row) for row in got.tolist()] == [_neighbors_oracle(q, d, v) for v in ranks]
-    if n <= 1 << 13:
-        assert hamming_graph(q, d).adjacency == [_neighbors_oracle(q, d, v) for v in range(n)]
+    assert hamming_graph(q, d).adjacency == [_neighbors_oracle(q, d, v) for v in range(q ** d)]
 
 
 def _cayley_oracle(gf, d, conn):

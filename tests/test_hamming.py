@@ -27,7 +27,7 @@ from effdom.hamming import (
     verify_plan,
 )
 from effdom.linalg import mat_vec
-from effdom.partitions import cells_from_labels, verify_kcover
+from effdom.partitions import CoverCertificate, cells_from_labels, verify_kcover
 from test_acceptance import SWEEP_INSTANCES
 
 GF2 = GF(2)
@@ -305,6 +305,7 @@ def test_array_fibre_of_matches_per_vertex_loop(gf, d):
         assert type(plan.fibre_of(ranks[0])) is int
         if n <= 1 << 12:
             assert plan.fibre_of(range(n)).tolist() == expected
+            assert plan.all_labels().tolist() == expected
 
 
 def test_sampled_tamper_names_first_failing_vertex():
@@ -342,6 +343,79 @@ def test_full_verify_plan_matches_materialised_cover(gf, d):
     with pytest.raises(AssertionError, match="closed neighborhood of vertex 0 "):
         verify_plan(bad)
     assert _materialised_cover(bad) is None
+
+
+def _corrupted(plan, rng):
+    """The plan with one to three syndrome columns replaced by other random columns."""
+    q, a = plan.gf.q, plan.profile.a_q
+    cols = list(plan.syndrome_cols)
+    for i in rng.sample(range(len(cols)), min(len(cols), rng.randint(1, 3))):
+        new = cols[i]
+        while new == cols[i]:
+            new = tuple(rng.randrange(q) for _ in range(a))
+        cols[i] = new
+    return dataclasses.replace(plan, syndrome_cols=tuple(cols))
+
+
+def _closed_neighborhoods(q, d, vertices):
+    """Each vertex, then its neighbours: every digit replaced by each other symbol."""
+    hoods = []
+    for v in vertices:
+        hood, rem = [v], v
+        for i in range(d):
+            x = rem % q
+            rem //= q
+            hood += [v + (s - x) * q ** i for s in range(q) if s != x]
+        hoods.append(hood)
+    return hoods
+
+
+def _neighborhood_failure(plan, vertices, hoods):
+    """verify_plan's AssertionError text for the first of the vertices whose
+    closed neighborhood, labelled by fibre_of, meets some coset other than
+    m times; None when none does."""
+    m = plan.profile.m_q
+    for v, labels in zip(vertices, plan.fibre_of(hoods)):
+        counts = Counter(labels.tolist())
+        got = [counts[c] for c in range(plan.fibre_count)]
+        if any(c != m for c in got):
+            return f"closed neighborhood of vertex {v} meets some coset {got} != {m} times"
+    return None
+
+
+@pytest.mark.parametrize("gf, d", SWEEP_INSTANCES + [(GF4, 13), (GF2, 127)], ids=repr)
+def test_verify_plan_matches_explicit_neighborhoods(gf, d):
+    plan = build_plan(gf, d)
+    prof, q, n = plan.profile, gf.q, gf.q ** d
+    rng = random.Random(f"{q}-{d}")
+    plans = [plan] + [_corrupted(plan, rng) for _ in range(3)]
+    unit_ranks = [0] + [c * q ** i for i in range(d) for c in range(1, q)]
+    sample = 1100 if n < 1 << 62 else 150  # past 2^62 fibre_of works on Python ints
+    runs = [(sample, seed, _draw_ranks(_splitmix64(seed), n, sample)) for seed in (0, 1)]
+    if n <= 1 << 16:
+        runs.append((None, 0, range(n)))
+    runs = [(sample, seed, vertices, _closed_neighborhoods(q, d, vertices)) for sample, seed, vertices in runs]
+    for each in plans:
+        assert each.origin_labels().tolist() == each.fibre_of(unit_ranks).tolist()
+        # a replaced plan labels with its own columns, not a matrix cached on plan
+        assert each.origin_labels()[1:q].tolist() == [_fibre_oracle(each, c) for c in range(1, q)]
+        for sample, seed, vertices, hoods in runs:
+            failure = _neighborhood_failure(each, vertices, hoods)
+            if failure is not None:
+                with pytest.raises(AssertionError) as info:
+                    verify_plan(each, sample=sample, seed=seed)
+                assert str(info.value) == failure
+                continue
+            full = sample is None
+            assert verify_plan(each, sample=sample, seed=seed) == CoverCertificate(
+                base_size=q ** prof.a_q,
+                fold=q ** (d - prof.a_q) if prof.m_q == 1 else prof.m_q,
+                kind="cover" if prof.m_q == 1 else "m-cover",
+                fibre_map=tuple(each.fibre_of(range(n)).tolist()) if full else None,
+                mode="full" if full else f"sampled:{sample}:{seed}",
+            )
+    assert plan.label_matrix is plan.label_matrix
+    assert all(each.label_matrix is not plan.label_matrix for each in plans[1:])
 
 
 # every plan that acceptance criterion 9 audits

@@ -250,9 +250,8 @@ def test_charpoly_divides_graph_on_criterion_7_matches_the_computed_division():
 
 
 def test_charpoly_divides_graph_past_the_characteristic_polynomial_cap():
-    # n = 1024 > max_n: the n x n polynomial was refused; the proof needs none
+    # n = 1024 is past linalg.CHAR_POLY_CAP; the proof needs no n x n polynomial
     assert charpoly_divides_graph(hamming_graph(2, 10), _parity_cells(10)) is True
-    assert charpoly_divides_graph(hamming_graph(2, 10), _parity_cells(10), max_n=1) is True
 
 
 def _fibre_cells(gf: GF, d: int) -> List[List[int]]:
