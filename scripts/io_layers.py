@@ -13,8 +13,9 @@ directory, as `effdom gen` writes them:
     dump_json(graph_to_doc(graph))
 the full m-cover check verify_plan(build_plan(gf, d)) for GF(2), d=15;
 GF(2,2), d=9; and GF(3), d=13; and the sampled check verify_plan(plan,
-sample, seed=0) for GF(2), d=127 with 10^4 samples (ranks past 2^64) and
-GF(2,2), d=13 with 10^3 samples.  The plans are built outside the timings.
+sample, seed=0) for GF(2), d=127 with 10^4 samples (ranks past 2^64);
+GF(2), d=4095 with 10^3 samples; and GF(2,2), d=13 with 10^3 samples.  The
+plans are built outside the timings.
 
 Usage (from the root of a checkout):
     PYTHONPATH=src python3 scripts/io_layers.py
@@ -57,7 +58,8 @@ def main() -> int:
     for gf, name, d in [(GF(2), "gf2", 15), (GF(2, 2), "gf4", 9), (GF(3), "gf3", 13)]:
         plan = build_plan(gf, d)
         _, doc[f"verify_plan_{name}_d{d}_s"] = _timed(lambda: verify_plan(plan))
-    for gf, name, d, sample in [(GF(2), "gf2", 127, 10 ** 4), (GF(2, 2), "gf4", 13, 10 ** 3)]:
+    for gf, name, d, sample in [(GF(2), "gf2", 127, 10 ** 4), (GF(2), "gf2", 4095, 10 ** 3),
+                                (GF(2, 2), "gf4", 13, 10 ** 3)]:
         plan = build_plan(gf, d)
         _, doc[f"verify_plan_{name}_d{d}_sample{sample}_s"] = _timed(lambda: verify_plan(plan, sample, seed=0))
     print(json.dumps(doc))

@@ -180,13 +180,18 @@ def _cmd_feasible(args) -> int:
 def _cmd_verify_plan(args) -> int:
     gf = _field_from_flags(args.q, args.b)
     cap = _size_cap()
-    # the caps come before build_plan, whose plan holds O(d) entries; build_plan
-    # refuses a d with a_q = 0 before any such work, so that refusal comes first
+    # the caps come before build_plan: its plan holds O(d) entries and q^a - 1
+    # parity columns, and N[0] has (q-1)d + 1 labels, a multiple of q^a, so one
+    # bound covers both; build_plan refuses a d with a_q = 0 before any such
+    # work, so that refusal comes first
     plannable = hamming.feasibility(gf, args.d).a_q > 0
+    hood = (gf.q - 1) * args.d + 1
     if plannable and args.sample is None:
         _check_power_cap(gf.q, args.d, cap)
     elif plannable and args.d > cap:
         raise SizeCapExceeded(f"{args.d} coordinates exceeds the cap of {cap}")
+    elif plannable and hood > cap:
+        raise SizeCapExceeded(f"a closed neighbourhood of {hood} labels exceeds the cap of {cap}")
     plan = hamming.build_plan(gf, args.d)
     try:
         cert = hamming.verify_plan(plan, sample=args.sample, seed=args.seed, size_cap=cap)

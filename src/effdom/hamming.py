@@ -27,14 +27,14 @@ parity check of phi, whose columns are the plan's syndrome_cols, and
 fibre_of applies it to arrays of ranks.  build_plan builds only those
 columns: phi and the code are built when read, as basis_audit does.
 
-verify_plan counts the coset labels of each closed neighborhood it checks
-(every one, or a seeded sample) and builds neither H(q,d) nor a neighbour
-rank: N[v] = v + N[0] in the Cayley graph H(q,d) on GF(q)^d, so the labels
-of N[v] are L(v) + L(N[0]), added digitwise mod p.  Sampling uses a
+verify_plan counts the coset labels of one closed neighborhood, L(v) +
+L(N[0]) added digitwise mod p, and builds neither H(q,d) nor a neighbour
+rank: N[v] = v + N[0] in the Cayley graph H(q,d) on GF(q)^d, so that one
+count certifies every vertex.  Sampled mode counts at the first vertex of a
 splitmix-style generator (increment 0x9E3779B97F4A7C15, mix multipliers
-0xBF58476D1CE4E5B9 and 0x94D049BB133111EB) so runs are reproducible bit
-for bit from the seed; each vertex takes ceil(log2(q^d)/64) of its 64-bit
-words, one when q^d <= 2^64.
+0xBF58476D1CE4E5B9 and 0x94D049BB133111EB), reproducible bit for bit from
+the seed; each vertex takes ceil(log2(q^d)/64) 64-bit words, one when
+q^d <= 2^64.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ import numpy as np
 from . import obs
 from .domination import DominatingFunction
 from .fields import GF, digitwise
-from .graphs import BLOCK, DEFAULT_SIZE_CAP, SizeCapExceeded, _check_power_cap, capped_power
+from .graphs import DEFAULT_SIZE_CAP, SizeCapExceeded, _check_power_cap, capped_power
 from .linalg import block_matrix, field_rank, kernel_basis, mat_mul, rref
 from .partitions import CoverCertificate
 
@@ -294,44 +294,29 @@ def _draw_ranks(stream: Iterator[int], n: int, count: int) -> List[int]:
 def verify_plan(plan: MCoverPlan, sample: Optional[int] = None, seed: int = 0,
                 size_cap: int = DEFAULT_SIZE_CAP) -> CoverCertificate:
     """Check that the plan's coset partition is an m-cover of K_{q^a}: every
-    checked closed neighborhood meets every coset exactly m times.
+    closed neighborhood meets every coset exactly m times.
 
-    Only the checked vertices are labelled: N[v] has the labels L(v) +
-    origin_labels(), added digitwise.  Full mode (sample=None) checks every
-    vertex; their labels, all_labels(), are the fibre_map (build_plan's
-    labels number the cosets in order of their first vertex).  Sampled
-    mode checks `sample` vertices from the seeded generator, labelled by
-    fibre_of.  Each bincount counts at most BLOCK rows and at most
-    max(2^18, 1 + (q-1)d) labels.  Raises AssertionError naming the first failure.
+    L is GF(p)-linear and N[v] = v + N[0], so N[v] meets coset u as often
+    as N[0] meets u - L(v): one vertex's counts certify every vertex.  The
+    vertex counted is 0 in full mode (sample=None), whose fibre_map is
+    all_labels(), and the seeded generator's first draw in sampled mode.
+    Raises AssertionError naming that vertex and its counts.
     """
     profile = plan.profile
-    q, d, m = profile.q, profile.d, profile.m_q
-    p, width, fibres = plan.gf.p, profile.a_q * plan.gf.b, plan.fibre_count
-    origin = plan.origin_labels()
-    rows = max(1, min(BLOCK, (1 << 18) // len(origin)))
+    q, d, m, fibres = profile.q, profile.d, profile.m_q, plan.fibre_count
     if sample is None:
-        n = _check_power_cap(q, d, size_cap)
-        labels = plan.all_labels()
-        blocks = ((range(lo, min(lo + rows, n)), labels[lo:lo + rows]) for lo in range(0, n, rows))
-        fibre_map, mode = tuple(labels.tolist()), "full"
+        _check_power_cap(q, d, size_cap)
+        vertex, fibre_map, mode = 0, tuple(plan.all_labels().tolist()), "full"
     elif sample < 1:
         raise ValueError("sample count must be positive")
     else:
-        n, stream = q ** d, _splitmix64(seed)
-        draws = (_draw_ranks(stream, n, min(rows, sample - lo)) for lo in range(0, sample, rows))
-        blocks = ((ranks, plan.fibre_of(ranks)) for ranks in draws)
+        (vertex,) = _draw_ranks(_splitmix64(seed), q ** d, 1)
         fibre_map, mode = None, f"sampled:{sample}:{seed}"
-    for ranks, own in blocks:
-        cell = digitwise(p, width, operator.add, own[:, None], origin)
-        cell += fibres * np.arange(len(ranks))[:, None]
-        counts = np.bincount(cell.ravel(), minlength=fibres * len(ranks)).reshape(-1, fibres)
-        bad = (counts != m).any(axis=1)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise AssertionError(
-                f"closed neighborhood of vertex {ranks[i]} meets some coset {counts[i].tolist()} != {m} times"
-            )
-        obs.count("hamming.cover_vertices", len(ranks))
+    labels = digitwise(plan.gf.p, profile.a_q * plan.gf.b, operator.add, plan.fibre_of(vertex), plan.origin_labels())
+    counts = np.bincount(labels, minlength=fibres)
+    if (counts != m).any():
+        raise AssertionError(f"closed neighborhood of vertex {vertex} meets some coset {counts.tolist()} != {m} times")
+    obs.count("hamming.cover_vertices", 1)
     return CoverCertificate(
         base_size=fibres,
         fold=plan.fibre_size if m == 1 else m,

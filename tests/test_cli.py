@@ -363,6 +363,11 @@ def test_sampled_verify_plan_caps_coordinates(capsys, monkeypatch):
     assert (code, doc, err) == (2, None, "size cap: 127 coordinates exceeds the cap of 64\n")
     code, doc, err = invoke(capsys, ["verify-plan", "--q", "2", "--d", "63", "--sample", "5"])
     assert code == 0 and err == "" and doc["mode"] == "sampled:5:0"
+    # and the (q-1)d + 1 labels of N[0], which bound the q^a - 1 parity columns too
+    code, doc, err = invoke(capsys, ["verify-plan", "--q", "13", "--d", "14", "--sample", "1"])
+    assert (code, doc, err) == (2, None, "size cap: a closed neighbourhood of 169 labels exceeds the cap of 64\n")
+    code, doc, err = invoke(capsys, ["verify-plan", "--q", "7", "--d", "8", "--sample", "1"])
+    assert code == 0 and err == "" and doc["base_size"] == 49 and doc["mode"] == "sampled:1:0"
 
 
 def test_spectrum_does_not_import_numpy_ma(write_doc):

@@ -8,6 +8,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import field_oracle as oracle
 from effdom.domination import verify_efficient
@@ -416,6 +418,42 @@ def test_verify_plan_matches_explicit_neighborhoods(gf, d):
             )
     assert plan.label_matrix is plan.label_matrix
     assert all(each.label_matrix is not plan.label_matrix for each in plans[1:])
+
+
+# the plannable H(q,d) with q^d <= 2^12 over GF(2), GF(3) and GF(2,2)
+SMALL_PLANS = [(gf, d) for gf in (GF2, GF3, GF4) for d in range(1, 12)
+               if gf.q ** d <= 1 << 12 and feasibility(gf, d).a_q > 0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(SMALL_PLANS), st.data())
+def test_verify_plan_matches_materialised_cover_on_random_columns(case, data):
+    # the plan's columns permuted (still a cover, its cosets numbered in
+    # another order) with up to three of them replaced by random columns
+    gf, d = case
+    plan = build_plan(gf, d)
+    q, a = gf.q, plan.profile.a_q
+    cols = data.draw(st.permutations(plan.syndrome_cols), label="permuted")
+    column = st.tuples(*[st.integers(0, q - 1)] * a)
+    for i in data.draw(st.lists(st.integers(0, d - 1), max_size=3), label="replaced"):
+        cols[i] = data.draw(column, label=f"column {i}")
+    each = dataclasses.replace(plan, syndrome_cols=tuple(cols))
+    sample = data.draw(st.none() | st.integers(1, 2000), label="sample")
+    seed = data.draw(st.integers(0, 1 << 64), label="seed")
+    vertex = 0 if sample is None else _draw_ranks(_splitmix64(seed), q ** d, 1)[0]
+    failure = _neighborhood_failure(each, [vertex], _closed_neighborhoods(q, d, [vertex]))
+    want = _materialised_cover(each)
+    if failure is not None:
+        with pytest.raises(AssertionError) as info:
+            verify_plan(each, sample=sample, seed=seed)
+        assert str(info.value) == failure and want is None
+        return
+    cert = verify_plan(each, sample=sample, seed=seed)
+    assert want is not None
+    assert (cert.kind, cert.fold, cert.base_size) == (want.kind, want.fold, want.base_size)
+    assert cert.mode == ("full" if sample is None else f"sampled:{sample}:{seed}")
+    if sample is None:
+        assert cells_from_labels(cert.fibre_map) == cells_from_labels(want.fibre_map)
 
 
 # every plan that acceptance criterion 9 audits

@@ -142,9 +142,9 @@ def test_json_fallback_counter(tmp_path, capsys):
 
 
 def test_verify_plan_counts_the_vertices_it_checks(capsys):
-    # H(4,5) has 1024 vertices; a sample of 1500 takes two blocks
-    for argv, checked in [(["verify-plan", "--q", "4", "--b", "2", "--d", "5"], 1024),
-                          (["verify-plan", "--q", "4", "--b", "2", "--d", "5", "--sample", "1500"], 1500)]:
+    # one closed neighborhood certifies every vertex by translation, in either mode
+    for argv, checked in [(["verify-plan", "--q", "4", "--b", "2", "--d", "5"], 1),
+                          (["verify-plan", "--q", "4", "--b", "2", "--d", "5", "--sample", "1500"], 1)]:
         assert run(argv) == 0
         plain = capsys.readouterr()
         assert run(["--stats", *argv]) == 0
