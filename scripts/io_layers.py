@@ -11,11 +11,14 @@ directory, as `effdom gen` writes them:
     load_graph: the CLI's graph loader, cli._load_graph (jsonio.load_graph,
         or graph_from_doc(load_json(path)) on checkouts that predate it)
     dump_json(graph_to_doc(graph))
-the full m-cover check verify_plan(build_plan(gf, d)) for GF(2), d=15;
-GF(2,2), d=9; and GF(3), d=13; and the sampled check verify_plan(plan,
-sample, seed=0) for GF(2), d=127 with 10^4 samples (ranks past 2^64);
-GF(2), d=4095 with 10^3 samples; and GF(2,2), d=13 with 10^3 samples.  The
-plans are built outside the timings.
+dump_json of a search listing: the function_rows Records of a 5673 x 32
+int8 matrix with entries in 0..2, drawn by default_rng(0), the shape of
+the H(2,5), j=2, k=6 listing in the search benchmark.
+The full m-cover check verify_plan(build_plan(gf, d)) for GF(2), d=15;
+GF(2,2), d=9; and GF(3), d=13 (its fibre_map is built only when read);
+and the sampled check verify_plan(plan, sample, seed=0) for GF(2), d=127
+with 10^4 samples (ranks past 2^64); GF(2), d=4095 with 10^3 samples; and
+GF(2,2), d=13 with 10^3 samples.  The plans are built outside the timings.
 
 Usage (from the root of a checkout):
     PYTHONPATH=src python3 scripts/io_layers.py
@@ -29,11 +32,13 @@ import os
 import tempfile
 import time
 
+import numpy as np
+
 from effdom.cli import _load_graph
 from effdom.fields import GF
 from effdom.graphs import hamming_graph
 from effdom.hamming import build_plan, verify_plan
-from effdom.jsonio import dump_json, graph_to_doc
+from effdom.jsonio import dump_json, function_rows, graph_to_doc
 
 
 def _timed(call):
@@ -55,6 +60,8 @@ def main() -> int:
             back, doc[f"load_graph_h2_{d}_s"] = _timed(lambda: _load_graph(path))
             csr = hashlib.sha256(back.indptr.tobytes() + back.indices.tobytes())
             doc[f"load_graph_h2_{d}_sha256"] = csr.hexdigest()[:16]
+    listing = {"functions": function_rows(np.random.default_rng(0).integers(0, 3, (5673, 32)).astype(np.int8), 2, 6)}
+    _, doc["dump_json_records_5673x32_s"] = _timed(lambda: dump_json(listing))
     for gf, name, d in [(GF(2), "gf2", 15), (GF(2, 2), "gf4", 9), (GF(3), "gf3", 13)]:
         plan = build_plan(gf, d)
         _, doc[f"verify_plan_{name}_d{d}_s"] = _timed(lambda: verify_plan(plan))

@@ -284,11 +284,11 @@ def _splitmix64(seed: int) -> Iterator[int]:
         yield z ^ (z >> 31)
 
 
-def _draw_ranks(stream: Iterator[int], n: int, count: int) -> List[int]:
-    """count ranks below n, each from ceil(log2(n)/64) words of the stream,
-    least significant first: one word each when n <= 2^64."""
+def _draw_ranks(stream: Iterator[int], n: int) -> int:
+    """A rank below n from the next ceil(log2(n)/64) words of the stream,
+    least significant first: one word when n <= 2^64."""
     words = max(1, -(-(n - 1).bit_length() // 64))
-    return [sum(next(stream) << 64 * i for i in range(words)) % n for _ in range(count)]
+    return sum(next(stream) << 64 * i for i in range(words)) % n
 
 
 def verify_plan(plan: MCoverPlan, sample: Optional[int] = None, seed: int = 0,
@@ -299,18 +299,18 @@ def verify_plan(plan: MCoverPlan, sample: Optional[int] = None, seed: int = 0,
     L is GF(p)-linear and N[v] = v + N[0], so N[v] meets coset u as often
     as N[0] meets u - L(v): one vertex's counts certify every vertex.  The
     vertex counted is 0 in full mode (sample=None), whose fibre_map is
-    all_labels(), and the seeded generator's first draw in sampled mode.
+    all_labels(), built when read, and in sampled mode the first draw.
     Raises AssertionError naming that vertex and its counts.
     """
     profile = plan.profile
     q, d, m, fibres = profile.q, profile.d, profile.m_q, plan.fibre_count
     if sample is None:
         _check_power_cap(q, d, size_cap)
-        vertex, fibre_map, mode = 0, tuple(plan.all_labels().tolist()), "full"
+        vertex, fibre_map, mode = 0, lambda: tuple(plan.all_labels().tolist()), "full"
     elif sample < 1:
         raise ValueError("sample count must be positive")
     else:
-        (vertex,) = _draw_ranks(_splitmix64(seed), q ** d, 1)
+        vertex = _draw_ranks(_splitmix64(seed), q ** d)
         fibre_map, mode = None, f"sampled:{sample}:{seed}"
     labels = digitwise(plan.gf.p, profile.a_q * plan.gf.b, operator.add, plan.fibre_of(vertex), plan.origin_labels())
     counts = np.bincount(labels, minlength=fibres)

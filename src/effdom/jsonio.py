@@ -5,8 +5,9 @@ sorted edge lists with u < v, functions as value vectors with their
 declared (j, k), partitions as canonical cell lists, and matrices in
 row-major order.  dump_json writes a 2-D integer array (a graph's edges)
 as the list of its rows and `Records` (a search's functions) as a list
-of records; json.loads reads both back as lists.  load_graph reads a graph
-file's edge rows from its bytes into one array, and everything else with json.
+of records, each run of integers in one join; json.loads reads both back
+as lists.  load_graph reads a graph file's edge rows from its bytes into
+one array, and json only the decoded text around them.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import json
 import re
 from contextlib import contextmanager
 from itertools import chain
-from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -110,60 +111,68 @@ def graph_from_doc(doc: dict, size_cap: int = DEFAULT_SIZE_CAP) -> Graph:
 def load_graph(path: str, size_cap: int = DEFAULT_SIZE_CAP) -> Graph:
     """graph_from_doc(load_json(path), size_cap), the same graph or exception; a
     file _graph_doc refuses goes through json, counted as "jsonio.json_fallback"."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        doc = _graph_doc(text)
+        doc = _graph_doc(data)
     except (ValueError, RecursionError):
         obs.count("jsonio.json_fallback")
         doc = load_json(path)
     return graph_from_doc(doc, size_cap)
 
 
-_WS = "[ \t\n\r]*"  # JSON's whitespace
-_OPEN, _KEY, _COLON, _NEXT = (re.compile(_WS + p).match for p in (r"\{", '"', ":" + _WS, "[,}]"))
-_DECODER = json.JSONDecoder()
-_EMPTY, _ROWS_END = re.compile(r"\[%s\]" % _WS).match, re.compile(r"\]%s\]" % _WS).search
-_SPACES, _TENS = bytes.maketrans(b"[],", b"   "), 10 ** np.arange(1, 19, dtype=np.int64)
+# the key "edges" in each of its JSON spellings, and the blanks around its colon
+_EDGES = re.compile(rb'"(e|\\u0065)(d|\\u0064)(g|\\u0067)(e|\\u0065)(s|\\u0073)"[ \t\n\r]*:[ \t\n\r]*').search
+_HOLE = '"\\u0000"'  # the one JSON text of the string "\0"
+_BLANKS, _SPACES, _TENS = b" \t\n\r", bytes.maketrans(b"[],", b"   "), 10 ** np.arange(1, 19, dtype=np.int64)
 
 
-def _graph_doc(text: str) -> dict:
-    """json.loads(text) for a JSON object, with "edges" read by _edge_rows;
-    ValueError for any text json refuses and any "edges" _edge_rows refuses."""
-
-    def skip(match, at: int) -> int:
-        m = match(text, at)
-        if m is None:
-            raise ValueError("not a JSON object")
-        return m.end()
-
-    doc, i = {}, skip(_OPEN, 0)
-    while text[i - 1] != "}":
-        key, i = json.decoder.scanstring(text, skip(_KEY, i))
-        doc[key], i = (_edge_rows if key == "edges" else _DECODER.raw_decode)(text, skip(_COLON, i))
-        i = skip(_NEXT, i)
-    if text[i:].strip(" \t\n\r"):
-        raise ValueError("text after the object")
+def _graph_doc(data: bytes) -> dict:
+    """json.loads(data) for a JSON object whose key "edges" is the first
+    _EDGES in data: _edge_rows reads its value from the bytes, and json the
+    decoded text around it, with _HOLE in its place.  ValueError for any
+    text json refuses, and for other layouts and "edges" values."""
+    m = _EDGES(data)
+    if m is None:
+        raise ValueError('no "edges" key')
+    ends, stop = _edge_rows(data, m.end())
+    text = data[:m.end()].decode() + _HOLE + data[stop:].decode()
+    doc = json.loads(text) if text.count(_HOLE) == 1 else None
+    # no other value reads as "\0", so an object whose "edges" does holds the rows there
+    if type(doc) is not dict or doc.get("edges") != "\0":
+        raise ValueError('the first "edges" is not the key "edges" of a JSON object')
+    doc["edges"] = ends
     return doc
 
 
-def _edge_rows(text: str, i: int) -> Tuple[np.ndarray, int]:
-    """The endpoints of the JSON list of [u, w] rows at text[i] as one int64
+def _edge_rows(data: bytes, i: int) -> Tuple[np.ndarray, int]:
+    """The endpoints of the JSON list of [u, w] rows at data[i] as one int64
     array, and the index past it; ValueError unless each is an integer in
     [0, 10^18) with as many digits as its value needs, as json writes it."""
-    m = _EMPTY(text, i) or _ROWS_END(text, i)
-    span = text[i:m.end()].encode() if m else b""
-    packed = span.translate(None, b" \t\n\r")
+    packed = data.translate(None, _BLANKS)
+    at = len(data[:i].translate(None, _BLANKS))
+    # rows hold "]]" only at their end, so if any "]]" ends them the last one
+    # does; its "]" in data comes before as many "]" as it does in packed
+    end = at + 2 if packed.startswith(b"[]", at) else max(packed.rfind(b"]]") + 2, at)
+    stop = len(data)
+    for _ in range(packed.count(b"]", end) + 1):
+        stop = data.rfind(b"]", 0, stop)
+    packed, stop = packed[at:end], stop + 1
     skeleton = packed.translate(None, b"0123456789")
     e = (len(skeleton) - 1) // 4
-    # rows [,] joined by ",", with digits in every place
+    # e rows [,] in one list have 2e places, each after a "[" or "," and
+    # before a "," or "]"; with no "[," or ",]" each holds digits, so packed
+    # has 2e + x digit runs, x outside the places.  data[i:stop] has as many
+    # or more, more where a blank splits a number: 2e runs there leave x = 0
+    # and no number split, so len(ends) == 2e needs no check of its own, and
+    # the digit count rules out a leading zero
     rows = skeleton == b"[" + (b"[,]," * e)[:-1] + b"]" and b"[," not in packed and b",]" not in packed
-    ends = np.fromstring(span.translate(_SPACES), np.int64, sep=" ") if rows and e else np.zeros(0, np.int64)
-    # a number split by a blank or with a leading zero leaves more digits than 2e values need
-    if not rows or ends.max(initial=0) >= 10 ** 18 \
+    ends = np.fromstring(packed.translate(_SPACES), np.int64, sep=" ") if rows and e else np.zeros(0, np.int64)
+    digit = np.frombuffer(data, np.uint8, stop - i if rows else 0, i) - 48 < 10
+    if not rows or np.count_nonzero(digit[:-1] > digit[1:]) != 2 * e or ends.max(initial=0) >= 10 ** 18 \
             or np.searchsorted(_TENS, ends, "right").sum() + 2 * e != len(packed) - len(skeleton):
         raise ValueError("edges are not rows [u, w] of integers in [0, 10^18) written as json writes them")
-    return ends, m.end()
+    return ends, stop
 
 
 def function_to_doc(f: DominatingFunction) -> dict:
@@ -211,13 +220,7 @@ def connection_from_doc(doc: dict) -> List[int]:
 
 
 def matrix_to_doc(rows: Sequence[Sequence[int]]) -> dict:
-    r = len(rows)
-    c = len(rows[0]) if rows else 0
-    return {
-        "rows": r,
-        "cols": c,
-        "entries": [int(e) for row in rows for e in row],
-    }
+    return {"rows": len(rows), "cols": len(rows[0]) if rows else 0, "entries": [int(e) for row in rows for e in row]}
 
 
 def load_json(path: str) -> dict:
@@ -233,54 +236,64 @@ def dump_json(doc: dict) -> str:
     array stands for the list of its rows and Records for its records.
 
     json falls back to its pure-Python encoder whenever indent is set, so
-    lists of integers and integer matrices, which carry nearly all the bytes
-    of a large document, are laid out here as templates of %d fields filled
-    in one C call; every other value and every key still goes through json.
+    the runs of integers that carry nearly all the bytes of a large
+    document (integer lists, matrices and Records) are written by _int_rows
+    in one join each; every other value and every key still goes through
+    json, and the pieces are joined once, at the end.
     """
-    return _dumps(doc, "\n") + "\n"
+    return "".join(_parts(doc, "\n", []) + ["\n"])
 
 
-def _dumps(obj, pad: str) -> str:
-    """obj in the indent=2 layout, pad (a newline and the indentation of
-    obj's own line) starting each of its later lines."""
-    inner = pad + "  "
-    if isinstance(obj, np.ndarray):
-        return _matrix(obj, pad)
-    if isinstance(obj, Records):
-        return _matrix(obj.mat, pad, obj)
-    if type(obj) is dict and obj and set(map(type, obj)) == {str}:
-        body = (json.dumps(key) + ": " + _dumps(value, inner) for key, value in obj.items())
-        return "{" + inner + ("," + inner).join(body) + pad + "}"
-    if type(obj) is not list or not obj:
-        if isinstance(obj, (list, tuple, dict)) and obj:
-            # JSON strings hold no raw newline, so every newline is a line break
-            return json.dumps(obj, indent=2).replace("\n", pad)
-        # a scalar or an empty container: json's C encoder gives the same text
-        return json.dumps(obj)
-    kinds = set(map(type, obj))
-    if kinds == {int}:
-        return _ints(len(obj), pad) % tuple(obj)
-    return "[" + inner + ("," + inner).join(_dumps(item, inner) for item in obj) + pad + "]"
+def _parts(obj, pad: str, out: list) -> list:
+    """out, with the pieces of obj in the indent=2 layout appended, pad (a
+    newline and the indentation of obj's own line) starting its later lines."""
+    inner, mat = pad + "  ", obj.mat if isinstance(obj, Records) else obj
+    if isinstance(mat, np.ndarray) and not len(mat):
+        out.append("[]")
+    elif isinstance(mat, np.ndarray):
+        out.append("[" + inner)
+        if mat is obj:
+            _int_rows(mat, inner, out, between="," + inner)
+        else:
+            at = inner + "  "  # where each record's lines start
+            fields = "".join(json.dumps(k) + ": " + "".join(_parts(v, at, [])) + "," + at for k, v in obj.fields.items())
+            _int_rows(mat, at, out, "{" + at + fields + '"values": ', inner + "}", "," + inner)
+        out.append(pad + "]")
+    elif type(obj) is list and obj and set(map(type, obj)) == {int}:
+        exact = np.array(obj)  # int64 or uint64 when every entry fits, else float64 or object
+        _int_rows((exact if exact.dtype.kind in "iu" else np.array(obj, dtype=object))[None], pad, out)
+    elif type(obj) is list and obj or type(obj) is dict and obj and set(map(type, obj)) == {str}:
+        keyed = type(obj) is dict
+        items = [(json.dumps(k) + ": ", v) for k, v in obj.items()] if keyed else [("", v) for v in obj]
+        for i, (key, value) in enumerate(items):
+            out.append(("," if i else "{" if keyed else "[") + inner + key)
+            _parts(value, inner, out)
+        out.append(pad + ("}" if keyed else "]"))
+    else:
+        # JSON strings hold no raw newline, so every newline is a line break;
+        # a scalar or an empty container gets the same text from json's C encoder
+        nested = isinstance(obj, (list, tuple, dict)) and obj
+        out.append(json.dumps(obj, indent=2).replace("\n", pad) if nested else json.dumps(obj))
+    return out
 
 
-def _ints(width: int, pad: str) -> str:
-    """The template of a list of width integers whose line starts at pad."""
-    cell = pad + "  "
-    return "[" + cell + ("," + cell).join(["%d"] * width) + pad + "]" if width else "[]"
-
-
-def _matrix(mat: np.ndarray, pad: str, records: Optional[Records] = None) -> str:
-    """The rows of an integer matrix (any integer dtype, or object dtype
-    holding ints) as one list, each row a list or, with records, the record
-    {**records.fields, "values": row}; one template is filled from the
-    flat entries, and no row is built as a Python list."""
-    if not len(mat):
-        return "[]"
-    inner = pad + "  "
-    at = inner if records is None else inner + "  "  # where each row's line starts
-    row = _ints(mat.shape[1], at)
-    if records is not None:
-        fields = [json.dumps(key) + ": " + _dumps(value, at) for key, value in records.fields.items()]
-        head = "".join(field.replace("%", "%%") + "," + at for field in fields)
-        row = "{" + at + head + '"values": ' + row + inner + "}"
-    return ("[" + inner + ("," + inner).join([row] * len(mat)) + pad + "]") % tuple(mat.ravel().tolist())
+def _int_rows(mat: np.ndarray, at: str, out: list, head: str = "", tail: str = "", between: str = "") -> None:
+    """Append to out the rows of an integer matrix (any integer dtype, or
+    object dtype holding ints), each as head, the list of its entries with
+    lines starting at `at`, and tail, joined by between.  A table of
+    str(0..max) turns the entries into text when each is a non-negative
+    integer below the entry count, and str one by one otherwise; the texts
+    and the separators fill alternate columns of one object array."""
+    rows, cols = mat.shape
+    if not cols:
+        return out.append(between.join([head + "[]" + tail] * rows))
+    flat, cell = mat.ravel(), at + "  "
+    if 0 <= flat.min() and flat.max() < flat.size:
+        texts = np.array(list(map(str, range(int(flat.max()) + 1))), dtype=object)[flat.astype(np.intp)]
+    else:
+        texts = np.array(list(map(str, flat.tolist())), dtype=object)
+    grid = np.empty((rows, 2 * cols), dtype=object)
+    grid[:, 0::2], grid[:, 1::2] = texts.reshape(rows, cols), "," + cell
+    grid[:, -1] = at + "]" + tail + between + head + "[" + cell
+    grid[-1, -1] = at + "]" + tail
+    out += [head + "[" + cell, "".join(grid.ravel().tolist())]

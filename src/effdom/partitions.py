@@ -173,6 +173,19 @@ def charpoly_divides_graph(x: Graph, cells: Sequence[Sequence[int]]) -> bool:
 # ---------------------------------------------------------------------------
 
 
+class _BuiltOnRead:
+    """CoverCertificate.fibre_map, which may be set to a function of no
+    arguments: its first read calls it and keeps the value."""
+
+    def __get__(self, obj, owner=None):
+        if obj is not None and callable(obj.__dict__["_fibre_map"]):
+            obj.__dict__["_fibre_map"] = obj.__dict__["_fibre_map"]()
+        return None if obj is None else obj.__dict__["_fibre_map"]
+
+    def __set__(self, obj, value):
+        obj.__dict__["_fibre_map"] = value
+
+
 @dataclass(frozen=True)
 class CoverCertificate:
     """Witness that X covers a base graph Y through the given fibres.
@@ -181,13 +194,14 @@ class CoverCertificate:
     over base edges; fold is the common fibre size.  kind "m-cover":
     fibres induce (fold-1)-regular subgraphs and base edges carry
     fold-regular bipartite graphs.  fibre_map sends each vertex of X to
-    its base vertex; it is None for certificates checked by sampling.
+    its base vertex; it is None for certificates checked by sampling, and
+    may be given as a function that builds it when first read.
     """
 
     base_size: int
     fold: int
     kind: str
-    fibre_map: Optional[Tuple[int, ...]]
+    fibre_map: Optional[Tuple[int, ...]] = _BuiltOnRead()
     mode: str = "full"
 
 

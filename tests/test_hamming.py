@@ -19,6 +19,7 @@ from effdom.hamming import (
     AuditFailure,
     BasisAudit,
     InfeasibleK,
+    MCoverPlan,
     _draw_ranks,
     _splitmix64,
     basis_audit,
@@ -131,6 +132,18 @@ def test_verify_plan_full():
     plan7 = build_plan(GF2, 7)
     cert7 = verify_plan(plan7)
     assert cert7.kind == "cover" and cert7.fold == 16 and cert7.base_size == 8
+
+
+def test_full_verify_plan_builds_its_map_when_read(monkeypatch):
+    # the CLI prints no fibre map, so verify_plan builds it only for a reader
+    plan, calls = build_plan(GF3, 4), []
+    all_labels = MCoverPlan.all_labels
+    monkeypatch.setattr(MCoverPlan, "all_labels", lambda self: calls.append(self) or all_labels(self))
+    cert = verify_plan(plan)
+    assert calls == []
+    assert cert.fibre_map == tuple(all_labels(plan).tolist()) and calls == [plan]
+    assert cert.fibre_map is cert.fibre_map and calls == [plan]
+    assert cert == CoverCertificate(9, 9, "cover", cert.fibre_map) and hash(cert) == hash(dataclasses.replace(cert))
 
 
 def test_verify_plan_sampled():
@@ -393,7 +406,7 @@ def test_verify_plan_matches_explicit_neighborhoods(gf, d):
     plans = [plan] + [_corrupted(plan, rng) for _ in range(3)]
     unit_ranks = [0] + [c * q ** i for i in range(d) for c in range(1, q)]
     sample = 1100 if n < 1 << 62 else 150  # past 2^62 fibre_of works on Python ints
-    runs = [(sample, seed, _draw_ranks(_splitmix64(seed), n, sample)) for seed in (0, 1)]
+    runs = [(sample, seed, _draws(seed, n, sample)) for seed in (0, 1)]
     if n <= 1 << 16:
         runs.append((None, 0, range(n)))
     runs = [(sample, seed, vertices, _closed_neighborhoods(q, d, vertices)) for sample, seed, vertices in runs]
@@ -440,7 +453,7 @@ def test_verify_plan_matches_materialised_cover_on_random_columns(case, data):
     each = dataclasses.replace(plan, syndrome_cols=tuple(cols))
     sample = data.draw(st.none() | st.integers(1, 2000), label="sample")
     seed = data.draw(st.integers(0, 1 << 64), label="seed")
-    vertex = 0 if sample is None else _draw_ranks(_splitmix64(seed), q ** d, 1)[0]
+    vertex = 0 if sample is None else _draw_ranks(_splitmix64(seed), q ** d)
     failure = _neighborhood_failure(each, [vertex], _closed_neighborhoods(q, d, [vertex]))
     want = _materialised_cover(each)
     if failure is not None:
@@ -509,10 +522,16 @@ def test_phi_and_code_follow_a_replaced_plan():
     assert plan.code is plan.code and plan.phi is plan.phi
 
 
+def _draws(seed, n, count):
+    """count successive ranks below n from one seeded generator."""
+    stream = _splitmix64(seed)
+    return [_draw_ranks(stream, n) for _ in range(count)]
+
+
 def test_sampled_ranks_use_enough_words():
-    wide = _draw_ranks(_splitmix64(0), 2 ** 127, 256)
+    wide = _draws(0, 2 ** 127, 256)
     assert max(wide) >= 1 << 64 and all(0 <= v < 2 ** 127 for v in wide)
     # one word per rank up to 2^64: the draws of a single-word generator
     for n in (2, 3 ** 5, 2 ** 63 + 7, 2 ** 64):
         stream = _splitmix64(9)
-        assert _draw_ranks(_splitmix64(9), n, 300) == [next(stream) % n for _ in range(300)]
+        assert _draws(9, n, 300) == [next(stream) % n for _ in range(300)]

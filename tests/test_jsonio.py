@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from effdom import obs
 from effdom.domination import DominatingFunction
 from effdom.graphs import DEFAULT_SIZE_CAP, SizeCapExceeded, complete_bipartite, cycle, hamming_graph
 from effdom.jsonio import (
@@ -314,6 +315,36 @@ def test_matrix_layout_matches_json_dumps(mat, fields, nesting):
         assert dump_json(laid) == json.dumps(plain, indent=2) + "\n"
 
 
+# entries on both sides of the switch from the str(0..max) table to str
+# one by one: max at the entry count - 1 and at the entry count, a negative
+# entry, the int64 extremes, and ints past int64 in object dtype
+SWITCH_MATRICES = [
+    np.array([[0, 1], [2, 3]]), np.array([[0, 1], [2, 4]]), np.array([[3, 0, 0, 0]], dtype=np.int8),
+    np.array([[4, 0, 0, 0]], dtype=np.uint8), np.array([[0, -1], [2, 1]]), np.array([[2 ** 63 - 1, -2 ** 63]]),
+    np.array([[0, 2 ** 63], [2 ** 70, -2 ** 70]], dtype=object), np.array([[0, 3], [1, 2]], dtype=object),
+    np.array([[1, 1], [1, 1]], dtype=object), np.zeros((0, 3), dtype=np.int64), np.zeros((3, 0), dtype=np.int64),
+]
+
+
+@pytest.mark.parametrize("mat", SWITCH_MATRICES, ids=lambda m: f"{m.dtype}-{m.shape}-{m.ravel().tolist()}")
+def test_int_rows_switch_matches_json_dumps(mat):
+    fields = {"v": 1, "j": 2, "k": 6}
+    for laid, plain in [(mat, mat.tolist()), (Records(fields, mat), [{**fields, "values": r} for r in mat.tolist()]),
+                        ({"m": mat}, {"m": mat.tolist()}), (mat.ravel().tolist(), mat.ravel().tolist())]:
+        assert dump_json(laid) == json.dumps(plain, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("values", [[0], [1], [-1], [2 ** 70], [0, 1], [0, 2], [1, 0, 1]])
+def test_int_list_switch_matches_json_dumps(values):
+    for doc in (values, {"values": values}, [values, [values]]):
+        assert dump_json(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+def test_dump_json_h2_10_is_json_dumps():
+    doc = graph_to_doc(hamming_graph(2, 10))
+    assert dump_json(doc) == json.dumps({**doc, "edges": doc["edges"].tolist()}, indent=2) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # load_graph against the json path, on graph files written as text
 # ---------------------------------------------------------------------------
@@ -414,3 +445,33 @@ def test_load_graph_reads_written_graphs(tmp_path):
         path.write_text(dump_json(graph_to_doc(g)), encoding="utf-8")
         back = load_graph(str(path))
         assert (back.name, back.indptr.tolist(), back.indices.tolist()) == (g.name, g.indptr.tolist(), g.indices.tolist())
+
+
+# byte and character offsets that differ before "edges", a byte order mark
+# with CRLF line ends, CRLF alone, a number split by CRLF, empty places, "]]"
+# after the rows, and "edges" the string "\0" after a nested key "edges";
+# the second field says the bytes must be read directly
+FIXED_TEXTS = {
+    "non-ascii-name": ('{"v": 1, "name": "caf\u00e9 \u65e5\u672c \U0001f600 ]]", "n": 3, "edges": [[0, 1], [1, 2]]}', True),
+    "non-ascii-escaped-key": ('{"name": "\u00e9", "\\u0065dges": [[0, 2]], "n": 3}', True),
+    "bom-crlf": ('\ufeff{\r\n  "n": 3,\r\n  "edges": [\r\n    [\r\n      0,\r\n      1\r\n    ]\r\n  ]\r\n}\r\n', False),
+    "crlf": ('{\r\n  "n": 3,\r\n  "edges": [\r\n    [\r\n      0,\r\n      1\r\n    ]\r\n  ]\r\n}\r\n', True),
+    "number-split-by-crlf": ('{"n": 30, "edges": [[0, 1\r\n2], [1, 2]]}', False),
+    "empty-place": ('{"n": 3, "edges": [[,1], [1, 2]]}', False),
+    "empty-place-and-extra-digit": ('{"n": 3, "edges": [[,1]2, [0, 2]]}', False),
+    "edges-in-a-name-after": ('{"n": 3, "edges": [[0, 1]], "name": "[[1, 2]]"}', False),
+    "nul-string-edges": ('{"x": {"edges": [[0, 1]]}, "edges": "\\u0000", "n": 3}', False),
+}
+
+
+@pytest.mark.parametrize("name", list(FIXED_TEXTS))
+def test_load_graph_fixed_texts(tmp_path, name):
+    text, as_bytes = FIXED_TEXTS[name]
+    path = tmp_path / "g.json"
+    path.write_bytes(text.encode("utf-8"))
+    want = outcome(lambda: graph_from_doc(load_json(str(path))))
+    with obs.collecting() as stats:
+        got = outcome(lambda: load_graph(str(path)))
+    assert got == want
+    if as_bytes:  # read from the bytes, not sent back through json
+        assert stats.counters == {}
