@@ -151,9 +151,9 @@ def _edge_rows(data: bytes, i: int) -> Tuple[np.ndarray, int]:
     [0, 10^18) with as many digits as its value needs, as json writes it."""
     packed = data.translate(None, _BLANKS)
     at = len(data[:i].translate(None, _BLANKS))
-    # rows hold "]]" only at their end, so if any "]]" ends them the last one
-    # does; its "]" in data comes before as many "]" as it does in packed
-    end = at + 2 if packed.startswith(b"[]", at) else max(packed.rfind(b"]]") + 2, at)
+    # rows hold "]]" only at their end, so if any "]]" ends them the first one
+    # from at does; its "]" in data comes before as many "]" as it does in packed
+    end = at + 2 if packed.startswith(b"[]", at) else max(packed.find(b"]]", at) + 2, at)
     stop = len(data)
     for _ in range(packed.count(b"]", end) + 1):
         stop = data.rfind(b"]", 0, stop)
@@ -220,7 +220,13 @@ def connection_from_doc(doc: dict) -> List[int]:
 
 
 def matrix_to_doc(rows: Sequence[Sequence[int]]) -> dict:
-    return {"rows": len(rows), "cols": len(rows[0]) if rows else 0, "entries": [int(e) for row in rows for e in row]}
+    r = len(rows)
+    c = len(rows[0]) if rows else 0
+    return {
+        "rows": r,
+        "cols": c,
+        "entries": [int(e) for row in rows for e in row],
+    }
 
 
 def load_json(path: str) -> dict:

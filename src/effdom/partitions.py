@@ -178,9 +178,11 @@ class _BuiltOnRead:
     arguments: its first read calls it and keeps the value."""
 
     def __get__(self, obj, owner=None):
-        if obj is not None and callable(obj.__dict__["_fibre_map"]):
+        if obj is None:  # so the dataclass field has no default
+            raise AttributeError("fibre_map")
+        if callable(obj.__dict__["_fibre_map"]):
             obj.__dict__["_fibre_map"] = obj.__dict__["_fibre_map"]()
-        return None if obj is None else obj.__dict__["_fibre_map"]
+        return obj.__dict__["_fibre_map"]
 
     def __set__(self, obj, value):
         obj.__dict__["_fibre_map"] = value

@@ -1,39 +1,13 @@
 """Per-entry GF(q) linear algebra, one `GF.mul` at a time: the oracle that
 the block-matrix elimination of `effdom.linalg` is tested against, and
-the plan data built from it the way `build_plan` once built them.  The
-field's subtraction, inverse and powers, which only the tests use, are
-here as functions of a GF."""
+the plan data built from it the way `build_plan` once built them."""
 
 from __future__ import annotations
 
-import operator
 from typing import List, Optional, Sequence, Tuple
 
-from effdom.fields import GF, digitwise
+from effdom.fields import GF
 from effdom.graphs import vertex_tuple
-
-
-def sub(gf: GF, a: int, b: int) -> int:
-    return digitwise(gf.p, gf.b, operator.sub, gf._check(a), gf._check(b))
-
-
-def inv(gf: GF, a: int) -> int:
-    if gf._check(a) == 0:
-        raise ZeroDivisionError("0 has no multiplicative inverse")
-    return power(gf, a, gf.q - 2)
-
-
-def power(gf: GF, a: int, e: int) -> int:
-    """a^e by repeated squaring; a negative e raises inv(a)."""
-    if e < 0:
-        a, e = inv(gf, a), -e
-    result, base = 1, gf._check(a)
-    while e:
-        if e & 1:
-            result = gf.mul(result, base)
-        base = gf.mul(base, base)
-        e >>= 1
-    return result
 
 
 def _copy_rect(mat, cols):
@@ -63,13 +37,13 @@ def rref(gf: GF, mat: Sequence[Sequence[int]], cols: Optional[int] = None) -> Tu
             continue
         if pr != r:
             m[r], m[pr] = m[pr], m[r]
-        inv_rc = inv(gf, m[r][c])
-        if inv_rc != 1:
-            m[r] = [gf.mul(inv_rc, e) for e in m[r]]
+        inv = gf.inv(m[r][c])
+        if inv != 1:
+            m[r] = [gf.mul(inv, e) for e in m[r]]
         for i in range(n_rows):
             if i != r and m[i][c]:
                 f = m[i][c]
-                m[i] = [sub(gf, a, gf.mul(f, b)) for a, b in zip(m[i], m[r])]
+                m[i] = [gf.sub(a, gf.mul(f, b)) for a, b in zip(m[i], m[r])]
         piv.append(c)
         r += 1
     return m, piv

@@ -144,6 +144,8 @@ def test_full_verify_plan_builds_its_map_when_read(monkeypatch):
     assert cert.fibre_map == tuple(all_labels(plan).tolist()) and calls == [plan]
     assert cert.fibre_map is cert.fibre_map and calls == [plan]
     assert cert == CoverCertificate(9, 9, "cover", cert.fibre_map) and hash(cert) == hash(dataclasses.replace(cert))
+    with pytest.raises(TypeError, match="fibre_map"):  # the field still has no default
+        CoverCertificate(9, 9, "cover")
 
 
 def test_verify_plan_sampled():

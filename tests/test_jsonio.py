@@ -334,7 +334,7 @@ def test_int_rows_switch_matches_json_dumps(mat):
         assert dump_json(laid) == json.dumps(plain, indent=2) + "\n"
 
 
-@pytest.mark.parametrize("values", [[0], [1], [-1], [2 ** 70], [0, 1], [0, 2], [1, 0, 1]])
+@pytest.mark.parametrize("values", [[0], [1], [-1], [2 ** 63], [2 ** 64 - 1, 0], [-1, 2 ** 63], [2 ** 70], [0, 1], [0, 2], [1, 0, 1]])
 def test_int_list_switch_matches_json_dumps(values):
     for doc in (values, {"values": values}, [values, [values]]):
         assert dump_json(doc) == json.dumps(doc, indent=2) + "\n"
@@ -459,7 +459,8 @@ FIXED_TEXTS = {
     "number-split-by-crlf": ('{"n": 30, "edges": [[0, 1\r\n2], [1, 2]]}', False),
     "empty-place": ('{"n": 3, "edges": [[,1], [1, 2]]}', False),
     "empty-place-and-extra-digit": ('{"n": 3, "edges": [[,1]2, [0, 2]]}', False),
-    "edges-in-a-name-after": ('{"n": 3, "edges": [[0, 1]], "name": "[[1, 2]]"}', False),
+    "edges-in-a-name-after": ('{"n": 3, "edges": [[0, 1]], "name": "[[1, 2]]"}', True),
+    "brackets-and-blanks-after": ('{"n": 3, "edges": [[0, 1]], "name": "] ] ]]", "m": [\n[1]\n]}', True),
     "nul-string-edges": ('{"x": {"edges": [[0, 1]]}, "edges": "\\u0000", "n": 3}', False),
 }
 
