@@ -1,10 +1,10 @@
 """Time the graph file layer, reading and writing graph files, and the
 verify-plan check, which counts coset labels without building a graph.
 
-Each stage runs once in this process, timed with time.perf_counter.  The
-output is one JSON line mapping each stage to its seconds, plus a sha256
-of each loaded graph's CSR arrays, so that two checkouts can be compared
-for identical results as well as for speed.
+In-process mode: each stage runs once in this process, timed with
+time.perf_counter.  The output is one JSON line mapping each stage to its
+seconds, plus a sha256 of each loaded graph's CSR arrays, so that two
+checkouts can be compared for identical results as well as for speed.
 
 Stages, for H(2,15) and H(2,18) written by dump_json to a temporary
 directory, as `effdom gen` writes them:
@@ -20,25 +20,58 @@ and the sampled check verify_plan(plan, sample, seed=0) for GF(2), d=127
 with 10^4 samples (ranks past 2^64); GF(2), d=4095 with 10^3 samples; and
 GF(2,2), d=13 with 10^3 samples.  The plans are built outside the timings.
 
+Fresh-process mode (--fresh OTHER_ROOT): the jobs `gen --family hamming
+--q 2 --d D` and `verify` of that file with a constructed function, for
+D = 15 and 18, each in a new interpreter with PYTHONDONTWRITEBYTECODE=1,
+as the benchmark runs them: import effdom.cli and build its parser first,
+then time the cli.run call.  Each run alternates the two checkouts, this
+one and OTHER_ROOT, starting with the other one every second run.  For
+each job and checkout the output gives the median over the runs of the
+call's wall time, of the process's ru_maxrss (its own peak RSS: this
+launcher imports no numpy, so the small image a child inherits from it is
+far below any job's) and of the minor page faults during the call; and
+whether every run's stdout was the same on both sides.
+
 Usage (from the root of a checkout):
     PYTHONPATH=src python3 scripts/io_layers.py
+    python3 scripts/io_layers.py --fresh OTHER_ROOT [--runs 8]
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
+import statistics
+import subprocess
+import sys
 import tempfile
 import time
 
-import numpy as np
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-from effdom.cli import _load_graph
-from effdom.fields import GF
-from effdom.graphs import hamming_graph
-from effdom.hamming import build_plan, verify_plan
-from effdom.jsonio import dump_json, function_rows, graph_to_doc
+# one job in a new interpreter: argv[1] the checkout, argv[2] the result
+# file, argv[3:] the CLI arguments; the job's stdout is this process's
+CHILD = """
+import contextlib, io, json, resource, sys, time
+sys.path.insert(0, sys.argv[1] + "/src")
+import effdom.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        effdom.cli.run(["--help"])
+    except SystemExit:
+        pass
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+t0 = time.perf_counter()
+code = effdom.cli.run(sys.argv[3:])
+sys.stdout.flush()
+wall = time.perf_counter() - t0
+use = resource.getrusage(resource.RUSAGE_SELF)
+with open(sys.argv[2], "w") as fh:
+    json.dump({"exit": code, "wall_s": wall, "maxrss_mb": use.ru_maxrss / 1024,
+               "minflt": use.ru_minflt - faults}, fh)
+"""
 
 
 def _timed(call):
@@ -47,7 +80,15 @@ def _timed(call):
     return out, round(time.perf_counter() - t0, 4)
 
 
-def main() -> int:
+def in_process() -> dict:
+    import numpy as np
+
+    from effdom.cli import _load_graph
+    from effdom.fields import GF
+    from effdom.graphs import hamming_graph
+    from effdom.hamming import build_plan, verify_plan
+    from effdom.jsonio import dump_json, function_rows, graph_to_doc
+
     doc = {}
     with tempfile.TemporaryDirectory() as tmp:
         for d in (15, 18):
@@ -69,7 +110,56 @@ def main() -> int:
                                 (GF(2, 2), "gf4", 13, 10 ** 3)]:
         plan = build_plan(gf, d)
         _, doc[f"verify_plan_{name}_d{d}_sample{sample}_s"] = _timed(lambda: verify_plan(plan, sample, seed=0))
-    print(json.dumps(doc))
+    return doc
+
+
+def _job(root: str, argv: list, out_path: str, tmp: str) -> dict:
+    """Run one CLI job in a new interpreter; its measurements and stdout digest."""
+    result = os.path.join(tmp, "result.json")
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    env.pop("PYTHONPATH", None)
+    with open(out_path, "wb") as out:
+        subprocess.run([sys.executable, "-c", CHILD, root, result, *argv], stdout=out, env=env, check=True)
+    with open(result, encoding="utf-8") as fh:
+        res = json.load(fh)
+    if res["exit"] not in (0, 1):
+        raise RuntimeError(f"{argv} exited {res['exit']} in {root}")
+    with open(out_path, "rb") as fh:
+        res["sha256"] = hashlib.file_digest(fh, "sha256").hexdigest()  # in chunks: the launcher stays small
+    return res
+
+
+def fresh(other: str, runs: int) -> dict:
+    roots = {"this": ROOT, "other": os.path.abspath(other)}
+    samples: dict = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        jobs = []
+        for d, k in ((15, 4), (18, 0)):
+            graph, function = os.path.join(tmp, f"h2_{d}.json"), os.path.join(tmp, f"f_{d}.json")
+            _job(ROOT, ["gen", "--family", "hamming", "--q", "2", "--d", str(d)], graph, tmp)
+            _job(ROOT, ["construct", "--q", "2", "--d", str(d), "--k", str(k)], function, tmp)
+            jobs += [(f"gen_h2_{d}", ["gen", "--family", "hamming", "--q", "2", "--d", str(d)]),
+                     (f"verify_h2_{d}", ["verify", "--graph", graph, "--function", function])]
+        out = os.path.join(tmp, "stdout")
+        for i in range(runs):
+            order = ["other", "this"] if i % 2 == 0 else ["this", "other"]
+            for name, argv in jobs:
+                for side in order:
+                    samples.setdefault(name, {}).setdefault(side, []).append(_job(roots[side], argv, out, tmp))
+    report = {"runs": runs, "other": roots["other"]}
+    for name, sides in samples.items():
+        report[name] = {side: {key: round(statistics.median(r[key] for r in rs), 4)
+                               for key in ("wall_s", "maxrss_mb", "minflt")} for side, rs in sides.items()}
+        report[name]["same_stdout"] = len({r["sha256"] for rs in sides.values() for r in rs}) == 1
+    return report
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--fresh", metavar="OTHER_ROOT", help="compare fresh-process jobs with another checkout")
+    parser.add_argument("--runs", type=int, default=8, help="runs per job and checkout in --fresh mode")
+    args = parser.parse_args()
+    print(json.dumps(fresh(args.fresh, args.runs) if args.fresh else in_process()))
     return 0
 
 

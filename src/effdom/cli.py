@@ -17,6 +17,7 @@ with and without it.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from typing import List, Optional
@@ -76,7 +77,9 @@ def _field_from_flags(q: int, b: Optional[int]) -> GF:
 
 
 def _emit(doc: dict) -> None:
-    sys.stdout.write(jsonio.dump_json(doc))
+    text = jsonio.dump_json(doc)  # written in slices: stdout copies each write whole to encode it
+    for i in range(0, len(text), 1 << 16):
+        sys.stdout.write(text[i:i + (1 << 16)])
 
 
 def _certificate_doc(cert: partitions.CoverCertificate) -> dict:
@@ -312,6 +315,7 @@ def _cmd_translate(args) -> int:
     return 0
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one serves every run
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="effdom",

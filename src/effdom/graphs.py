@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import operator
 from itertools import chain
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -88,37 +88,43 @@ class Graph:
         """The vertex each entry of indices is a neighbour of."""
         return np.repeat(np.arange(len(self.indptr) - 1, dtype=np.int64), self.degrees())
 
+    def _blocks(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        """rows() and indices, BLOCK vertices at a time."""
+        for lo in range(0, len(self.indptr) - 1, BLOCK):
+            ptr = self.indptr[lo:lo + BLOCK + 1]
+            yield np.repeat(np.arange(lo, lo + len(ptr) - 1, dtype=np.int64), np.diff(ptr)), self.indices[ptr[0]:ptr[-1]]
+
     def validate(self) -> None:
         """Raise ValueError unless every row is sorted and in range, with no
         loops or repeats, and every edge appears in both directions."""
-        rows, keys = self._validate_rows()
-        reverse = self.indices * self.n + rows
+        self._validate_rows()
+        rows = self.rows()
+        keys, reverse = rows * self.n + self.indices, self.indices * self.n + rows
         if not np.array_equal(np.sort(reverse), keys):
-            found = keys[np.minimum(np.searchsorted(keys, reverse), len(keys) - 1)] == reverse
-            i = int(np.argmin(found))
+            i = int(np.argmin(keys[np.minimum(np.searchsorted(keys, reverse), len(keys) - 1)] == reverse))
             raise ValueError(f"edge {int(rows[i])}-{int(self.indices[i])} not symmetric")
 
-    def _validate_rows(self) -> Tuple[np.ndarray, np.ndarray]:
+    def _validate_rows(self) -> None:
         """validate() without the symmetry check, for arrays symmetric by
-        construction; returns rows() and the row-major keys rows·n + indices."""
-        n, indices = self.n, self.indices
+        construction, BLOCK vertices at a time."""
+        n = self.n
         if n < 1 or len(self.indptr) != n + 1:
             raise ValueError("adjacency length does not match vertex count")
-        rows = self.rows()
-        bad = (indices < 0) | (indices >= n) | (indices == rows)
-        # with every entry in range, row-major keys increase exactly when
-        # each row is strictly increasing
-        keys = rows * n + indices
-        bad[1:] |= keys[1:] <= keys[:-1]
-        if bad.any():
+        for rows, nbrs in self._blocks():
+            bad = (nbrs < 0) | (nbrs >= n) | (nbrs == rows)
+            # with every entry in range, row-major keys increase exactly when each row is
+            # strictly increasing; across blocks they do whenever both entries are in range
+            keys = rows * n + nbrs
+            bad[1:] |= keys[1:] <= keys[:-1]
+            if not bad.any():
+                continue
             i = int(np.argmax(bad))
-            v, u = int(rows[i]), int(indices[i])
+            v, u = int(rows[i]), int(nbrs[i])
             if not 0 <= u < n:
                 raise ValueError(f"neighbor {u} of {v} out of range")
             if u == v:
                 raise ValueError(f"loop at vertex {v}")
             raise ValueError(f"adjacency of {v} not sorted or has repeats")
-        return rows, keys
 
     def degree(self, v: int) -> int:
         return int(self.indptr[v + 1] - self.indptr[v])
@@ -134,10 +140,13 @@ class Graph:
         return r
 
     def edge_array(self) -> np.ndarray:
-        """The edges u < v as an (m, 2) int64 array, sorted lexicographically."""
-        rows = self.rows()
-        upper = self.indices > rows
-        return np.column_stack((rows[upper], self.indices[upper]))
+        """The edges u < v as a lexicographically sorted (m, 2) int64 array, counted and filled BLOCK vertices at a time."""
+        out, at = np.empty((sum(np.count_nonzero(nbrs > rows) for rows, nbrs in self._blocks()), 2), dtype=np.int64), 0
+        for rows, nbrs in self._blocks():
+            upper = nbrs > rows
+            k = at + np.count_nonzero(upper)
+            out[at:k, 0], out[at:k, 1], at = rows[upper], nbrs[upper], k
+        return out
 
     def edges(self) -> List[Tuple[int, int]]:
         """Edge list with u < v, sorted lexicographically."""

@@ -5,9 +5,9 @@ sorted edge lists with u < v, functions as value vectors with their
 declared (j, k), partitions as canonical cell lists, and matrices in
 row-major order.  dump_json writes a 2-D integer array (a graph's edges)
 as the list of its rows and `Records` (a search's functions) as a list
-of records, each run of integers in one join; json.loads reads both back
-as lists.  load_graph reads a graph file's edge rows from its bytes into
-one array, and json only the decoded text around them.
+of records, each run of integers a block of entries at a time; json.loads
+reads both back as lists.  load_graph reads a graph file's edge rows from
+its bytes into one array, and json only the decoded text around them.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import gc
 import json
 import re
 from contextlib import contextmanager
-from itertools import chain
+from itertools import chain, product
 from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -97,13 +97,13 @@ def graph_from_doc(doc: dict, size_cap: int = DEFAULT_SIZE_CAP) -> Graph:
         ends = np.asarray(flat, dtype=np.int64)
     except OverflowError:
         ends = None
-    if ends is None or ((ends < 0) | (ends >= n)).any():
+    if ends is None or len(ends) and (ends.min() < 0 or ends.max() >= n):
         i = next(i for i, e in enumerate(flat) if not 0 <= e < n) & ~1
         raise ValueError(f"edge [{flat[i]}, {flat[i + 1]}] has an endpoint outside [0, {n})")
-    u, w = ends[0::2], ends[1::2]
-    keys = np.sort(np.concatenate((u * n + w, w * n + u)))
+    keys = (ends.reshape(-1, 2) @ np.array([[n, 1], [1, n]])).ravel()  # u·n + w and w·n + u of each edge
+    keys.sort()  # in place: the sorted keys become the indices
     indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
-    g = Graph.from_csr(n, indptr, keys % n, str(doc.get("name", "graph")))
+    g = Graph.from_csr(n, indptr, np.remainder(keys, n, out=keys), str(doc.get("name", "graph")))
     g._validate_rows()  # the keys of both directions make it symmetric
     return g
 
@@ -111,15 +111,18 @@ def graph_from_doc(doc: dict, size_cap: int = DEFAULT_SIZE_CAP) -> Graph:
 def load_graph(path: str, size_cap: int = DEFAULT_SIZE_CAP) -> Graph:
     """graph_from_doc(load_json(path), size_cap), the same graph or exception; a
     file _graph_doc refuses goes through json, counted as "jsonio.json_fallback"."""
-    with open(path, "rb") as fh:
-        data = fh.read()
     try:
-        doc = _graph_doc(data)
+        with open(path, "rb") as fh:
+            doc = _graph_doc(fh.read())  # the file's bytes are freed before the graph is built
     except (ValueError, RecursionError):
         obs.count("jsonio.json_fallback")
         doc = load_json(path)
     return graph_from_doc(doc, size_cap)
 
+
+# Entries per block of _int_rows, and bytes / 8 per block of _edge_rows: blocks of
+# 2^12 to 2^14 entries wrote H(2,15) fastest, in memory that the block before freed.
+ENTRIES = 1 << 13
 
 # the key "edges" in each of its JSON spellings, and the blanks around its colon
 _EDGES = re.compile(rb'"(e|\\u0065)(d|\\u0064)(g|\\u0067)(e|\\u0065)(s|\\u0073)"[ \t\n\r]*:[ \t\n\r]*').search
@@ -164,13 +167,16 @@ def _edge_rows(data: bytes, i: int) -> Tuple[np.ndarray, int]:
     # before a "," or "]"; with no "[," or ",]" each holds digits, so packed
     # has 2e + x digit runs, x outside the places.  data[i:stop] has as many
     # or more, more where a blank splits a number: 2e runs there leave x = 0
-    # and no number split, so len(ends) == 2e needs no check of its own, and
-    # the digit count rules out a leading zero
+    # and no number split, so packed holds exactly 2e numbers, and the digit
+    # count rules out a leading zero
     rows = skeleton == b"[" + (b"[,]," * e)[:-1] + b"]" and b"[," not in packed and b",]" not in packed
-    ends = np.fromstring(packed.translate(_SPACES), np.int64, sep=" ") if rows and e else np.zeros(0, np.int64)
-    digit = np.frombuffer(data, np.uint8, stop - i if rows else 0, i) - 48 < 10
-    if not rows or np.count_nonzero(digit[:-1] > digit[1:]) != 2 * e or ends.max(initial=0) >= 10 ** 18 \
-            or np.searchsorted(_TENS, ends, "right").sum() + 2 * e != len(packed) - len(skeleton):
+    # digit runs, and below the digits each number needs, are counted a block at a time
+    span, step = np.frombuffer(data, np.uint8, stop - i if rows else 0, i), 8 * ENTRIES
+    runs = sum(np.count_nonzero(d[:-1] > d[1:]) for d in (span[lo:lo + step + 1] - 48 < 10 for lo in range(0, len(span), step)))
+    ends = np.fromstring(packed.translate(_SPACES), np.int64, 2 * e, " ") if rows and runs == 2 * e else None
+    if ends is None or ends.max(initial=0) >= 10 ** 18 or 2 * e + sum(
+            np.searchsorted(_TENS, ends[lo:lo + ENTRIES], "right").sum() for lo in range(0, 2 * e, ENTRIES)) \
+            != len(packed) - len(skeleton):
         raise ValueError("edges are not rows [u, w] of integers in [0, 10^18) written as json writes them")
     return ends, stop
 
@@ -243,8 +249,8 @@ def dump_json(doc: dict) -> str:
 
     json falls back to its pure-Python encoder whenever indent is set, so
     the runs of integers that carry nearly all the bytes of a large
-    document (integer lists, matrices and Records) are written by _int_rows
-    in one join each; every other value and every key still goes through
+    document (integer lists, matrices and Records) are written by _int_rows,
+    ENTRIES at a time; every other value and every key still goes through
     json, and the pieces are joined once, at the end.
     """
     return "".join(_parts(doc, "\n", []) + ["\n"])
@@ -288,18 +294,24 @@ def _int_rows(mat: np.ndarray, at: str, out: list, head: str = "", tail: str = "
     object dtype holding ints), each as head, the list of its entries with
     lines starting at `at`, and tail, joined by between.  A table of
     str(0..max) turns the entries into text when each is a non-negative
-    integer below the entry count, and str one by one otherwise; the texts
-    and the separators fill alternate columns of one object array."""
+    integer below the entry count, and str one by one otherwise.  Each
+    block of at most ENTRIES entries, whole rows or part of one wide row,
+    fills the even columns of its own object array, the separators the odd
+    ones, and is joined into one string."""
     rows, cols = mat.shape
     if not cols:
         return out.append(between.join([head + "[]" + tail] * rows))
-    flat, cell = mat.ravel(), at + "  "
-    if 0 <= flat.min() and flat.max() < flat.size:
-        texts = np.array(list(map(str, range(int(flat.max()) + 1))), dtype=object)[flat.astype(np.intp)]
-    else:
-        texts = np.array(list(map(str, flat.tolist())), dtype=object)
-    grid = np.empty((rows, 2 * cols), dtype=object)
-    grid[:, 0::2], grid[:, 1::2] = texts.reshape(rows, cols), "," + cell
-    grid[:, -1] = at + "]" + tail + between + head + "[" + cell
-    grid[-1, -1] = at + "]" + tail
-    out += [head + "[" + cell, "".join(grid.ravel().tolist())]
+    cell, step, width = at + "  ", max(1, ENTRIES // cols), min(cols, ENTRIES)  # the rows and columns of a block
+    small = 0 <= mat.min() and mat.max() < mat.size
+    table = np.array(list(map(str, range(int(mat.max()) + 1))), dtype=object) if small else None
+    out.append(head + "[" + cell)
+    for r, c in product(range(0, rows, step), range(0, cols, width)):
+        part = mat[r:r + step, c:c + width]
+        grid = np.empty((len(part), 2 * part.shape[1]), dtype=object)
+        grid[:, 0::2] = table[part.astype(np.intp)] if small else \
+            np.array(list(map(str, part.ravel().tolist())), dtype=object).reshape(part.shape)
+        grid[:, 1::2] = "," + cell
+        if c + width >= cols:  # the block ends its rows
+            grid[:, -1] = at + "]" + tail + between + head + "[" + cell
+        out.append("".join(grid.ravel().tolist()))
+    out[-1] = out[-1][:-len(between + head + "[" + cell)]  # the last row has no next one

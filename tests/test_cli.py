@@ -94,6 +94,15 @@ def test_feasible(capsys):
     assert doc["expression"] == "(q-1)*d+1"
 
 
+def test_parser_keeps_no_state_between_runs(capsys):
+    # the parser is built once per process; a flag set in one run is not set in the next
+    argv = ["feasible", "--q", "4", "--b", "2", "--d", "13"]
+    code, doc, err = invoke(capsys, ["--stats"] + argv)
+    assert code == 0 and json.loads(err.splitlines()[-1])["stats"]
+    code2, doc2, err2 = invoke(capsys, argv)
+    assert (code2, doc2, err2) == (0, doc, "")
+
+
 def test_feasible_checks_the_cap_before_listing(capsys, monkeypatch):
     monkeypatch.delenv("EFFDOM_SIZE_CAP", raising=False)
     assert run(["feasible", "--q", "2", "--d", "31"]) == 0

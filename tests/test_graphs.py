@@ -5,11 +5,14 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from effdom import graphs
 from effdom.fields import GF
 from effdom.graphs import (
     Graph,
@@ -233,7 +236,21 @@ def _outcome(check):
 @given(adjacency_lists())
 def test_validate_matches_list_oracle(case):
     n, adj = case
-    assert _outcome(lambda: Graph(n, adj).validate()) == _outcome(lambda: validate_lists(n, adj))
+    want = _outcome(lambda: validate_lists(n, adj))
+    for block in (1, 2, 3, graphs.BLOCK):  # blocks of vertices that end inside the graph, or hold all of it
+        with mock.patch.object(graphs, "BLOCK", block):
+            assert _outcome(lambda: Graph(n, adj).validate()) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(adjacency_lists())
+def test_edge_array_in_blocks_matches_rows(case):
+    _, adj = case
+    want = [[v, u] for v, row in enumerate(adj) for u in row if u > v]
+    for block in (1, 2, 3, graphs.BLOCK):
+        with mock.patch.object(graphs, "BLOCK", block):
+            got = Graph(len(adj), adj).edge_array()
+        assert got.dtype == np.int64 and got.shape == (len(want), 2) and got.tolist() == want
 
 
 def test_graph_arrays_are_csr():

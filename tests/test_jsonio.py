@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from effdom import obs
+from effdom import jsonio, obs
 from effdom.domination import DominatingFunction
 from effdom.graphs import DEFAULT_SIZE_CAP, SizeCapExceeded, complete_bipartite, cycle, hamming_graph
 from effdom.jsonio import (
@@ -323,18 +323,26 @@ SWITCH_MATRICES = [
     np.array([[4, 0, 0, 0]], dtype=np.uint8), np.array([[0, -1], [2, 1]]), np.array([[2 ** 63 - 1, -2 ** 63]]),
     np.array([[0, 2 ** 63], [2 ** 70, -2 ** 70]], dtype=object), np.array([[0, 3], [1, 2]], dtype=object),
     np.array([[1, 1], [1, 1]], dtype=object), np.zeros((0, 3), dtype=np.int64), np.zeros((3, 0), dtype=np.int64),
+    # wider and longer than blocks of 1-3 entries, in both text paths
+    np.arange(7).reshape(1, 7), np.arange(15).reshape(3, 5) - 4, np.array([[2 ** 63, 1, 2], [3, -4, 5]], dtype=object),
 ]
+INT_LISTS = [[0], [1], [-1], [2 ** 63], [2 ** 64 - 1, 0], [-1, 2 ** 63], [2 ** 70], [0, 1], [0, 2], [1, 0, 1],
+             list(range(7)), [3, -1, 2 ** 70, 0, 5]]
 
 
-@pytest.mark.parametrize("mat", SWITCH_MATRICES, ids=lambda m: f"{m.dtype}-{m.shape}-{m.ravel().tolist()}")
-def test_int_rows_switch_matches_json_dumps(mat):
+def assert_layouts_match_json_dumps(mat):
     fields = {"v": 1, "j": 2, "k": 6}
     for laid, plain in [(mat, mat.tolist()), (Records(fields, mat), [{**fields, "values": r} for r in mat.tolist()]),
                         ({"m": mat}, {"m": mat.tolist()}), (mat.ravel().tolist(), mat.ravel().tolist())]:
         assert dump_json(laid) == json.dumps(plain, indent=2) + "\n"
 
 
-@pytest.mark.parametrize("values", [[0], [1], [-1], [2 ** 63], [2 ** 64 - 1, 0], [-1, 2 ** 63], [2 ** 70], [0, 1], [0, 2], [1, 0, 1]])
+@pytest.mark.parametrize("mat", SWITCH_MATRICES, ids=lambda m: f"{m.dtype}-{m.shape}-{m.ravel().tolist()}")
+def test_int_rows_switch_matches_json_dumps(mat):
+    assert_layouts_match_json_dumps(mat)
+
+
+@pytest.mark.parametrize("values", INT_LISTS)
 def test_int_list_switch_matches_json_dumps(values):
     for doc in (values, {"values": values}, [values, [values]]):
         assert dump_json(doc) == json.dumps(doc, indent=2) + "\n"
@@ -476,3 +484,27 @@ def test_load_graph_fixed_texts(tmp_path, name):
     assert got == want
     if as_bytes:  # read from the bytes, not sent back through json
         assert stats.counters == {}
+
+
+@pytest.mark.parametrize("entries", [1, 2, 3])
+def test_blocks_of_one_to_three_entries(tmp_path, monkeypatch, entries):
+    # blocks that end inside rows and numbers: the writer's blocks of entries
+    # split rows and wide rows, and the reader's blocks of 8 * entries bytes
+    # meet each byte of a number split by a blank or written with a leading
+    # zero, as a pad before it moves it across every block edge
+    monkeypatch.setattr(jsonio, "ENTRIES", entries)
+    for mat in SWITCH_MATRICES:
+        assert_layouts_match_json_dumps(mat)
+    for values in INT_LISTS:
+        assert dump_json(values) == json.dumps(values, indent=2) + "\n"
+    path = tmp_path / "g.json"
+    for pad in range(8 * entries + 1):
+        for edges, as_bytes in [("1 2], [1, 2]]", False), ("01], [1, 2]]", False), ("12], [1, 2], [3, 4]]", True)]:
+            path.write_text('{"n": 30, "edges": [[0, %s%s}' % (" " * pad, edges), encoding="utf-8")
+            want = outcome(lambda: graph_from_doc(load_json(str(path))))
+            with obs.collecting() as stats:
+                assert outcome(lambda: load_graph(str(path))) == want
+            assert (stats.counters == {}) == as_bytes
+    for g in [cycle(6), hamming_graph(3, 3)]:
+        path.write_text(dump_json(graph_to_doc(g)), encoding="utf-8")
+        assert outcome(lambda: load_graph(str(path))) == (g.n, g.name, g.indptr.tolist(), g.indices.tolist())
