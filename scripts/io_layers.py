@@ -26,7 +26,7 @@ D = 15 and 18, each in a new interpreter with PYTHONDONTWRITEBYTECODE=1,
 as the benchmark runs them: import effdom.cli and build its parser first,
 then time the cli.run call.  Each run alternates the two checkouts, this
 one and OTHER_ROOT, starting with the other one every second run.  For
-each job and checkout the output gives the median over the runs of the
+each job and checkout the output gives the median over RUNS runs of the
 call's wall time, of the process's ru_maxrss (its own peak RSS: this
 launcher imports no numpy, so the small image a child inherits from it is
 far below any job's) and of the minor page faults during the call; and
@@ -34,7 +34,7 @@ whether every run's stdout was the same on both sides.
 
 Usage (from the root of a checkout):
     PYTHONPATH=src python3 scripts/io_layers.py
-    python3 scripts/io_layers.py --fresh OTHER_ROOT [--runs 8]
+    python3 scripts/io_layers.py --fresh OTHER_ROOT
 """
 
 from __future__ import annotations
@@ -129,7 +129,10 @@ def _job(root: str, argv: list, out_path: str, tmp: str) -> dict:
     return res
 
 
-def fresh(other: str, runs: int) -> dict:
+RUNS = 8  # runs per job and checkout in --fresh mode, the same on both sides
+
+
+def fresh(other: str) -> dict:
     roots = {"this": ROOT, "other": os.path.abspath(other)}
     samples: dict = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -141,12 +144,12 @@ def fresh(other: str, runs: int) -> dict:
             jobs += [(f"gen_h2_{d}", ["gen", "--family", "hamming", "--q", "2", "--d", str(d)]),
                      (f"verify_h2_{d}", ["verify", "--graph", graph, "--function", function])]
         out = os.path.join(tmp, "stdout")
-        for i in range(runs):
+        for i in range(RUNS):
             order = ["other", "this"] if i % 2 == 0 else ["this", "other"]
             for name, argv in jobs:
                 for side in order:
                     samples.setdefault(name, {}).setdefault(side, []).append(_job(roots[side], argv, out, tmp))
-    report = {"runs": runs, "other": roots["other"]}
+    report = {"runs": RUNS, "other": roots["other"]}
     for name, sides in samples.items():
         report[name] = {side: {key: round(statistics.median(r[key] for r in rs), 4)
                                for key in ("wall_s", "maxrss_mb", "minflt")} for side, rs in sides.items()}
@@ -157,9 +160,8 @@ def fresh(other: str, runs: int) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--fresh", metavar="OTHER_ROOT", help="compare fresh-process jobs with another checkout")
-    parser.add_argument("--runs", type=int, default=8, help="runs per job and checkout in --fresh mode")
     args = parser.parse_args()
-    print(json.dumps(fresh(args.fresh, args.runs) if args.fresh else in_process()))
+    print(json.dumps(fresh(args.fresh) if args.fresh else in_process()))
     return 0
 
 

@@ -392,12 +392,7 @@ def _lift(mat: np.ndarray, residues: List[Tuple[np.ndarray, int]], bits: int) ->
 
 
 def int_kernel_basis(mat: Sequence[Sequence[int]], cols: Optional[int] = None) -> List[Tuple[int, ...]]:
-    """Primitive integer basis of the rational right kernel, certified exact."""
-    return [tuple(v) for v in _int_kernel(mat, cols).tolist()]
-
-
-def _int_kernel(mat: Sequence[Sequence[int]], cols: Optional[int] = None) -> np.ndarray:
-    """int_kernel_basis as the rows of an array, int64 or object dtype.
+    """Primitive integer basis of the rational right kernel, certified exact.
 
     Primes are added until M v = 0 holds for the vectors lifted from the
     primes of largest rank and least pivots; a prime of other pivots adds
@@ -414,7 +409,7 @@ def _int_kernel(mat: Sequence[Sequence[int]], cols: Optional[int] = None) -> np.
             obs.count("linalg.primes")
             piv, kern = _modp_kernel(m, p)
             if not len(kern):  # full column rank mod p, so over Q
-                return np.zeros((0, m.shape[1]), dtype=np.int64)
+                return []
             if best is None or (-len(piv), piv) < (-len(best), best):
                 best, residues = piv, []
             if piv == best:
@@ -423,7 +418,7 @@ def _int_kernel(mat: Sequence[Sequence[int]], cols: Optional[int] = None) -> np.
                 residues.append((kern, p))
                 vecs = _lift(m, residues, bits)
                 if vecs is not None:
-                    return vecs
+                    return [tuple(v) for v in vecs.tolist()]
             spent *= p
             if spent > (2 * h * h + 2) * h:
                 raise ArithmeticError("modular kernel not certified within the Hadamard bound")

@@ -16,7 +16,7 @@ import numpy as np
 
 from .domination import DominatingFunction
 from .graphs import Graph, SizeCapExceeded, closed_sums
-from .linalg import _int_kernel
+from .linalg import int_kernel_basis
 
 __all__ = ["MinusOneReport", "minus_one_multiplicity", "function_from_eigenvector", "DEFAULT_RANK_CAP"]
 
@@ -40,8 +40,8 @@ def minus_one_multiplicity(x: Graph, size_cap: int = DEFAULT_RANK_CAP) -> MinusO
         raise SizeCapExceeded(f"{x.n} vertices exceeds the exact rank cap of {size_cap}")
     a_plus_i = np.eye(x.n, dtype=np.int8)
     a_plus_i[x.rows(), x.indices] = 1
-    kernel = _int_kernel(a_plus_i)
-    return MinusOneReport(multiplicity=len(kernel), witness=tuple(kernel[0].tolist()) if len(kernel) else None)
+    kernel = int_kernel_basis(a_plus_i)
+    return MinusOneReport(multiplicity=len(kernel), witness=kernel[0] if kernel else None)
 
 
 def function_from_eigenvector(x: Graph, vec: Sequence[int]) -> DominatingFunction:
