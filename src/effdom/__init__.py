@@ -40,6 +40,7 @@ from .hamming import (
     CodeSubspace,
     FeasibilityProfile,
     InfeasibleK,
+    LabelPlan,
     MCoverPlan,
     basis_audit,
     build_plan,

@@ -185,16 +185,19 @@ def _cmd_verify_plan(args) -> int:
     cap = _size_cap()
     # the caps come before build_plan: its plan holds O(d) entries and q^a - 1
     # parity columns, and N[0] has (q-1)d + 1 labels, a multiple of q^a, so one
-    # bound covers both; build_plan refuses a d with a_q = 0 before any such
-    # work, so that refusal comes first
-    plannable = hamming.feasibility(gf, args.d).a_q > 0
-    hood = (gf.q - 1) * args.d + 1
+    # bound covers both; build_plan's refusal of a_q = 0 comes first
+    prof = hamming.feasibility(gf, args.d)
+    plannable, hood, rest = prof.a_q > 0, (gf.q - 1) * args.d + 1, args.d - prof.a_q
     if plannable and args.sample is None:
         _check_power_cap(gf.q, args.d, cap)
     elif plannable and args.d > cap:
         raise SizeCapExceeded(f"{args.d} coordinates exceeds the cap of {cap}")
     elif plannable and hood > cap:
         raise SizeCapExceeded(f"a closed neighbourhood of {hood} labels exceeds the cap of {cap}")
+    # the fold q^(d-a) prints in decimal, refused past Python's int-to-str limit (0: none); 2^(4*limit) > 10^limit
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if plannable and prof.m_q == 1 and limit and (rest > 4 * limit or gf.q ** rest >= 10 ** limit):
+        raise ValueError(f"the fold {gf.q}^{rest} has more than {limit} digits, Python's limit for printing an integer")
     plan = hamming.build_plan(gf, args.d)
     try:
         cert = hamming.verify_plan(plan, sample=args.sample, seed=args.seed, size_cap=cap)
@@ -371,7 +374,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-plan", help="certify the coset partition of H(q,d)")
     add_field_flags(p)
     p.add_argument("--sample", type=int, default=None,
-                   help="check this many seeded random vertices instead of all of them")
+                   help="skip the q^d vertex cap; both modes count N[0] alone, and --sample and --seed name the mode")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_verify_plan)
 

@@ -27,14 +27,12 @@ parity check of phi, whose columns are the plan's syndrome_cols, and
 fibre_of applies it to arrays of ranks.  build_plan builds only those
 columns: phi and the code are built when read, as basis_audit does.
 
-verify_plan counts the coset labels of one closed neighborhood, L(v) +
-L(N[0]) added digitwise mod p, and builds neither H(q,d) nor a neighbour
-rank: N[v] = v + N[0] in the Cayley graph H(q,d) on GF(q)^d, so that one
-count certifies every vertex.  Sampled mode counts at the first vertex of a
-splitmix-style generator (increment 0x9E3779B97F4A7C15, mix multipliers
-0xBF58476D1CE4E5B9 and 0x94D049BB133111EB), reproducible bit for bit from
-the seed; each vertex takes ceil(log2(q^d)/64) 64-bit words, one when
-q^d <= 2^64.
+verify_plan reads only the field and the label matrix, so it certifies
+any GF(p)-linear labelling (a LabelPlan) as it does the construction.  It
+counts the labels of N[0] and builds neither H(q,d) nor a neighbour rank:
+N[v] = v + N[0] in the Cayley graph H(q,d) on GF(q)^d and L is linear, so
+N[v] meets class u as often as N[0] meets u - L(v), and vertex 0's counts
+certify every vertex.
 """
 
 from __future__ import annotations
@@ -42,7 +40,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -59,6 +57,7 @@ __all__ = [
     "AuditFailure",
     "CodeSubspace",
     "MCoverPlan",
+    "LabelPlan",
     "DominatingFunctionWithPlan",
     "BasisAudit",
     "feasibility",
@@ -178,8 +177,8 @@ def hamming_code(gf: GF, a: int) -> CodeSubspace:
 
 @dataclass(frozen=True)
 class MCoverPlan:
-    """Coordinate split and parity-check columns behind the m-cover of
-    K_{q^a}; the projection map phi and the code are built on first read."""
+    """Coordinate split and parity-check columns behind the m-cover of K_{q^a}, with
+    phi and the code built on first read; its labellers read only gf and label_matrix."""
 
     gf: GF
     profile: FeasibilityProfile
@@ -200,11 +199,11 @@ class MCoverPlan:
 
     @property
     def fibre_count(self) -> int:
-        return self.gf.q ** self.profile.a_q
+        return self.gf.p ** self.label_matrix.shape[1]
 
     @property
-    def fibre_size(self) -> int:
-        return self.gf.q ** (self.profile.d - self.profile.a_q)
+    def fibre_size(self) -> int:  # when the label map is onto
+        return self.gf.p ** (self.label_matrix.shape[0] - self.label_matrix.shape[1])
 
     @cached_property
     def label_matrix(self) -> np.ndarray:
@@ -218,7 +217,7 @@ class MCoverPlan:
         ranks is one rank (giving an int) or a range or array of ranks
         (giving an int64 array of the same shape), labelled by label_matrix.
         """
-        p, n = self.gf.p, self.gf.q ** self.profile.d
+        p, n = self.gf.p, self.gf.p ** self.label_matrix.shape[0]
         # int64 below 2^62, else Python ints (object dtype), so rank arithmetic never wraps
         ranks_in = np.array(ranks, dtype=np.int64 if n < 1 << 62 else object)
         rest = ranks_in.ravel()  # np.array made a copy, so rest may be reduced in place
@@ -236,7 +235,7 @@ class MCoverPlan:
         i < d and c = 1..q-1: the base-p digits of c times rows i*b .. i*b+b-1."""
         p, b = self.gf.p, self.gf.b
         digits = np.arange(1, self.gf.q, dtype=np.int64)[:, None] // p ** np.arange(b, dtype=np.int64) % p
-        rows = self.label_matrix.reshape(self.profile.d, b, -1)
+        rows = self.label_matrix.reshape(-1, b, self.label_matrix.shape[1])
         return np.concatenate(([0], (digits @ rows % p @ p ** np.arange(rows.shape[2], dtype=np.int64)).ravel()))
 
     def all_labels(self) -> np.ndarray:
@@ -244,7 +243,7 @@ class MCoverPlan:
         rank r + c*q^i with r < q^i has the label L(r) + L(c*e_i)."""
         p, width = self.gf.p, self.label_matrix.shape[1]
         labels = np.zeros(1, dtype=np.int64)
-        for unit in self.origin_labels()[1:].reshape(self.profile.d, self.gf.q - 1, 1):
+        for unit in self.origin_labels()[1:].reshape(-1, self.gf.q - 1, 1):
             labels = np.concatenate((labels, digitwise(p, width, operator.add, labels, unit).ravel()))
         return labels
 
@@ -270,52 +269,48 @@ def build_plan(gf: GF, d: int) -> MCoverPlan:
     return MCoverPlan(gf=gf, profile=profile, s_sets=s_sets, syndrome_cols=syndrome_cols)
 
 
-# splitmix-style 64-bit generator for reproducible sampling
-_MASK64 = (1 << 64) - 1
+@dataclass(frozen=True, eq=False)
+class LabelPlan:
+    """Any GF(p)-linear labelling of H(q,d), q = p^b, by a (d*b) x w matrix
+    over GF(p) laid out as MCoverPlan.label_matrix, whose labellers it shares."""
+
+    gf: GF
+    label_matrix: np.ndarray
+
+    def __post_init__(self):
+        p, b, matrix = self.gf.p, self.gf.b, np.asarray(self.label_matrix)
+        rows, width = matrix.shape if matrix.ndim == 2 else (0, 0)
+        # p^w classes, no more than the (q-1)d + 1 labels of N[0], keep every label in int64
+        if not rows or rows % b or not width or p ** width > (self.gf.q - 1) * (rows // b) + 1:
+            raise ValueError(f"a label matrix needs d*{b} rows and w >= 1 columns, with {p}^w <= (q-1)d + 1")
+        if matrix.dtype.kind not in "iu" or ((matrix < 0) | (matrix >= p)).any():
+            raise ValueError(f"label matrix entries must be integers in [0, {p})")
+        object.__setattr__(self, "label_matrix", matrix.astype(np.int64))
+
+    fibre_count, fibre_size = MCoverPlan.fibre_count, MCoverPlan.fibre_size
+    fibre_of, origin_labels, all_labels = MCoverPlan.fibre_of, MCoverPlan.origin_labels, MCoverPlan.all_labels
 
 
-def _splitmix64(seed: int) -> Iterator[int]:
-    state = seed & _MASK64
-    while True:
-        state = (state + 0x9E3779B97F4A7C15) & _MASK64
-        z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        yield z ^ (z >> 31)
-
-
-def _draw_ranks(stream: Iterator[int], n: int) -> int:
-    """A rank below n from the next ceil(log2(n)/64) words of the stream,
-    least significant first: one word when n <= 2^64."""
-    words = max(1, -(-(n - 1).bit_length() // 64))
-    return sum(next(stream) << 64 * i for i in range(words)) % n
-
-
-def verify_plan(plan: MCoverPlan, sample: Optional[int] = None, seed: int = 0,
+def verify_plan(plan: MCoverPlan | LabelPlan, sample: Optional[int] = None, seed: int = 0,
                 size_cap: int = DEFAULT_SIZE_CAP) -> CoverCertificate:
-    """Check that the plan's coset partition is an m-cover of K_{q^a}: every
-    closed neighborhood meets every coset exactly m times.
-
-    L is GF(p)-linear and N[v] = v + N[0], so N[v] meets coset u as often
-    as N[0] meets u - L(v): one vertex's counts certify every vertex.  The
-    vertex counted is 0 in full mode (sample=None), whose fibre_map is
-    all_labels(), built when read, and in sampled mode the first draw.
-    Raises AssertionError naming that vertex and its counts.
+    """Check, from plan.gf and its (d*b) x w label_matrix alone, that the label
+    classes are an m-cover of K_{p^w}: N[0], and so by translation every closed
+    neighborhood, meets every class m = ((q-1)d + 1) / p^w times, else raise
+    AssertionError.  Full mode (sample=None) caps q^d and gives fibre_map =
+    all_labels(), built when read; sample and seed only name the other mode.
     """
-    profile = plan.profile
-    q, d, m, fibres = profile.q, profile.d, profile.m_q, plan.fibre_count
+    q, d, fibres = plan.gf.q, len(plan.label_matrix) // plan.gf.b, plan.fibre_count
     if sample is None:
         _check_power_cap(q, d, size_cap)
-        vertex, fibre_map, mode = 0, lambda: tuple(plan.all_labels().tolist()), "full"
+        fibre_map, mode = lambda: tuple(plan.all_labels().tolist()), "full"
     elif sample < 1:
         raise ValueError("sample count must be positive")
     else:
-        vertex = _draw_ranks(_splitmix64(seed), q ** d)
         fibre_map, mode = None, f"sampled:{sample}:{seed}"
-    labels = digitwise(plan.gf.p, profile.a_q * plan.gf.b, operator.add, plan.fibre_of(vertex), plan.origin_labels())
-    counts = np.bincount(labels, minlength=fibres)
+    m = ((q - 1) * d + 1) // fibres
+    counts = np.bincount(plan.origin_labels(), minlength=fibres)
     if (counts != m).any():
-        raise AssertionError(f"closed neighborhood of vertex {vertex} meets some coset {counts.tolist()} != {m} times")
+        raise AssertionError(f"closed neighborhood of vertex 0 meets some coset {counts.tolist()} != {m} times")
     obs.count("hamming.cover_vertices", 1)
     return CoverCertificate(
         base_size=fibres,

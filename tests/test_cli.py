@@ -379,6 +379,40 @@ def test_sampled_verify_plan_caps_coordinates(capsys, monkeypatch):
     assert code == 0 and err == "" and doc["base_size"] == 49 and doc["mode"] == "sampled:1:0"
 
 
+@pytest.fixture
+def int_str_limit():
+    """Sets Python's int-to-str digit limit for one test, then restores it."""
+    saved = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(saved)
+
+
+def test_verify_plan_refuses_a_fold_past_the_int_str_limit(capsys, int_str_limit):
+    int_str_limit(4300)
+    for argv, err in [
+        (["--q", "2", "--d", "16383"], "error: the fold 2^16369 has more than 4300 digits, "
+                                       "Python's limit for printing an integer\n"),
+        (["--q", "3", "--d", "9841"], "error: the fold 3^9832 has more than 4300 digits, "
+                                      "Python's limit for printing an integer\n"),
+    ]:
+        start = time.perf_counter()
+        code, doc, got = invoke(capsys, ["verify-plan", *argv, "--sample", "1"])
+        assert time.perf_counter() - start < 1
+        assert (code, doc, got) == (2, None, err)
+    run(["verify-plan", "--q", "2", "--d", "8191", "--sample", "1"])
+    out = capsys.readouterr().out
+    assert len(out.encode()) == 2573 and json.loads(out)["fold"] == 2 ** 8178
+    # the fold 2^8178 has 2,462 digits: the comparison is exact at the limit
+    assert len(str(2 ** 8178)) == 2462
+    int_str_limit(2462)
+    assert run(["verify-plan", "--q", "2", "--d", "8191", "--sample", "1"]) == 0
+    assert capsys.readouterr() == (out, "")
+    int_str_limit(2461)
+    code, doc, err = invoke(capsys, ["verify-plan", "--q", "2", "--d", "8191", "--sample", "1"])
+    assert (code, doc, err) == (2, None, "error: the fold 2^8178 has more than 2461 digits, "
+                                         "Python's limit for printing an integer\n")
+
+
 def test_spectrum_does_not_import_numpy_ma(write_doc):
     # np.setdiff1d imports numpy.ma, about 18 ms in a fresh process
     gpath = write_doc("c6.json", graph_to_doc(cycle(6)))

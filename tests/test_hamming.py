@@ -7,21 +7,21 @@ import dataclasses
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import field_oracle as oracle
-from effdom.domination import verify_efficient
+from effdom.domination import DominatingFunction, verify_efficient
 from effdom.fields import GF
 from effdom.graphs import SizeCapExceeded, complete, hamming_graph
 from effdom.hamming import (
     AuditFailure,
     BasisAudit,
     InfeasibleK,
+    LabelPlan,
     MCoverPlan,
-    _draw_ranks,
-    _splitmix64,
     basis_audit,
     build_plan,
     construct_function,
@@ -326,13 +326,15 @@ def test_array_fibre_of_matches_per_vertex_loop(gf, d):
 
 
 def test_sampled_tamper_names_first_failing_vertex():
+    # both modes count N[0], so a failure names vertex 0 whatever the seed
     plan = build_plan(GF2, 5)
     cols = list(plan.syndrome_cols)
     cols[0] = (1,)
     bad = dataclasses.replace(plan, syndrome_cols=tuple(cols))
-    with pytest.raises(AssertionError) as info:
-        verify_plan(bad, sample=8, seed=0)
-    assert str(info.value) == "closed neighborhood of vertex 15 meets some coset [4, 2] != 3 times"
+    for sample, seed in [(8, 0), (8, 1), (None, 0)]:
+        with pytest.raises(AssertionError) as info:
+            verify_plan(bad, sample=sample, seed=seed)
+        assert str(info.value) == "closed neighborhood of vertex 0 meets some coset [2, 4] != 3 times"
 
 
 def _materialised_cover(plan):
@@ -402,13 +404,16 @@ def _neighborhood_failure(plan, vertices, hoods):
 
 @pytest.mark.parametrize("gf, d", SWEEP_INSTANCES + [(GF4, 13), (GF2, 127)], ids=repr)
 def test_verify_plan_matches_explicit_neighborhoods(gf, d):
+    # the oracle of the translation argument: verify_plan counts N[0] alone,
+    # and fails exactly when some explicitly built closed neighborhood of
+    # random vertices (or of every vertex) fails
     plan = build_plan(gf, d)
     prof, q, n = plan.profile, gf.q, gf.q ** d
     rng = random.Random(f"{q}-{d}")
     plans = [plan] + [_corrupted(plan, rng) for _ in range(3)]
     unit_ranks = [0] + [c * q ** i for i in range(d) for c in range(1, q)]
     sample = 1100 if n < 1 << 62 else 150  # past 2^62 fibre_of works on Python ints
-    runs = [(sample, seed, _draws(seed, n, sample)) for seed in (0, 1)]
+    runs = [(sample, seed, [rng.randrange(n) for _ in range(sample)]) for seed in (0, 1)]
     if n <= 1 << 16:
         runs.append((None, 0, range(n)))
     runs = [(sample, seed, vertices, _closed_neighborhoods(q, d, vertices)) for sample, seed, vertices in runs]
@@ -416,12 +421,14 @@ def test_verify_plan_matches_explicit_neighborhoods(gf, d):
         assert each.origin_labels().tolist() == each.fibre_of(unit_ranks).tolist()
         # a replaced plan labels with its own columns, not a matrix cached on plan
         assert each.origin_labels()[1:q].tolist() == [_fibre_oracle(each, c) for c in range(1, q)]
+        at_origin = _neighborhood_failure(each, [0], _closed_neighborhoods(q, d, [0]))
         for sample, seed, vertices, hoods in runs:
             failure = _neighborhood_failure(each, vertices, hoods)
+            assert (failure is None) == (at_origin is None)
             if failure is not None:
                 with pytest.raises(AssertionError) as info:
                     verify_plan(each, sample=sample, seed=seed)
-                assert str(info.value) == failure
+                assert str(info.value) == at_origin
                 continue
             full = sample is None
             assert verify_plan(each, sample=sample, seed=seed) == CoverCertificate(
@@ -455,8 +462,7 @@ def test_verify_plan_matches_materialised_cover_on_random_columns(case, data):
     each = dataclasses.replace(plan, syndrome_cols=tuple(cols))
     sample = data.draw(st.none() | st.integers(1, 2000), label="sample")
     seed = data.draw(st.integers(0, 1 << 64), label="seed")
-    vertex = 0 if sample is None else _draw_ranks(_splitmix64(seed), q ** d)
-    failure = _neighborhood_failure(each, [vertex], _closed_neighborhoods(q, d, [vertex]))
+    failure = _neighborhood_failure(each, [0], _closed_neighborhoods(q, d, [0]))
     want = _materialised_cover(each)
     if failure is not None:
         with pytest.raises(AssertionError) as info:
@@ -524,16 +530,119 @@ def test_phi_and_code_follow_a_replaced_plan():
     assert plan.code is plan.code and plan.phi is plan.phi
 
 
-def _draws(seed, n, count):
-    """count successive ranks below n from one seeded generator."""
-    stream = _splitmix64(seed)
-    return [_draw_ranks(stream, n) for _ in range(count)]
+def test_verify_plan_reads_only_the_label_matrix(monkeypatch):
+    # no profile, no coordinate split and no per-rank labelling: gf and the
+    # label matrix decide, through origin_labels and fibre_count
+    plan = build_plan(GF4, 13)
+    blind = dataclasses.replace(plan, profile=None, s_sets=None)
+    monkeypatch.setattr(MCoverPlan, "fibre_of", lambda self, ranks: pytest.fail("fibre_of was called"))
+    for sample, seed in [(1000, 7), (10000, 0)]:
+        assert verify_plan(blind, sample=sample, seed=seed) == verify_plan(plan, sample=sample, seed=seed)
+    assert verify_plan(LabelPlan(GF4, plan.label_matrix), sample=1) == verify_plan(plan, sample=1)
 
 
-def test_sampled_ranks_use_enough_words():
-    wide = _draws(0, 2 ** 127, 256)
-    assert max(wide) >= 1 << 64 and all(0 <= v < 2 ** 127 for v in wide)
-    # one word per rank up to 2^64: the draws of a single-word generator
-    for n in (2, 3 ** 5, 2 ** 63 + 7, 2 ** 64):
-        stream = _splitmix64(9)
-        assert _draws(9, n, 300) == [next(stream) % n for _ in range(300)]
+def _h413_gf2_matrix():
+    """A GF(2)-linear labelling of H(4,13) by 8 classes: row 2c + j holds the
+    binary digits, lowest first, of the label of x^j * e_c.  Coordinate c
+    labels (1, x) as below: the three lines of PG(2,2) through point 1, the
+    other four lines twice each, one rank-1 map and one zero map."""
+    pairs = [(1, 2), (1, 4), (1, 6)] + [(2, 4), (2, 5), (3, 4), (3, 5)] * 2 + [(1, 0), (0, 0)]
+    return np.array([[label >> i & 1 for i in range(3)] for pair in pairs for label in pair])
+
+
+def test_h413_gf2_labelling_certifies_open_k():
+    # (q-1)d + 1 = 40 = 8 * 5: the GF(4) plan reaches only multiples of m_q = 10,
+    # and this 5-cover of K_8 reaches the open k = 5, 15, 25, 35
+    assert feasibility(GF4, 13).open_k == (5, 15, 25, 35)
+    matrix = _h413_gf2_matrix()
+    assert matrix.shape == (26, 3)
+    plan = LabelPlan(GF4, matrix)
+    assert np.bincount(plan.origin_labels()).tolist() == [5] * 8
+    for sample in (None, 1):
+        cert = verify_plan(plan, sample=sample, size_cap=1 << 26)
+        assert (cert.base_size, cert.fold, cert.kind) == (8, 5, "m-cover")
+    matrix[0] = [0, 1, 0]  # the label of e_0 becomes 2
+    with pytest.raises(AssertionError) as info:
+        verify_plan(LabelPlan(GF4, matrix), sample=1)
+    assert str(info.value) == "closed neighborhood of vertex 0 meets some coset [6, 4, 6, 4, 5, 5, 5, 5] != 5 times"
+
+
+@pytest.mark.parametrize("gf, matrix", [
+    (GF4, np.zeros((3, 1), dtype=np.int64)),  # rows not a multiple of b
+    (GF2, np.zeros((0, 1), dtype=np.int64)),
+    (GF2, np.zeros((5, 0), dtype=np.int64)),
+    (GF2, [1, 0, 1]),
+    (GF2, np.zeros((3, 3), dtype=np.int64)),  # 2^3 classes, 4 labels in N[0]
+    (GF2, [[2], [0], [0]]),
+    (GF3, [[-1], [0], [0], [0]]),
+    (GF2, [[0.5], [0], [0]]),
+], ids=["rows", "no-rows", "no-columns", "one-dim", "too-wide", "entry-p", "entry-negative", "float"])
+def test_label_plan_refuses_malformed_matrices(gf, matrix):
+    with pytest.raises(ValueError):
+        LabelPlan(gf, matrix)
+
+
+def test_label_plan_whose_classes_do_not_divide_the_neighbourhood_fails():
+    # (q-1)d + 1 = 5 labels cannot meet 2 classes equally: the demand is 5 // 2,
+    # and the class that meets N[0] three times fails as surely as the other
+    plan = LabelPlan(GF2, [[1], [1], [0], [0]])
+    for sample in (None, 3):
+        with pytest.raises(AssertionError) as info:
+            verify_plan(plan, sample=sample)
+        assert str(info.value) == "closed neighborhood of vertex 0 meets some coset [3, 2] != 2 times"
+    assert verify_kcover(hamming_graph(2, 4), cells_from_labels(plan.all_labels()), complete(2), 2) is None
+
+
+def test_label_plan_keeps_its_own_copy():
+    matrix = build_plan(GF2, 7).label_matrix.copy()
+    plan = LabelPlan(GF2, matrix)
+    matrix[:] = 0
+    assert verify_plan(plan).kind == "cover"
+
+
+def _digit_labels(gf, matrix, n):
+    """The label of every rank below n: its base-p digits times the matrix mod p."""
+    p = gf.p
+    digits = np.arange(n, dtype=np.int64)[:, None] // p ** np.arange(len(matrix), dtype=np.int64) % p
+    return digits @ matrix % p @ p ** np.arange(matrix.shape[1], dtype=np.int64)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(SMALL_PLANS), st.data())
+def test_label_plan_matches_materialised_cover(case, data):
+    # a built plan's label matrix times a random invertible GF(p) matrix
+    # (L U P: L unit lower and U upper triangular with a nonzero diagonal,
+    # P a permutation), cut to its first w columns, at times with one row replaced
+    gf, d = case
+    p, q, n = gf.p, gf.q, gf.q ** d
+    matrix = build_plan(gf, d).label_matrix
+    rows, width = matrix.shape
+    square = st.lists(st.integers(0, p - 1), min_size=width * width, max_size=width * width)
+    lower = np.tril(np.reshape(data.draw(square, label="lower"), (width, width)), -1) + np.eye(width, dtype=np.int64)
+    upper = np.triu(np.reshape(data.draw(square, label="upper"), (width, width)), 1) + np.diag(
+        data.draw(st.lists(st.integers(1, p - 1), min_size=width, max_size=width), label="diagonal"))
+    mixed = (matrix @ lower % p @ upper % p)[:, data.draw(st.permutations(range(width)), label="columns")]
+    mixed = mixed[:, :data.draw(st.integers(1, width), label="w")]
+    if data.draw(st.booleans(), label="corrupt"):
+        row = data.draw(st.integers(0, rows - 1), label="row")
+        new = data.draw(st.lists(st.integers(0, p - 1), min_size=mixed.shape[1], max_size=mixed.shape[1]))
+        mixed[row] = new
+    plan = LabelPlan(gf, mixed)
+    classes = p ** mixed.shape[1]
+    m = ((q - 1) * d + 1) // classes
+    labels = _digit_labels(gf, mixed, n)
+    cells = cells_from_labels(labels)
+    graph = hamming_graph(q, d)
+    want = verify_kcover(graph, cells, complete(classes), m) if len(cells) == classes else None
+    if want is None:
+        for sample in (None, 5):
+            with pytest.raises(AssertionError, match="closed neighborhood of vertex 0 "):
+                verify_plan(plan, sample=sample)
+        return
+    for sample in (None, 5):
+        cert = verify_plan(plan, sample=sample)
+        assert (cert.kind, cert.fold, cert.base_size) == (want.kind, want.fold, want.base_size)
+    assert cert.fibre_map is None and verify_plan(plan).fibre_map == tuple(labels.tolist())
+    # any t classes support an efficient (1, t*m) function
+    for t in (1, classes - 1):
+        assert verify_efficient(graph, DominatingFunction(tuple((labels < t).astype(int).tolist()), 1, t * m)).ok
