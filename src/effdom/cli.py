@@ -303,12 +303,13 @@ def _cmd_lift(args) -> int:
 
 
 def _cmd_translate(args) -> int:
-    gf = _field_from_flags(args.q, args.b)
+    gf, cap = _field_from_flags(args.q, args.b), _size_cap()
+    _check_power_cap(gf.q, args.d, cap)  # before either file is read
     fdoc = jsonio.load_json(args.function)
     f = jsonio.function_from_doc(fdoc)
     support = [v for v, x in enumerate(f.values) if x]
     connection = jsonio.connection_from_doc(jsonio.load_json(args.connection))
-    cells, cert = partitions.translate_cover(gf, args.d, connection, support)
+    cells, cert = partitions.translate_cover(gf, args.d, connection, support, size_cap=cap)
     doc = {
         "v": SCHEMA_VERSION,
         "partition": jsonio.partition_to_doc(cells),

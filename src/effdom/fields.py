@@ -119,10 +119,6 @@ class GF:
             raise ValueError(f"element code {a} outside [0, {self.q})")
         return a
 
-    def elements(self) -> List[int]:
-        """All element codes in increasing order."""
-        return list(range(self.q))
-
     def digits(self, a: int) -> Tuple[int, ...]:
         """Coefficient vector of a, lowest degree first, length b."""
         self._check(a)
@@ -137,9 +133,6 @@ class GF:
     def neg(self, a: int) -> int:
         return digitwise(self.p, self.b, operator.neg, self._check(a))
 
-    def sub(self, a: int, b: int) -> int:
-        return digitwise(self.p, self.b, operator.sub, self._check(a), self._check(b))
-
     def mul(self, a: int, b: int) -> int:
         self._check(a)
         self._check(b)
@@ -153,23 +146,3 @@ class GF:
                 for j, bj in enumerate(db):
                     prod[i + j] += ai * bj
         return self.from_digits(_poly_mod(prod, self.modulus, self.p))
-
-    def inv(self, a: int) -> int:
-        self._check(a)
-        if a == 0:
-            raise ZeroDivisionError("0 has no multiplicative inverse")
-        return self.pow(a, self.q - 2)
-
-    def pow(self, a: int, e: int) -> int:
-        self._check(a)
-        if e < 0:
-            a = self.inv(a)
-            e = -e
-        result = 1
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result

@@ -23,10 +23,12 @@ q = p^b, base-p digit c*b + j of the rank is coefficient j of coordinate
 c, and base-p digit t*b + i of the label is coefficient i of syndrome
 coordinate t.  This (d*b) x (a*b) matrix over GF(p), MCoverPlan.label_matrix,
 is the transposed GF(p) block matrix (linalg.block_matrix) of the a x d
-parity check of phi, whose columns are the plan's syndrome_cols, and
-fibre_of applies it to arrays of ranks.  build_plan builds only those
-columns: phi and the code are built when read, as basis_audit does.
+parity check of phi, whose columns are the plan's syndrome_cols.  build_plan
+builds only those columns: phi and the code are built when read, as
+basis_audit does.
 
+LabelPlan, the base class of MCoverPlan, holds any such GF(p) label
+matrix, and its origin_labels and all_labels label N[0] and every rank.
 verify_plan reads only the field and the label matrix, so it certifies
 any GF(p)-linear labelling (a LabelPlan) as it does the construction.  It
 counts the labels of N[0] and builds neither H(q,d) nor a neighbour rank:
@@ -38,7 +40,7 @@ certify every vertex.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import List, Optional, Tuple
 
@@ -175,15 +177,65 @@ def hamming_code(gf: GF, a: int) -> CodeSubspace:
     return CodeSubspace(gf=gf, length=len(h[0]), basis=basis, parity_check=tuple(map(tuple, h)))
 
 
-@dataclass(frozen=True)
-class MCoverPlan:
-    """Coordinate split and parity-check columns behind the m-cover of K_{q^a}, with
-    phi and the code built on first read; its labellers read only gf and label_matrix."""
+@dataclass(frozen=True, eq=False)
+class LabelPlan:
+    """Any GF(p)-linear labelling of H(q,d), q = p^b, by a (d*b) x w matrix
+    over GF(p) laid out as in the module docstring; its labellers read only
+    gf and label_matrix."""
 
     gf: GF
+    label_matrix: np.ndarray
+
+    def __post_init__(self):
+        p, b, matrix = self.gf.p, self.gf.b, np.asarray(self.label_matrix)
+        rows, width = matrix.shape if matrix.ndim == 2 else (0, 0)
+        # p^w classes, no more than the (q-1)d + 1 labels of N[0], keep every label in int64
+        if not rows or rows % b or not width or p ** width > (self.gf.q - 1) * (rows // b) + 1:
+            raise ValueError(f"a label matrix needs d*{b} rows and w >= 1 columns, with {p}^w <= (q-1)d + 1")
+        if matrix.dtype.kind not in "iu" or ((matrix < 0) | (matrix >= p)).any():
+            raise ValueError(f"label matrix entries must be integers in [0, {p})")
+        object.__setattr__(self, "label_matrix", matrix.astype(np.int64))
+
+    @property
+    def fibre_count(self) -> int:
+        return self.gf.p ** self.label_matrix.shape[1]
+
+    @property
+    def fibre_size(self) -> int:  # when the label map is onto
+        return self.gf.p ** (self.label_matrix.shape[0] - self.label_matrix.shape[1])
+
+    def origin_labels(self) -> np.ndarray:
+        """The labels of N[0]: 0, then L(c*e_i), the label of rank c*q^i, for
+        i < d and c = 1..q-1: the base-p digits of c times rows i*b .. i*b+b-1."""
+        p, b = self.gf.p, self.gf.b
+        digits = np.arange(1, self.gf.q, dtype=np.int64)[:, None] // p ** np.arange(b, dtype=np.int64) % p
+        rows = self.label_matrix.reshape(-1, b, self.label_matrix.shape[1])
+        return np.concatenate(([0], (digits @ rows % p @ p ** np.arange(rows.shape[2], dtype=np.int64)).ravel()))
+
+    def all_labels(self) -> np.ndarray:
+        """The label of every rank below q^d, built by translation from
+        origin_labels(): rank r + c*q^i with r < q^i has the label L(r) + L(c*e_i)."""
+        p, width = self.gf.p, self.label_matrix.shape[1]
+        labels = np.zeros(1, dtype=np.int64)
+        for unit in self.origin_labels()[1:].reshape(-1, self.gf.q - 1, 1):
+            labels = np.concatenate((labels, digitwise(p, width, operator.add, labels, unit).ravel()))
+        return labels
+
+
+@dataclass(frozen=True)
+class MCoverPlan(LabelPlan):
+    """Coordinate split and parity-check columns behind the m-cover of K_{q^a}, with
+    phi and the code built on first read.  The label matrix is built from the columns:
+    row c*b + j holds the digits of x^j * s for each syndrome coordinate s of column c."""
+
+    label_matrix: np.ndarray = field(init=False, repr=False, compare=False)
     profile: FeasibilityProfile
     s_sets: Tuple[Tuple[int, ...], ...]
     syndrome_cols: Tuple[Tuple[int, ...], ...]
+
+    def __post_init__(self):
+        cols = np.array(self.syndrome_cols, dtype=np.int64).T
+        object.__setattr__(self, "label_matrix", block_matrix(self.gf, cols).T)
 
     @cached_property
     def phi(self) -> Tuple[Tuple[int, ...], ...]:
@@ -196,56 +248,6 @@ class MCoverPlan:
     @cached_property
     def code(self) -> CodeSubspace:
         return hamming_code(self.gf, self.profile.a_q)
-
-    @property
-    def fibre_count(self) -> int:
-        return self.gf.p ** self.label_matrix.shape[1]
-
-    @property
-    def fibre_size(self) -> int:  # when the label map is onto
-        return self.gf.p ** (self.label_matrix.shape[0] - self.label_matrix.shape[1])
-
-    @cached_property
-    def label_matrix(self) -> np.ndarray:
-        """The GF(p) matrix of the label map (module docstring): row c*b + j
-        holds the digits of x^j * s for each syndrome coordinate s of column c."""
-        return block_matrix(self.gf, np.array(self.syndrome_cols, dtype=np.int64).T).T
-
-    def fibre_of(self, ranks):
-        """Coset label of each rank: the syndrome of phi(v), read as a rank.
-
-        ranks is one rank (giving an int) or a range or array of ranks
-        (giving an int64 array of the same shape), labelled by label_matrix.
-        """
-        p, n = self.gf.p, self.gf.p ** self.label_matrix.shape[0]
-        # int64 below 2^62, else Python ints (object dtype), so rank arithmetic never wraps
-        ranks_in = np.array(ranks, dtype=np.int64 if n < 1 << 62 else object)
-        rest = ranks_in.ravel()  # np.array made a copy, so rest may be reduced in place
-        acc = np.zeros((len(rest), self.label_matrix.shape[1]), dtype=np.int64)
-        for row in self.label_matrix:  # peel one base-p digit at a time, lowest first
-            quot = rest // p
-            rest -= quot * p
-            acc += rest.astype(np.int64, copy=False)[:, None] * row
-            rest = quot
-        labels = (acc % p) @ p ** np.arange(acc.shape[1], dtype=np.int64)
-        return int(labels[0]) if ranks_in.ndim == 0 else labels.reshape(ranks_in.shape)
-
-    def origin_labels(self) -> np.ndarray:
-        """The labels of N[0]: 0, then L(c*e_i), the label of rank c*q^i, for
-        i < d and c = 1..q-1: the base-p digits of c times rows i*b .. i*b+b-1."""
-        p, b = self.gf.p, self.gf.b
-        digits = np.arange(1, self.gf.q, dtype=np.int64)[:, None] // p ** np.arange(b, dtype=np.int64) % p
-        rows = self.label_matrix.reshape(-1, b, self.label_matrix.shape[1])
-        return np.concatenate(([0], (digits @ rows % p @ p ** np.arange(rows.shape[2], dtype=np.int64)).ravel()))
-
-    def all_labels(self) -> np.ndarray:
-        """fibre_of(range(q^d)), built by translation from origin_labels():
-        rank r + c*q^i with r < q^i has the label L(r) + L(c*e_i)."""
-        p, width = self.gf.p, self.label_matrix.shape[1]
-        labels = np.zeros(1, dtype=np.int64)
-        for unit in self.origin_labels()[1:].reshape(-1, self.gf.q - 1, 1):
-            labels = np.concatenate((labels, digitwise(p, width, operator.add, labels, unit).ravel()))
-        return labels
 
 
 def build_plan(gf: GF, d: int) -> MCoverPlan:
@@ -269,29 +271,7 @@ def build_plan(gf: GF, d: int) -> MCoverPlan:
     return MCoverPlan(gf=gf, profile=profile, s_sets=s_sets, syndrome_cols=syndrome_cols)
 
 
-@dataclass(frozen=True, eq=False)
-class LabelPlan:
-    """Any GF(p)-linear labelling of H(q,d), q = p^b, by a (d*b) x w matrix
-    over GF(p) laid out as MCoverPlan.label_matrix, whose labellers it shares."""
-
-    gf: GF
-    label_matrix: np.ndarray
-
-    def __post_init__(self):
-        p, b, matrix = self.gf.p, self.gf.b, np.asarray(self.label_matrix)
-        rows, width = matrix.shape if matrix.ndim == 2 else (0, 0)
-        # p^w classes, no more than the (q-1)d + 1 labels of N[0], keep every label in int64
-        if not rows or rows % b or not width or p ** width > (self.gf.q - 1) * (rows // b) + 1:
-            raise ValueError(f"a label matrix needs d*{b} rows and w >= 1 columns, with {p}^w <= (q-1)d + 1")
-        if matrix.dtype.kind not in "iu" or ((matrix < 0) | (matrix >= p)).any():
-            raise ValueError(f"label matrix entries must be integers in [0, {p})")
-        object.__setattr__(self, "label_matrix", matrix.astype(np.int64))
-
-    fibre_count, fibre_size = MCoverPlan.fibre_count, MCoverPlan.fibre_size
-    fibre_of, origin_labels, all_labels = MCoverPlan.fibre_of, MCoverPlan.origin_labels, MCoverPlan.all_labels
-
-
-def verify_plan(plan: MCoverPlan | LabelPlan, sample: Optional[int] = None, seed: int = 0,
+def verify_plan(plan: LabelPlan, sample: Optional[int] = None, seed: int = 0,
                 size_cap: int = DEFAULT_SIZE_CAP) -> CoverCertificate:
     """Check, from plan.gf and its (d*b) x w label_matrix alone, that the label
     classes are an m-cover of K_{p^w}: N[0], and so by translation every closed

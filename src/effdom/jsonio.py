@@ -15,9 +15,8 @@ from __future__ import annotations
 import gc
 import json
 import re
-from contextlib import contextmanager
 from itertools import chain, product
-from typing import Iterator, List, NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -51,20 +50,6 @@ def _int(x) -> int:
     if type(x) is not int:
         raise TypeError(f"expected an integer, got {x!r}")
     return x
-
-
-@contextmanager
-def _collector_paused() -> Iterator[None]:
-    """Pause the cyclic garbage collector while a JSON document is parsed:
-    its values hold no cycles, and it would rescan the growing heap every
-    few hundred new lists."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def graph_to_doc(x: Graph) -> dict:
@@ -239,11 +224,17 @@ def matrix_to_doc(rows: Sequence[Sequence[int]]) -> dict:
 
 
 def load_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh, _collector_paused():
-        try:
+    # parsed JSON holds no cycles, and the cyclic collector would rescan the growing heap every few hundred lists
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-        except RecursionError:
-            raise ValueError(f"{path} is nested too deeply to parse") from None
+    except RecursionError:
+        raise ValueError(f"{path} is nested too deeply to parse") from None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def dump_json(doc: dict) -> str:

@@ -34,7 +34,7 @@ import numpy as np
 
 from .domination import DominatingFunction, verify_efficient
 from .fields import GF, digitwise
-from .graphs import Graph, cayley_graph, complete, equitable_quotient
+from .graphs import DEFAULT_SIZE_CAP, Graph, cayley_graph, complete, equitable_quotient
 from .linalg import char_poly
 
 __all__ = [
@@ -222,7 +222,9 @@ def _cover_certificate(x: Graph, cells: Cells, y: Graph, k: int, fold: int, kind
         return None
     ptr, flat = y.indptr.tolist(), y.indices.tolist()
     for i in range(y.n):
-        if rows[i] != sorted([i] * (k - 1) + flat[ptr[i]:ptr[i + 1]] * k):
+        nbrs = flat[ptr[i]:ptr[i + 1]]
+        # lengths first, so no k past every degree builds a k-fold multiset
+        if len(rows[i]) != k - 1 + k * len(nbrs) or rows[i] != sorted([i] * (k - 1) + nbrs * k):
             return None
     return CoverCertificate(
         base_size=y.n,
@@ -291,7 +293,7 @@ def push(f: DominatingFunction, cert: CoverCertificate) -> Optional[DominatingFu
 
 
 def translate_cover(
-    gf: GF, d: int, connection: Sequence[int], support: Sequence[int]
+    gf: GF, d: int, connection: Sequence[int], support: Sequence[int], size_cap: int = DEFAULT_SIZE_CAP
 ) -> Tuple[Cells, CoverCertificate]:
     """Translates of a perfect-code subset partition a Cayley graph into a
     cover of a complete graph.
@@ -299,9 +301,9 @@ def translate_cover(
     support must be the support of an efficient (1,1) function on the
     Cayley graph of GF(q)^d with the given connection set.  The cells are
     then S and c + S for each connection element c, and together they
-    form a |S|-fold cover of K_{|connection| + 1}.
+    form a |S|-fold cover of K_{|connection| + 1}.  size_cap bounds q^d.
     """
-    x = cayley_graph(gf, d, connection)
+    x = cayley_graph(gf, d, connection, size_cap=size_cap)
     indicator = [0] * x.n
     for v in support:
         if not 0 <= v < x.n:
@@ -315,7 +317,7 @@ def translate_cover(
     for c in sorted(set(connection)):
         cells.append(tuple(sorted(digitwise(gf.p, d * gf.b, operator.add, code, c).tolist())))
     canon = canonical_cells(cells, x.n)
-    cert = verify_cover(x, canon, complete(len(canon)))
+    cert = verify_cover(x, canon, complete(len(canon), size_cap=size_cap))
     if cert is None:
         raise AssertionError("translates of a perfect code failed the cover check")
     return canon, cert

@@ -1,13 +1,33 @@
 """Per-entry GF(q) linear algebra, one `GF.mul` at a time: the oracle that
-the block-matrix elimination of `effdom.linalg` is tested against, and
-the plan data built from it the way `build_plan` once built them."""
+the block-matrix elimination of `effdom.linalg` is tested against, the
+plan data built from it the way `build_plan` once built them, and the
+digit-peeling labeller that `all_labels` is tested against."""
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from effdom.fields import GF
 from effdom.graphs import vertex_tuple
+
+
+def inv(gf: GF, a: int) -> int:
+    """The multiplicative inverse a^(q-2) of a nonzero a, by square-and-multiply
+    on GF.mul; a search over GF.mul would take up to 65,520 products in GF(65521)."""
+    if a == 0:
+        raise ZeroDivisionError("0 has no multiplicative inverse")
+    out, e = 1, gf.q - 2
+    while e:
+        if e & 1:
+            out = gf.mul(out, a)
+        a, e = gf.mul(a, a), e >> 1
+    return out
+
+
+def sub(gf: GF, a: int, b: int) -> int:
+    return gf.add(a, gf.neg(b))
 
 
 def _copy_rect(mat, cols):
@@ -37,13 +57,13 @@ def rref(gf: GF, mat: Sequence[Sequence[int]], cols: Optional[int] = None) -> Tu
             continue
         if pr != r:
             m[r], m[pr] = m[pr], m[r]
-        inv = gf.inv(m[r][c])
-        if inv != 1:
-            m[r] = [gf.mul(inv, e) for e in m[r]]
+        inv_c = inv(gf, m[r][c])
+        if inv_c != 1:
+            m[r] = [gf.mul(inv_c, e) for e in m[r]]
         for i in range(n_rows):
             if i != r and m[i][c]:
                 f = m[i][c]
-                m[i] = [gf.sub(a, gf.mul(f, b)) for a, b in zip(m[i], m[r])]
+                m[i] = [sub(gf, a, gf.mul(f, b)) for a, b in zip(m[i], m[r])]
         piv.append(c)
         r += 1
     return m, piv
@@ -116,3 +136,21 @@ def phi(plan) -> Tuple[Tuple[int, ...], ...]:
     block_of = [i for i, block in enumerate(plan.s_sets) for _ in block]
     l = len(plan.s_sets) - 1
     return tuple(tuple(int(block_of[c] == i) for c in range(plan.profile.d)) for i in range(1, l + 1))
+
+
+def fibre_of(plan, ranks):
+    """Coset label of each rank under plan.label_matrix, one base-p digit of
+    the rank at a time: an int for one rank, an int64 array of the same
+    shape for a range or array of ranks."""
+    p, n = plan.gf.p, plan.gf.p ** plan.label_matrix.shape[0]
+    # int64 below 2^62, else Python ints (object dtype), so rank arithmetic never wraps
+    ranks_in = np.array(ranks, dtype=np.int64 if n < 1 << 62 else object)
+    rest = ranks_in.ravel()  # np.array made a copy, so rest may be reduced in place
+    acc = np.zeros((len(rest), plan.label_matrix.shape[1]), dtype=np.int64)
+    for row in plan.label_matrix:  # peel one base-p digit at a time, lowest first
+        quot = rest // p
+        rest -= quot * p
+        acc += rest.astype(np.int64, copy=False)[:, None] * row
+        rest = quot
+    labels = (acc % p) @ p ** np.arange(acc.shape[1], dtype=np.int64)
+    return int(labels[0]) if ranks_in.ndim == 0 else labels.reshape(ranks_in.shape)

@@ -247,7 +247,7 @@ def criterion_7_corpus() -> List[Tuple[Graph, List[List[int]], bool]]:
     for gf, d in [(GF2, 3), (GF2, 5)]:
         plan = build_plan(gf, d)
         x = hamming_graph(gf.q, d)
-        cells = cells_from_labels([plan.fibre_of(v) for v in range(x.n)])
+        cells = cells_from_labels(plan.all_labels())
         corpus.append((x, [list(c) for c in cells], True))
     corpus.append((cycle(6), [[0, 3], [1, 2, 4, 5]], True))
     q3 = hamming_graph(2, 3)

@@ -222,6 +222,14 @@ def test_cover_kflag(capsys, write_doc):
         "cover", "--graph", gpath, "--partition", ppath, "--base", bpath, "--k", "2",
     ])
     assert code == 0 and doc["kind"] == "m-cover" and doc["fold"] == 2
+    # a k past every degree is refused by the quotient's row lengths, not by running out of memory
+    c6, k3 = write_doc("c6.json", graph_to_doc(cycle(6))), write_doc("k3.json", graph_to_doc(complete(3)))
+    fibres = write_doc("fibres.json", {"cells": [[0, 3], [1, 4], [2, 5]]})
+    for k in ("2", str(10 ** 16), str(10 ** 400)):
+        start = time.perf_counter()
+        code, doc, err = invoke(capsys, ["cover", "--graph", c6, "--partition", fibres, "--base", k3, "--k", k])
+        assert time.perf_counter() - start < 1
+        assert (code, doc, err) == (1, {"v": 1, "certified": False}, "")
 
 
 def test_translate(capsys, write_doc):
@@ -331,33 +339,42 @@ def test_field_flags_checked_before_arithmetic(capsys, flags):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv, err", [
-    (["gen", "--family", "hamming", "--q", "3", "--d", "100000000"],
+@pytest.mark.parametrize("cap, argv, err", [
+    (None, ["gen", "--family", "hamming", "--q", "3", "--d", "100000000"],
      "size cap: 3^100000000 vertices exceeds the cap of 2097152\n"),
-    (["gen", "--family", "hamming", "--alphabet", str(10 ** 30), "--d", "3"],
+    (None, ["gen", "--family", "hamming", "--alphabet", str(10 ** 30), "--d", "3"],
      f"size cap: {10 ** 30}^3 vertices exceeds the cap of 2097152\n"),
-    (["construct", "--q", "3", "--d", "100000000", "--k", "0"],
+    (None, ["construct", "--q", "3", "--d", "100000000", "--k", "0"],
      "size cap: H(3,100000000) has 3^100000000 vertices, above the cap of 2097152\n"),
-    (["translate", "--q", "3", "--d", "100000000", "--function", "{f}", "--connection", "{c}"],
+    (None, ["translate", "--q", "3", "--d", "100000000", "--function", "{f}", "--connection", "{c}"],
      "size cap: 3^100000000 vertices exceeds the cap of 2097152\n"),
-    (["gen", "--family", "folded-cube", "--d", "100000000"],
+    (None, ["gen", "--family", "folded-cube", "--d", "100000000"],
      "size cap: 2^99999999 vertices exceeds the cap of 2097152\n"),
-    (["gen", "--family", "hamming", "--q", "2", "--d", "22"],
+    (None, ["gen", "--family", "hamming", "--q", "2", "--d", "22"],
      "size cap: 4194304 vertices exceeds the cap of 2097152\n"),
-    (["verify-plan", "--q", "2", "--d", "23"],
+    (None, ["verify-plan", "--q", "2", "--d", "23"],
      "size cap: 2^23 vertices exceeds the cap of 2097152\n"),
-    (["verify-plan", "--q", "2", "--d", "100000001"],
+    (None, ["verify-plan", "--q", "2", "--d", "100000001"],
      "size cap: 2^100000001 vertices exceeds the cap of 2097152\n"),
-    (["verify-plan", "--q", "2", "--d", "100000001", "--sample", "1"],
+    (None, ["verify-plan", "--q", "2", "--d", "100000001", "--sample", "1"],
      "size cap: 100000001 coordinates exceeds the cap of 2097152\n"),
-    (["verify-plan", "--q", "2", "--d", "24"],
+    (None, ["verify-plan", "--q", "2", "--d", "24"],
      "error: (q-1)d+1 = 25 has no factor 2; only the trivial k are constructible\n"),
-    (["verify-plan", "--q", "2", "--d", "100000000", "--sample", "1"],
+    (None, ["verify-plan", "--q", "2", "--d", "100000000", "--sample", "1"],
      "error: (q-1)d+1 = 100000001 has no factor 2; only the trivial k are constructible\n"),
+    # EFFDOM_SIZE_CAP reaches translate as it reaches gen, before the function file is read
+    ("100", ["gen", "--family", "hamming", "--q", "2", "--d", "7"],
+     "size cap: 128 vertices exceeds the cap of 100\n"),
+    ("100", ["translate", "--q", "2", "--d", "7", "--function", "/nonexistent.json", "--connection", "{c}"],
+     "size cap: 128 vertices exceeds the cap of 100\n"),
 ], ids=["gen", "gen-alphabet", "construct", "translate", "gen-folded-cube", "gen-small-n", "verify-plan",
-        "verify-plan-huge-d", "verify-plan-sampled-huge-d", "verify-plan-infeasible", "verify-plan-sampled-infeasible"])
-def test_size_cap_before_power(capsys, monkeypatch, write_doc, argv, err):
-    monkeypatch.delenv("EFFDOM_SIZE_CAP", raising=False)
+        "verify-plan-huge-d", "verify-plan-sampled-huge-d", "verify-plan-infeasible", "verify-plan-sampled-infeasible",
+        "gen-env-cap", "translate-env-cap"])
+def test_size_cap_before_power(capsys, monkeypatch, write_doc, cap, argv, err):
+    if cap is None:
+        monkeypatch.delenv("EFFDOM_SIZE_CAP", raising=False)
+    else:
+        monkeypatch.setenv("EFFDOM_SIZE_CAP", cap)
     paths = {"f": write_doc("f.json", CODE_Q3), "c": write_doc("c.json", {"connection": [1]})}
     start = time.perf_counter()
     code, doc, got = invoke(capsys, [arg.format(**paths) for arg in argv])

@@ -9,7 +9,6 @@ produced by that oracle.
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
 
 from effdom.fields import GF, MODULI
 
@@ -45,8 +44,7 @@ def test_gf4_frozen_values():
     gf = GF(2, 2)
     assert gf.mul(2, 2) == 3
     assert gf.mul(2, 3) == 1
-    assert gf.inv(2) == 3
-    assert gf.inv(3) == 2
+    assert gf.mul(3, 2) == 1  # so 2 and 3 are each other's inverse
     assert gf.add(2, 3) == 1
 
 
@@ -60,14 +58,13 @@ def test_gf9_frozen_values():
 def test_field_axioms_exhaustive(p, b):
     gf = GF(p, b)
     q = gf.q
-    els = gf.elements()
-    assert els == list(range(q))
+    els = range(q)
     for a in els:
         assert gf.add(a, 0) == a
         assert gf.mul(a, 1) == a
         assert gf.add(a, gf.neg(a)) == 0
         if a:
-            assert gf.mul(a, gf.inv(a)) == 1
+            assert [gf.mul(a, c) for c in els].count(1) == 1  # a has one inverse
     for a in els:
         for c in els:
             assert gf.add(a, c) == gf.add(c, a)
@@ -80,37 +77,28 @@ def test_field_axioms_exhaustive(p, b):
                     assert gf.mul(gf.mul(a, c), e) == gf.mul(a, gf.mul(c, e))
 
 
+def _power(gf: GF, a: int, e: int) -> int:
+    """a^e, as e repeated products."""
+    out = 1
+    for _ in range(e):
+        out = gf.mul(out, a)
+    return out
+
+
 @pytest.mark.parametrize("p,b", SUPPORTED)
 def test_frobenius_and_unit_group(p, b):
     gf = GF(p, b)
-    for a in gf.elements():
+    for a in range(gf.q):
         # x -> x^p is additive in characteristic p
-        for c in gf.elements():
-            assert gf.pow(gf.add(a, c), p) == gf.add(gf.pow(a, p), gf.pow(c, p))
+        for c in range(gf.q):
+            assert _power(gf, gf.add(a, c), p) == gf.add(_power(gf, a, p), _power(gf, c, p))
         if a:
-            assert gf.pow(a, gf.q - 1) == 1
-
-
-st_field = st.sampled_from(SUPPORTED)
-
-
-@given(st_field, st.integers(0, 10 ** 6), st.integers(-20, 40))
-def test_pow_matches_repeated_mul(pb, code, exp):
-    p, b = pb
-    gf = GF(p, b)
-    a = code % gf.q
-    if a == 0 and exp < 0:
-        return
-    expected = 1
-    base = a if exp >= 0 else gf.inv(a)
-    for _ in range(abs(exp)):
-        expected = gf.mul(expected, base)
-    assert gf.pow(a, exp) == expected
+            assert _power(gf, a, gf.q - 1) == 1
 
 
 def test_digits_roundtrip():
     gf = GF(3, 3)
-    for a in gf.elements():
+    for a in range(gf.q):
         assert gf.from_digits(gf.digits(a)) == a
     assert gf.digits(5) == (2, 1, 0)
 
@@ -130,8 +118,6 @@ def test_rejects_bad_parameters():
         GF(2 ** 64)  # the order is checked before the primality test
     with pytest.raises(ValueError, match="exceeds"):
         GF(4, 100)  # and before p^b
-    with pytest.raises(ZeroDivisionError):
-        GF(5).inv(0)
     with pytest.raises(ValueError):
         GF(5).add(5, 0)
 

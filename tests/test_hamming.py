@@ -110,16 +110,16 @@ def test_build_plan_h25():
     assert plan.phi == ((0, 0, 1, 1, 1),)
     assert plan.fibre_count == 2 and plan.fibre_size == 16
     # fibre label is the parity of the last three bits
-    assert plan.fibre_of(0b00000) == 0
-    assert plan.fibre_of(0b00100) == 1
-    assert plan.fibre_of(0b01100) == 0
-    assert plan.fibre_of(0b00011) == 0
+    assert oracle.fibre_of(plan, 0b00000) == 0
+    assert oracle.fibre_of(plan, 0b00100) == 1
+    assert oracle.fibre_of(plan, 0b01100) == 0
+    assert oracle.fibre_of(plan, 0b00011) == 0
 
 
 def test_fibres_partition_evenly():
     for gf, d in [(GF2, 5), (GF2, 7), (GF3, 4), (GF4, 5)]:
         plan = build_plan(gf, d)
-        counts = Counter(plan.fibre_of(v) for v in range(gf.q ** d))
+        counts = Counter(plan.all_labels().tolist())
         assert len(counts) == plan.fibre_count
         assert set(counts.values()) == {plan.fibre_size}
 
@@ -317,11 +317,11 @@ def test_array_fibre_of_matches_per_vertex_loop(gf, d):
         assert max(ranks) >= 1 << 63
     for plan in (build_plan(gf, d), _tampered(build_plan(gf, d))):
         expected = [_fibre_oracle(plan, v) for v in ranks]
-        assert plan.fibre_of(ranks).tolist() == expected
-        assert [plan.fibre_of(v) for v in ranks[:20]] == expected[:20]
-        assert type(plan.fibre_of(ranks[0])) is int
+        assert oracle.fibre_of(plan, ranks).tolist() == expected
+        assert [oracle.fibre_of(plan, v) for v in ranks[:20]] == expected[:20]
+        assert type(oracle.fibre_of(plan, ranks[0])) is int
         if n <= 1 << 12:
-            assert plan.fibre_of(range(n)).tolist() == expected
+            assert oracle.fibre_of(plan, range(n)).tolist() == expected
             assert plan.all_labels().tolist() == expected
 
 
@@ -341,7 +341,7 @@ def _materialised_cover(plan):
     """The cover check on the built graph: verify_kcover of H(q,d) against
     K_{q^a} with the coset cells, or None when it fails."""
     q, d = plan.gf.q, plan.profile.d
-    cells = cells_from_labels(plan.fibre_of(range(q ** d)))
+    cells = cells_from_labels(plan.all_labels())
     if len(cells) != plan.fibre_count:  # a coset is empty
         return None
     return verify_kcover(hamming_graph(q, d), cells, complete(plan.fibre_count), plan.profile.m_q)
@@ -391,10 +391,10 @@ def _closed_neighborhoods(q, d, vertices):
 
 def _neighborhood_failure(plan, vertices, hoods):
     """verify_plan's AssertionError text for the first of the vertices whose
-    closed neighborhood, labelled by fibre_of, meets some coset other than
+    closed neighborhood, labelled by the oracle's fibre_of, meets some coset other than
     m times; None when none does."""
     m = plan.profile.m_q
-    for v, labels in zip(vertices, plan.fibre_of(hoods)):
+    for v, labels in zip(vertices, oracle.fibre_of(plan, hoods)):
         counts = Counter(labels.tolist())
         got = [counts[c] for c in range(plan.fibre_count)]
         if any(c != m for c in got):
@@ -412,13 +412,13 @@ def test_verify_plan_matches_explicit_neighborhoods(gf, d):
     rng = random.Random(f"{q}-{d}")
     plans = [plan] + [_corrupted(plan, rng) for _ in range(3)]
     unit_ranks = [0] + [c * q ** i for i in range(d) for c in range(1, q)]
-    sample = 1100 if n < 1 << 62 else 150  # past 2^62 fibre_of works on Python ints
+    sample = 1100 if n < 1 << 62 else 150  # past 2^62 the oracle's fibre_of works on Python ints
     runs = [(sample, seed, [rng.randrange(n) for _ in range(sample)]) for seed in (0, 1)]
     if n <= 1 << 16:
         runs.append((None, 0, range(n)))
     runs = [(sample, seed, vertices, _closed_neighborhoods(q, d, vertices)) for sample, seed, vertices in runs]
     for each in plans:
-        assert each.origin_labels().tolist() == each.fibre_of(unit_ranks).tolist()
+        assert each.origin_labels().tolist() == oracle.fibre_of(each, unit_ranks).tolist()
         # a replaced plan labels with its own columns, not a matrix cached on plan
         assert each.origin_labels()[1:q].tolist() == [_fibre_oracle(each, c) for c in range(1, q)]
         at_origin = _neighborhood_failure(each, [0], _closed_neighborhoods(q, d, [0]))
@@ -435,7 +435,7 @@ def test_verify_plan_matches_explicit_neighborhoods(gf, d):
                 base_size=q ** prof.a_q,
                 fold=q ** (d - prof.a_q) if prof.m_q == 1 else prof.m_q,
                 kind="cover" if prof.m_q == 1 else "m-cover",
-                fibre_map=tuple(each.fibre_of(range(n)).tolist()) if full else None,
+                fibre_map=tuple(each.all_labels().tolist()) if full else None,
                 mode="full" if full else f"sampled:{sample}:{seed}",
             )
     assert plan.label_matrix is plan.label_matrix
@@ -530,15 +530,26 @@ def test_phi_and_code_follow_a_replaced_plan():
     assert plan.code is plan.code and plan.phi is plan.phi
 
 
-def test_verify_plan_reads_only_the_label_matrix(monkeypatch):
-    # no profile, no coordinate split and no per-rank labelling: gf and the
-    # label matrix decide, through origin_labels and fibre_count
+def test_verify_plan_reads_only_the_label_matrix():
+    # no profile and no coordinate split: gf and the label matrix decide,
+    # through origin_labels and fibre_count
     plan = build_plan(GF4, 13)
     blind = dataclasses.replace(plan, profile=None, s_sets=None)
-    monkeypatch.setattr(MCoverPlan, "fibre_of", lambda self, ranks: pytest.fail("fibre_of was called"))
     for sample, seed in [(1000, 7), (10000, 0)]:
         assert verify_plan(blind, sample=sample, seed=seed) == verify_plan(plan, sample=sample, seed=seed)
     assert verify_plan(LabelPlan(GF4, plan.label_matrix), sample=1) == verify_plan(plan, sample=1)
+    # an MCoverPlan is a LabelPlan whose matrix is built from its columns and
+    # left out of equality and hashing
+    small = build_plan(GF4, 9)
+    assert small == build_plan(GF4, 9) and hash(small) == hash(build_plan(GF4, 9))
+    assert isinstance(small, LabelPlan)
+    moved = dataclasses.replace(small, syndrome_cols=small.syndrome_cols[::-1])
+    assert moved != small and moved.all_labels().tolist() != small.all_labels().tolist()
+    same = LabelPlan(GF4, small.label_matrix)
+    assert same.origin_labels().tolist() == small.origin_labels().tolist()
+    assert same.all_labels().tolist() == small.all_labels().tolist()
+    for sample in (None, 1):
+        assert verify_plan(same, sample=sample) == verify_plan(small, sample=sample)
 
 
 def _h413_gf2_matrix():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from effdom.domination import DominatingFunction, verify_efficient
 from effdom.fields import GF
-from effdom.graphs import Graph, adjacency_matrix, complete, cycle, hamming_graph
+from effdom.graphs import Graph, SizeCapExceeded, adjacency_matrix, complete, cycle, hamming_graph
 from effdom.hamming import build_plan
 from effdom.jsonio import graph_from_doc
 from effdom.linalg import char_poly
@@ -255,7 +255,7 @@ def test_charpoly_divides_graph_past_the_characteristic_polynomial_cap():
 
 
 def _fibre_cells(gf: GF, d: int) -> List[List[int]]:
-    return [list(c) for c in cells_from_labels(build_plan(gf, d).fibre_of(range(gf.q ** d)))]
+    return [list(c) for c in cells_from_labels(build_plan(gf, d).all_labels())]
 
 
 def _coset_cells(d: int, gens: List[int]) -> List[List[int]]:
@@ -334,6 +334,8 @@ def test_verify_kcover():
     c6 = cycle(6)
     cert3 = verify_kcover(c6, [[0, 3], [1, 4], [2, 5]], complete(3), 1)
     assert cert3 is not None and cert3.kind == "cover"
+    # a k past every degree fails on the row lengths, before any k-fold multiset is built
+    assert verify_kcover(c6, [[0, 3], [1, 4], [2, 5]], complete(3), 10 ** 16) is None
 
 
 def test_lift_and_push():
@@ -357,6 +359,9 @@ def test_translate_cover_cube():
     assert cells == ((0, 7), (1, 6), (2, 5), (3, 4))
     with pytest.raises(ValueError):
         translate_cover(gf, 3, [1, 2, 4], [0, 1])
+    assert translate_cover(gf, 3, [1, 2, 4], [0, 7], size_cap=8) == (cells, cert)
+    with pytest.raises(SizeCapExceeded, match="8 vertices exceeds the cap of 7"):
+        translate_cover(gf, 3, [1, 2, 4], [0, 7], size_cap=7)
 
 
 def test_kcover_fibres_are_dominatable():
