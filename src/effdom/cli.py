@@ -449,6 +449,9 @@ def _dispatch(args) -> int:
     except hamming.InfeasibleK as exc:
         sys.stderr.write(f"infeasible k ({exc.reason}): {exc}\n")
         return 2
+    except search.NodeLimitExceeded as exc:
+        sys.stderr.write(f"node limit: {exc}\n")
+        return 1
     except (ValueError, OSError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -3,9 +3,10 @@
 An element a0 + a1*x + ... + a_{b-1}*x^{b-1} of GF(p^b) is coded as the
 integer a0 + a1*p + ... + a_{b-1}*p^{b-1}, i.e. its coefficient vector
 packed in base p with the constant coefficient least significant.  For
-b = 1 the code is the residue itself.  Extension fields reduce modulo a
-fixed built-in irreducible polynomial, so codes mean the same element in
-every run and on every platform.
+b = 1 the code is the residue itself.  Extension fields multiply through
+`GF.blocks`, the powers of the companion matrix of a fixed built-in
+irreducible modulus, so codes mean the same element in every run and on
+every platform.
 
 Field elements travel through the rest of the package as plain ints; the
 GF object carries the arithmetic.  Addition and negation act on each
@@ -16,7 +17,9 @@ GF(p^b) packed as integers, and to integer arrays of them.
 from __future__ import annotations
 
 import operator
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
+
+import numpy as np
 
 __all__ = ["GF", "MODULI", "digitwise"]
 
@@ -65,19 +68,6 @@ def digitwise(p: int, places: int, op, *codes):
     return out
 
 
-def _poly_mod(num: List[int], den: Tuple[int, ...], p: int) -> List[int]:
-    """Remainder of num by the monic polynomial den, coefficients mod p."""
-    num = [c % p for c in num]
-    db = len(den) - 1
-    for deg in range(len(num) - 1, db - 1, -1):
-        c = num[deg]
-        if c:
-            num[deg] = 0
-            for t in range(db):
-                num[deg - db + t] = (num[deg - db + t] - c * den[t]) % p
-    return num[:db]
-
-
 class GF:
     """The finite field GF(p^b), operating on integer element codes."""
 
@@ -104,6 +94,13 @@ class GF:
         self.b = b
         self.q = q
         self.modulus = modulus
+        # blocks[a] is x -> a*x on digits: column 0 holds a's digits, column k+1 the companion times column k
+        companion = np.eye(b, k=-1, dtype=np.int64)
+        companion[:, -1] -= modulus[:-1] or 0  # b = 1 has no column k+1
+        columns = [np.arange(q, dtype=np.int64)[:, None] // p ** np.arange(b, dtype=np.int64) % p]
+        for _ in range(1, b):
+            columns.append(columns[-1] @ companion.T % p)
+        self.blocks = np.stack(columns, axis=2)
 
     def __repr__(self) -> str:
         return f"GF({self.q})" if self.b == 1 else f"GF({self.p}^{self.b})"
@@ -121,8 +118,7 @@ class GF:
 
     def digits(self, a: int) -> Tuple[int, ...]:
         """Coefficient vector of a, lowest degree first, length b."""
-        self._check(a)
-        return tuple(a // self.p ** i % self.p for i in range(self.b))
+        return tuple(self.blocks[self._check(a), :, 0].tolist())
 
     def from_digits(self, digs) -> int:
         return self._check(sum(c % self.p * self.p ** i for i, c in enumerate(digs)))
@@ -138,11 +134,4 @@ class GF:
         self._check(b)
         if self.b == 1:
             return (a * b) % self.p
-        da = self.digits(a)
-        db = self.digits(b)
-        prod = [0] * (2 * self.b - 1)
-        for i, ai in enumerate(da):
-            if ai:
-                for j, bj in enumerate(db):
-                    prod[i + j] += ai * bj
-        return self.from_digits(_poly_mod(prod, self.modulus, self.p))
+        return self.from_digits((self.blocks[a] @ self.blocks[b, :, 0] % self.p).tolist())

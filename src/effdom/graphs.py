@@ -174,6 +174,8 @@ def capped_power(q: int, d: int, size_cap: int) -> Optional[int]:
 
 
 def _check_power_cap(q: int, d: int, size_cap: int) -> int:
+    if d < 1:  # q^d would be 1 or a fraction
+        raise ValueError("d must be at least 1")
     n = capped_power(q, d, size_cap)
     if n is None:
         # named as a power: the decimal form may pass Python's int-to-str limit

@@ -207,9 +207,8 @@ class LabelPlan:
     def origin_labels(self) -> np.ndarray:
         """The labels of N[0]: 0, then L(c*e_i), the label of rank c*q^i, for
         i < d and c = 1..q-1: the base-p digits of c times rows i*b .. i*b+b-1."""
-        p, b = self.gf.p, self.gf.b
-        digits = np.arange(1, self.gf.q, dtype=np.int64)[:, None] // p ** np.arange(b, dtype=np.int64) % p
-        rows = self.label_matrix.reshape(-1, b, self.label_matrix.shape[1])
+        p, digits = self.gf.p, self.gf.blocks[1:, :, 0]
+        rows = self.label_matrix.reshape(-1, self.gf.b, self.label_matrix.shape[1])
         return np.concatenate(([0], (digits @ rows % p @ p ** np.arange(rows.shape[2], dtype=np.int64)).ravel()))
 
     def all_labels(self) -> np.ndarray:

@@ -56,20 +56,15 @@ def _copy_rect(mat: Sequence[Sequence[int]], cols: Optional[int]) -> Tuple[List[
 # ---------------------------------------------------------------------------
 
 def block_matrix(gf: GF, mat: np.ndarray) -> np.ndarray:
-    """The GF(p) matrix of an r x c integer array of GF(q) codes, q = p^b:
-    entry a becomes the b x b block of x -> a x on base-p digits, so blocks
-    multiply as their entries do, and column 0 of a block holds its digits.
+    """The GF(p) matrix of an r x c integer array of GF(q) codes, q = p^b: entry
+    a becomes gf.blocks[a], the b x b matrix of x -> a x on base-p digits with
+    the digits of a in column 0, so blocks multiply as their entries do.
     Refuses the first code outside [0, q), in row order."""
     bad = (mat < 0) | (mat >= gf.q)
     if bad.any():
         gf._check(mat.flat[np.argmax(bad)])
-    p, b, mat = gf.p, gf.b, mat.astype(np.int64)
-    basis = [p ** i for i in range(b)]  # the codes of 1, x, ..., x^(b-1)
-    # powers[i][:, k] holds the digits of x^i x^k
-    powers = np.array([[gf.digits(gf.mul(s, t)) for t in basis] for s in basis]).transpose(0, 2, 1)
-    digits = mat[:, :, None] // np.array(basis) % p
-    blocks = np.tensordot(digits, powers, axes=(2, 0)) % p
-    return blocks.transpose(0, 2, 1, 3).reshape(mat.shape[0] * b, mat.shape[1] * b)
+    blocks = gf.blocks[mat.astype(np.int64, copy=False)]
+    return blocks.transpose(0, 2, 1, 3).reshape(mat.shape[0] * gf.b, mat.shape[1] * gf.b)
 
 
 def _codes(gf: GF, digits: np.ndarray) -> np.ndarray:

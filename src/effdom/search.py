@@ -346,6 +346,8 @@ def k_spectrum(x: Graph, j: int, node_limit: int = DEFAULT_NODE_LIMIT) -> Dict[i
     Raises NodeLimitExceeded, naming the first k in increasing order, if
     a per-k search fails to exhaust, since a partial count would be wrong.
     """
+    if j < 0:
+        raise ValueError("j must be nonnegative")
     top = j * (x.regular_degree() + 1)
     counts: Dict[int, int] = {}
     for k in range(top // 2 + 1):

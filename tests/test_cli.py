@@ -152,6 +152,16 @@ def test_spectrum_k(capsys, write_doc):
     assert doc["counts"] == {"0": 1, "1": 3, "2": 3, "3": 1}
 
 
+@pytest.mark.parametrize("graph, argv, code, err", [
+    (cycle(6), ["--j", "1", "--limit", "5"], 1, "node limit: k = 0: node limit 5 reached\n"),
+    (complete(3), ["--j", "100000000000000000000"], 1, "node limit: k = 0: node limit 100000000 reached\n"),
+    (cycle(6), ["--j", "-1"], 2, "error: j must be nonnegative\n"),
+], ids=["limit", "huge-j-default-limit", "negative-j"])
+def test_spectrum_k_refusals(capsys, write_doc, graph, argv, code, err):
+    gpath = write_doc("g.json", graph_to_doc(graph))
+    assert invoke(capsys, ["spectrum-k", "--graph", gpath, *argv]) == (code, None, err)
+
+
 def test_count_only_commands_never_list(capsys, write_doc, monkeypatch):
     # stdout cannot tell a counted search from a listed one whose functions
     # are dropped, so the calls are watched
@@ -367,9 +377,14 @@ def test_field_flags_checked_before_arithmetic(capsys, flags):
      "size cap: 128 vertices exceeds the cap of 100\n"),
     ("100", ["translate", "--q", "2", "--d", "7", "--function", "/nonexistent.json", "--connection", "{c}"],
      "size cap: 128 vertices exceeds the cap of 100\n"),
+    # q^d would be 1 or a fraction; refused before either file is read
+    (None, ["translate", "--q", "2", "--d", "0", "--function", "/nonexistent.json", "--connection", "/nonexistent.json"],
+     "error: d must be at least 1\n"),
+    (None, ["translate", "--q", "2", "--d", "-1", "--function", "/nonexistent.json", "--connection", "/nonexistent.json"],
+     "error: d must be at least 1\n"),
 ], ids=["gen", "gen-alphabet", "construct", "translate", "gen-folded-cube", "gen-small-n", "verify-plan",
         "verify-plan-huge-d", "verify-plan-sampled-huge-d", "verify-plan-infeasible", "verify-plan-sampled-infeasible",
-        "gen-env-cap", "translate-env-cap"])
+        "gen-env-cap", "translate-env-cap", "translate-d-zero", "translate-d-negative"])
 def test_size_cap_before_power(capsys, monkeypatch, write_doc, cap, argv, err):
     if cap is None:
         monkeypatch.delenv("EFFDOM_SIZE_CAP", raising=False)

@@ -8,6 +8,7 @@ produced by that oracle.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from effdom.fields import GF, MODULI
@@ -38,6 +39,22 @@ def test_mul_matches_oracle_exhaustively(p, b):
     for a in range(gf.q):
         for c in range(gf.q):
             assert gf.mul(a, c) == oracle_mul(p, b, modulus, a, c)
+
+
+@pytest.mark.parametrize("p,b", SUPPORTED)
+def test_blocks_multiply_as_their_codes(p, b):
+    gf = GF(p, b)
+    assert gf.blocks.shape == (gf.q, b, b)
+    assert (gf.blocks[1] == np.eye(b)).all()
+    products = gf.blocks[:, None] @ gf.blocks[None, :] % p
+    codes = np.array([[gf.mul(a, c) for c in range(gf.q)] for a in range(gf.q)])
+    assert (products == gf.blocks[codes]).all()
+    if b > 1:
+        # blocks[p], multiplication by x, has order q - 1: every built-in modulus is primitive
+        powers = [gf.blocks[p]]
+        for _ in range(gf.q - 2):
+            powers.append(powers[-1] @ gf.blocks[p] % p)
+        assert [e for e, m in enumerate(powers, 1) if (m == np.eye(b)).all()] == [gf.q - 1]
 
 
 def test_gf4_frozen_values():

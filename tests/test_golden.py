@@ -3,7 +3,9 @@ and the sha256 of stdout.
 
 The digests were recorded from the command line before the neighbourhood
 kernels were unified (the two verify-plan cases beyond int64 and over
-GF(9), before the labels became digit arrays; the four search cases at and
+GF(9), before the labels became digit arrays; the five verify-plan cases
+over GF(8), GF(16), GF(32), GF(27) and GF(25), before extension fields
+multiplied through their table of blocks; the four search cases at and
 beyond the node limit and the j = 2 spectrum-k, before the search walked
 its tree in batches; the H(2,10) and H(3,4) cases, before graphs became
 CSR arrays and dump_json wrote its own layout; the twelve cases on graph
@@ -115,6 +117,16 @@ CASES = [
      "3df70c100f754e3841d1bbc47fc5c58c957930fdab1f039a1b30eb18448aea2a"),
     ("verify-plan-sampled-gf9", ["verify-plan", "--q", "9", "--b", "2", "--d", "10", "--sample", "100"], 0,
      "3ed4d13719557dbaf23f45b6fa2b47ff195dc494410f6d353613bebe35797424"),
+    ("verify-plan-sampled-gf8", ["verify-plan", "--q", "8", "--b", "3", "--d", "9", "--sample", "1"], 0,
+     "aed949202b54ef5dfa353c4e33588f69e7dbf69be61113ab3e431eb91ba0fc84"),
+    ("verify-plan-sampled-gf16", ["verify-plan", "--q", "16", "--b", "4", "--d", "17", "--sample", "1"], 0,
+     "5bdba9da662f20ca4cb5e0d482f655b84e5c045c769f79c3f2e4170d8cab11a6"),
+    ("verify-plan-sampled-gf32", ["verify-plan", "--q", "32", "--b", "5", "--d", "33", "--sample", "1"], 0,
+     "01bdad5c5620da5c009ed9dedb45d0315e6d90a4086c787e10463c3eab17b665"),
+    ("verify-plan-sampled-gf27", ["verify-plan", "--q", "27", "--b", "3", "--d", "28", "--sample", "1"], 0,
+     "99d2b382f04abac226bfbd35c258733bf7652b3eee9aba9d4a739c291a29a0ba"),
+    ("verify-plan-sampled-gf25", ["verify-plan", "--q", "25", "--b", "2", "--d", "26", "--sample", "1"], 0,
+     "e58dede87b3474bafb76316a89806b6ca8c4fbf09711b552f54db9e4b007e201"),
     ("spectrum", ["spectrum", "--graph", "{c6}"], 0,
      "6d290682e57815bb92b8264019431b7267ebc92f7101161845985934859abfeb"),
     ("spectrum-none", ["spectrum", "--graph", "{k4}"], 0,

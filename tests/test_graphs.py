@@ -140,6 +140,9 @@ def test_cayley_validation():
         cayley_graph(gf, 3, [])
     with pytest.raises(ValueError):
         cayley_graph(gf, 3, [0, 1])
+    for d in (0, -1):  # q^d would be 1 or a fraction
+        with pytest.raises(ValueError, match="^d must be at least 1$"):
+            cayley_graph(gf, d, [1])
     gf3 = GF(3)
     with pytest.raises(ValueError):
         cayley_graph(gf3, 1, [1])  # -1 = 2 missing

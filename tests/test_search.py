@@ -143,6 +143,8 @@ def test_invalid_config():
         enumerate_efficient(cycle(6), SearchConfig(j=-1, k=1))
     with pytest.raises(ValueError):
         enumerate_efficient(cycle(6), SearchConfig(j=1, k=-1))
+    with pytest.raises(ValueError, match="^j must be nonnegative$"):
+        k_spectrum(cycle(6), -1)  # not an empty spectrum
 
 
 def test_search_deeper_than_recursion_limit():
