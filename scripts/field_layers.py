@@ -1,10 +1,11 @@
 """Time the field-arithmetic layer: field construction, block matrices,
 plan building, Hamming codes, basis audits.
 
-Each stage runs once in this process, timed with time.perf_counter.  The
-output is one JSON line mapping each stage to its seconds, plus a sha256
-of each block matrix and BasisAudit, so that two checkouts can be
-compared for identical results as well as for speed.
+Each stage runs REPEATS times in this process, timed with
+time.perf_counter.  The output is one JSON line mapping each stage to the
+median and quartiles of its seconds, plus a sha256 of each block matrix
+and BasisAudit, so that two checkouts can be compared for identical
+results as well as for speed.
 
 Stages:
     GF(p, b) for every built-in modulus, and GF(65521); the digest covers
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import statistics
 import time
 
 import numpy as np
@@ -33,10 +35,18 @@ from effdom.hamming import basis_audit, build_plan, hamming_code
 from effdom.linalg import block_matrix
 
 
+REPEATS = 7
+
+
 def _timed(call):
-    t0 = time.perf_counter()
-    out = call()
-    return out, round(time.perf_counter() - t0, 6)
+    """The result of call() and the median and quartiles of its seconds over REPEATS runs."""
+    times = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        out = call()
+        times.append(time.perf_counter() - t0)
+    q1, med, q3 = statistics.quantiles(times, n=4, method="inclusive")
+    return out, {"median": round(med, 6), "q1": round(q1, 6), "q3": round(q3, 6)}
 
 
 def _digest(data: bytes) -> str:

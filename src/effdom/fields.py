@@ -95,12 +95,15 @@ class GF:
         self.q = q
         self.modulus = modulus
         # blocks[a] is x -> a*x on digits: column 0 holds a's digits, column k+1 the companion times column k
-        companion = np.eye(b, k=-1, dtype=np.int64)
-        companion[:, -1] -= modulus[:-1] or 0  # b = 1 has no column k+1
-        columns = [np.arange(q, dtype=np.int64)[:, None] // p ** np.arange(b, dtype=np.int64) % p]
-        for _ in range(1, b):
-            columns.append(columns[-1] @ companion.T % p)
-        self.blocks = np.stack(columns, axis=2)
+        if b == 1:
+            self.blocks = np.arange(q, dtype=np.int64).reshape(q, 1, 1)
+        else:
+            companion = np.eye(b, k=-1, dtype=np.int64)
+            companion[:, -1] -= modulus[:-1]
+            columns = [np.arange(q, dtype=np.int64)[:, None] // p ** np.arange(b, dtype=np.int64) % p]
+            for _ in range(1, b):
+                columns.append(columns[-1] @ companion.T % p)
+            self.blocks = np.stack(columns, axis=2)
 
     def __repr__(self) -> str:
         return f"GF({self.q})" if self.b == 1 else f"GF({self.p}^{self.b})"

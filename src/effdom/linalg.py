@@ -9,7 +9,9 @@ below 2^20.  Column steps and Hessenberg reduction run in int64 below
 below 2^53, so no result depends on rounding, summation order or thread
 count.  Integer kernels are certified by M v = 0 over Z and returned in
 free-column completion form (one vector per free column, in increasing
-column order), primitive, with the first nonzero entry positive.
+column order), primitive, with the first nonzero entry positive; they
+need one n x n float64 working matrix plus a fixed number of row-block
+temporaries.
 """
 
 from __future__ import annotations
@@ -146,7 +148,13 @@ def mat_vec(gf: GF, mat: Sequence[Sequence[int]], vec: Sequence[int]) -> List[in
 # a matrix runs SPAN entries at a time, so no temporary is matrix-sized.
 BLOCK = 64
 SPAN = 1 << 18
+# The stages after the elimination take KERNEL_ROWS kernel rows, and the
+# check M v = 0 as many rows of M, at a time: SPAN entries at n = 2048, and
+# tall enough that each entry of M widened to float64 serves 2 KERNEL_ROWS
+# flops of the check at BLAS speed.
+KERNEL_ROWS = SPAN // 2048
 PRIME_LIMIT = 1 << 20
+assert PRIME_LIMIT <= 1 << 31
 DELAY = ((1 << 53) - 2 * PRIME_LIMIT) // (BLOCK * PRIME_LIMIT ** 2)
 assert DELAY >= 1 and DELAY * BLOCK * PRIME_LIMIT ** 2 + 2 * PRIME_LIMIT <= 1 << 53
 assert BLOCK * (PRIME_LIMIT - 1) ** 2 + PRIME_LIMIT < 1 << 63
@@ -275,32 +283,49 @@ def _rref_mod(a: np.ndarray, p: int) -> Tuple[List[int], np.ndarray]:
     return piv, np.array(piv_rows, dtype=np.intp)
 
 
+def _kernel_blocks(n_rows: int) -> List[slice]:
+    return [slice(lo, lo + KERNEL_ROWS) for lo in range(0, n_rows, KERNEL_ROWS)]
+
+
 def _modp_kernel(mat: np.ndarray, p: int) -> Tuple[Tuple[int, ...], np.ndarray]:
-    """Pivot columns and kernel residues of the integer matrix modulo p."""
+    """Pivot columns and int32 kernel residues of the integer matrix modulo p,
+    read off its reduced form one block of free columns at a time."""
     a = _residues(mat, p)
     piv, piv_rows = _rref_mod(a, p)
     # a mask, not np.setdiff1d, which imports numpy.ma (about 18 ms)
     is_free = np.ones(a.shape[1], dtype=bool)
     is_free[piv] = False
     free = np.flatnonzero(is_free)
-    kern = np.zeros((free.size, a.shape[1]), dtype=np.int64)
+    kern = np.zeros((free.size, a.shape[1]), dtype=np.int32)
     kern[np.arange(free.size), free] = 1
-    kern[:, piv] = _mod(p - a[np.ix_(piv_rows, free)], p).T
+    for rows in _kernel_blocks(len(kern)):
+        kern[rows, piv] = _mod(p - a[np.ix_(piv_rows, free[rows])], p).T
     return tuple(piv), kern
 
 
-def _crt(residues: List[Tuple[np.ndarray, int]], rows: Optional[int] = None) -> Tuple[np.ndarray, int]:
-    """The first `rows` rows (all by default) of residue arrays modulo the
-    product of their primes (as Python ints past the first prime)."""
-    res, modulus = residues[0][0][:rows], residues[0][1]
-    for kern, p in residues[1:]:
-        res = res.astype(object)
-        res, modulus = res + modulus * ((kern[:rows] - res) * pow(modulus, -1, p) % p), modulus * p
-    return res, modulus
+def _crt(residues: List[Tuple[np.ndarray, int]], rows: slice = slice(None)) -> Tuple[np.ndarray, int]:
+    """The given rows (all by default) of residue arrays modulo the product
+    of their primes.  Past the first prime, the mixed-radix digits c_j of
+    x = c_0 + p_0 (c_1 + p_1 (c_2 + ...)) come from int64 steps (Garner),
+    and only the Horner steps that join them run on Python ints."""
+    if len(residues) == 1:
+        return residues[0][0][rows], residues[0][1]
+    digits: List[np.ndarray] = []
+    for kern, p in residues:
+        acc, radix = 0, 1  # the digits so far mod p, and the product of their primes mod p
+        for c, (_, q) in zip(digits, residues):
+            acc, radix = (acc + c * radix) % p, radix * q % p
+        digits.append((kern[rows].astype(np.int64) - acc) * pow(radix, -1, p) % p)
+    res = digits.pop().astype(object)
+    for c, (_, p) in zip(digits[::-1], residues[-2::-1]):
+        res = res * p + c
+    return res, prod(p for _, p in residues)
 
 
 def _symmetric(res: np.ndarray, modulus: int) -> np.ndarray:
-    return np.where(res > modulus // 2, res - modulus, res)
+    """The residues lifted to (-modulus/2, modulus/2], in a copy."""
+    out = res.copy()
+    return np.subtract(out, modulus, out=out, where=out > modulus // 2)
 
 
 def _denominator(x: int, modulus: int, bound: int) -> Optional[int]:
@@ -340,15 +365,17 @@ def _rational_lift(res: np.ndarray, modulus: int) -> Optional[np.ndarray]:
 
 
 def _primitive(vecs: np.ndarray) -> np.ndarray:
-    """Each row divided by its gcd, with its first nonzero entry positive."""
-    vecs = vecs // np.gcd.reduce(vecs, axis=1)[:, None]
+    """Each row divided by its gcd, with its first nonzero entry positive,
+    in place."""
+    vecs //= np.gcd.reduce(vecs, axis=1)[:, None]
     lead = vecs[np.arange(len(vecs)), np.argmax(vecs != 0, axis=1)]
-    return vecs * np.where(lead < 0, -1, 1)[:, None]
+    vecs *= np.where(lead < 0, -1, 1)[:, None]
+    return vecs
 
 
 def _annihilates(mat: np.ndarray, vecs: np.ndarray, bits: int) -> bool:
-    """Exact check that M v = 0 for every row v of vecs, a block of rows of
-    M at a time, where the row l1 norms of M are below 2^(52 - bits): the
+    """Exact check that M v = 0 for every row v of vecs, KERNEL_ROWS rows
+    of M at a time, where the row l1 norms of M are below 2^(52 - bits): the
     base-2^bits digits of v give exact float64 products, which are summed
     digit by digit in int64 with a carry."""
     if bits < 1:
@@ -356,7 +383,7 @@ def _annihilates(mat: np.ndarray, vecs: np.ndarray, bits: int) -> bool:
     top, mask = int(np.abs(vecs).max(initial=0)).bit_length(), (1 << bits) - 1
     digits = [(vecs >> s if s + bits > top else (vecs >> s) & mask).astype(np.float64).T
               for s in range(0, top + 1, bits)]
-    for rows in _row_blocks(*mat.shape):
+    for rows in _kernel_blocks(len(mat)):
         m, carry = mat[rows].astype(np.float64), 0
         for digit in digits:
             total = (m @ digit).astype(np.int64) + carry
@@ -368,18 +395,24 @@ def _annihilates(mat: np.ndarray, vecs: np.ndarray, bits: int) -> bool:
     return True
 
 
-def _lift(mat: np.ndarray, residues: List[Tuple[np.ndarray, int]], bits: int) -> Optional[np.ndarray]:
+def _lift(mat: np.ndarray, residues: List[Tuple[np.ndarray, int]], bits: int) -> Optional[List[Tuple[int, ...]]]:
     """The kernel lifted from its residues (symmetric, else rational) and
-    certified by M v = 0, each lift tried on the first row first; or None."""
+    certified by M v = 0, each lift tried on the first row first and then
+    taken through CRT, lift and check one block of rows at a time; or None."""
     trial_passed = False
     for lift in (lambda res, modulus: _primitive(_symmetric(res, modulus)), _rational_lift):
         if lift is _rational_lift:
             obs.count("linalg.rational_lifts")
-        trial = lift(*_crt(residues, 1))
+        trial = lift(*_crt(residues, slice(1)))
         if trial is not None and _annihilates(mat, trial, bits):
             trial_passed = True
-            vecs = lift(*_crt(residues))
-            if vecs is not None and _annihilates(mat, vecs, bits):
+            vecs: List[Tuple[int, ...]] = []
+            for rows in _kernel_blocks(len(residues[0][0])):
+                block = lift(*_crt(residues, rows))
+                if block is None or not _annihilates(mat, block, bits):
+                    break
+                vecs += (tuple(v.tolist()) for v in block)
+            else:
                 return vecs
     if not trial_passed:
         obs.count("linalg.trial_rejects")
@@ -393,7 +426,12 @@ def int_kernel_basis(mat: Sequence[Sequence[int]], cols: Optional[int] = None) -
     primes of largest rank and least pivots; a prime of other pivots adds
     nothing.  Minors of M are at most h, the product of its row l1 norms,
     so primes missing the rational pivots multiply to at most h, and
-    reconstruction succeeds once the others pass 2h^2 + 2."""
+    reconstruction succeeds once the others pass 2h^2 + 2.
+
+    Besides the int32 residues of the primes in use and the returned
+    tuples, it holds one n x n float64 working matrix, for the elimination,
+    plus a fixed number of row-block temporaries: the residues are read
+    off, lifted through CRT and checked KERNEL_ROWS kernel rows at a time."""
     m = _int_matrix(mat, cols)
     with obs.span("linalg.int_kernel_basis"):
         norms = _row_l1(m)
@@ -413,7 +451,7 @@ def int_kernel_basis(mat: Sequence[Sequence[int]], cols: Optional[int] = None) -
                 residues.append((kern, p))
                 vecs = _lift(m, residues, bits)
                 if vecs is not None:
-                    return [tuple(v) for v in vecs.tolist()]
+                    return vecs
             spent *= p
             if spent > (2 * h * h + 2) * h:
                 raise ArithmeticError("modular kernel not certified within the Hadamard bound")

@@ -10,6 +10,7 @@ with sympy.
 
 from __future__ import annotations
 
+import tracemalloc
 from itertools import islice
 from math import gcd, isqrt, lcm, prod
 from typing import List, Optional, Tuple
@@ -303,16 +304,17 @@ def _sympy_kernel(mat):
     return out
 
 
+_A, _B = 2 ** 40, 2 ** 40 + 1
+HUGE_ENTRY_CASES = [
+    [[_A, _B]],
+    [[_A, _B, 3 * _A + 1], [2 * _B, _A, 5]],
+    (np.random.default_rng(3).integers(2 ** 40, 2 ** 41, (3, 5)).astype(object)).tolist(),
+    [[1, -(2 ** 30 + 1)]],           # integer kernel entry above p / 2: needs CRT
+]
+
+
 def test_kernel_with_huge_entries_uses_exact_check_and_matches_sympy():
-    a, b = 2 ** 40, 2 ** 40 + 1
-    rng = np.random.default_rng(3)
-    cases = [
-        [[a, b]],
-        [[a, b, 3 * a + 1], [2 * b, a, 5]],
-        (rng.integers(2 ** 40, 2 ** 41, (3, 5)).astype(object)).tolist(),
-        [[1, -(2 ** 30 + 1)]],           # integer kernel entry above p / 2: needs CRT
-    ]
-    for mat in cases:
+    for mat in HUGE_ENTRY_CASES:
         kern = int_kernel_basis(mat)
         assert kern == _sympy_kernel(mat)
         assert int_rank(mat) == sympy.Matrix(mat).rank()
@@ -439,6 +441,71 @@ def test_lift_trial_matches_sympy(case):
     with obs.collecting() as stats:
         assert int_kernel_basis(mat) == _sympy_kernel(mat)
     assert {k: v for k, v in stats.counters.items() if k in counters or k == "linalg.trial_rejects"} == counters
+
+
+# kernels of several rows, so that blocks of 1 and 3 kernel rows split them
+BLOCK_CASES = {
+    # rows 0-3 lift at the first prime and row 4 (entry 2^30 + 1) fails in
+    # a later block, for the symmetric and the rational lift alike; CRT
+    # with the second prime lifts every block
+    "symmetric-fails-in-a-later-block": [[1, 1, 1, 1, 1, -(2 ** 30 + 1), 1]],
+    # rows 1 and 3 hold halves (3/2 and 5/2 over Q): the symmetric lift
+    # fails at row 1, the rational one lifts every block at the first prime
+    "rational-fallback-in-blocks": [[2, 4, 3, 6, 5, 8, 10]],
+    **{name: mat for name, (mat, _) in LIFT_CASES.items()},
+    **{f"huge-entries-{i}": mat for i, mat in enumerate(HUGE_ENTRY_CASES)},
+    "first-prime-moves-the-pivots-square": [[next(_primes())] * 2, [1, 1]],
+}
+
+
+def _checked(mat, rows: int = linalg.KERNEL_ROWS):
+    """The kernel with blocks of the given number of kernel rows, its obs
+    counters, and each M v check as (number of vectors, passed)."""
+    checks = []
+    with pytest.MonkeyPatch.context() as patch, obs.collecting() as stats:
+        patch.setattr(linalg, "KERNEL_ROWS", rows)
+        patch.setattr(linalg, "_annihilates", lambda m, v, bits: checks.append(
+            (len(v), _annihilates(m, v, bits))) or checks[-1][1])
+        kern = int_kernel_basis(mat)
+    return kern, dict(stats.counters), checks
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_kernel_blocks_match_one_block_and_sympy(case, rows):
+    mat = BLOCK_CASES[case]
+    kern, counters, _ = _checked(mat)
+    assert kern == _sympy_kernel(mat)
+    assert _checked(mat, rows)[:2] == (kern, counters)
+
+
+def test_kernel_blocks_cover_later_failures_and_the_rational_fallback():
+    later, rational = BLOCK_CASES["symmetric-fails-in-a-later-block"], BLOCK_CASES["rational-fallback-in-blocks"]
+    first_prime = [(1, True), (3, True), (3, False)]  # trial, rows 0-2, rows 3-5
+    assert _checked(later, 3)[2] == first_prime * 2 + [(1, True), (3, True), (3, True)]
+    # one-row blocks: rows 0-3 pass before row 4 fails
+    assert _checked(later, 1)[2] == ([(1, True)] * 5 + [(1, False)]) * 2 + [(1, True)] * 7
+    # the symmetric lift passes row 0 and fails row 1; the rational one
+    # passes its trial and all six blocks
+    assert _checked(rational, 1)[2] == [(1, True), (1, True), (1, False)] + [(1, True)] * 7
+    assert _checked(rational)[2] == [(1, True), (6, False), (1, True), (6, True)]
+
+
+def test_kernel_of_h2_11_peaks_within_its_elimination_matrix():
+    # A + I of H(2,11): n = 2048, nullity C(11, 6) = 462.  The elimination
+    # needs one 2048 x 2048 float64 matrix (32 MiB); the kernel residues,
+    # the lift, the check and the returned tuples get 10 MiB more.
+    g = hamming_graph(2, 11)
+    a_plus_i = np.eye(g.n, dtype=np.int8)
+    a_plus_i[g.rows(), g.indices] = 1
+    tracemalloc.start()
+    try:
+        kern = int_kernel_basis(a_plus_i)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(kern) == 462
+    assert peak <= g.n * g.n * 8 + 10 * 2 ** 20
 
 
 WIDTHS = {"int8": np.int8, "int16": np.int16, "int32": np.int32, "int64": np.int64, "object": object}
