@@ -1,10 +1,18 @@
-"""Time the graph file layer, reading and writing graph files, and the
-verify-plan check, which counts coset labels without building a graph.
+"""Time the graph builders, the graph file layer, reading and writing graph
+files, and the verify-plan check, which counts coset labels without
+building a graph.
 
-In-process mode: each stage runs once in this process, timed with
-time.perf_counter.  The output is one JSON line mapping each stage to its
-seconds, plus a sha256 of each loaded graph's CSR arrays, so that two
-checkouts can be compared for identical results as well as for speed.
+In-process mode: each stage runs REPEATS times in this process, timed with
+time.perf_counter.  The output is one JSON line mapping each stage to the
+median and quartiles of its seconds, plus a sha256 of each built or loaded
+graph's CSR arrays, so that two checkouts can be compared for identical
+results as well as for speed.  Run it on another checkout's source with
+PYTHONPATH=OTHER_ROOT/src.
+
+Build stages: hamming_graph for H(2,20), H(3,13) and H(16,5) (629 MB of
+indices); folded_cube for F(16) and F(21); and cayley_graph(GF(2), 13, C)
+with C the 2,047 ranks drawn from 1 .. 8191 without repeats by
+default_rng(0).choice.
 
 Stages, for H(2,15) and H(2,18) written by dump_json to a temporary
 directory, as `effdom gen` writes them:
@@ -74,10 +82,23 @@ with open(sys.argv[2], "w") as fh:
 """
 
 
+REPEATS = 7  # runs per in-process stage
+
+
 def _timed(call):
-    t0 = time.perf_counter()
-    out = call()
-    return out, round(time.perf_counter() - t0, 4)
+    """The result of call() and the median and quartiles of its seconds over REPEATS runs."""
+    times = []
+    for _ in range(REPEATS):
+        out = None  # frees the last result before the next run
+        t0 = time.perf_counter()
+        out = call()
+        times.append(time.perf_counter() - t0)
+    q1, med, q3 = statistics.quantiles(times, n=4, method="inclusive")
+    return out, {"median": round(med, 6), "q1": round(q1, 6), "q3": round(q3, 6)}
+
+
+def _csr_digest(g) -> str:
+    return hashlib.sha256(g.indptr.tobytes() + g.indices.tobytes()).hexdigest()[:16]
 
 
 def in_process() -> dict:
@@ -85,11 +106,18 @@ def in_process() -> dict:
 
     from effdom.cli import _load_graph
     from effdom.fields import GF
-    from effdom.graphs import hamming_graph
+    from effdom.graphs import cayley_graph, folded_cube, hamming_graph
     from effdom.hamming import build_plan, verify_plan
     from effdom.jsonio import dump_json, function_rows, graph_to_doc
 
     doc = {}
+    conn = sorted(np.random.default_rng(0).choice(np.arange(1, 1 << 13), 2047, replace=False).tolist())
+    for name, build in [("h2_20", lambda: hamming_graph(2, 20)), ("h3_13", lambda: hamming_graph(3, 13)),
+                        ("h16_5", lambda: hamming_graph(16, 5)), ("f16", lambda: folded_cube(16)),
+                        ("f21", lambda: folded_cube(21)), ("cayley_gf2_13_c2047", lambda: cayley_graph(GF(2), 13, conn))]:
+        g, doc[f"build_{name}_s"] = _timed(build)
+        doc[f"build_{name}_sha256"] = _csr_digest(g)
+        del g
     with tempfile.TemporaryDirectory() as tmp:
         for d in (15, 18):
             g = hamming_graph(2, d)
@@ -99,8 +127,7 @@ def in_process() -> dict:
                 fh.write(text)
             del g, text
             back, doc[f"load_graph_h2_{d}_s"] = _timed(lambda: _load_graph(path))
-            csr = hashlib.sha256(back.indptr.tobytes() + back.indices.tobytes())
-            doc[f"load_graph_h2_{d}_sha256"] = csr.hexdigest()[:16]
+            doc[f"load_graph_h2_{d}_sha256"] = _csr_digest(back)
     listing = {"functions": function_rows(np.random.default_rng(0).integers(0, 3, (5673, 32)).astype(np.int8), 2, 6)}
     _, doc["dump_json_records_5673x32_s"] = _timed(lambda: dump_json(listing))
     for gf, name, d in [(GF(2), "gf2", 15), (GF(2, 2), "gf4", 9), (GF(3), "gf3", 13)]:

@@ -7,6 +7,11 @@ t_0 + t_1*q + ... + t_{d-1}*q^{d-1}: coordinate 0 is least significant.
 Every module that mentions a Hamming-type vertex uses this rank as its
 identity, so functions, partitions and certificates line up across the
 package.
+
+H(q,d), C(n), F(d) and the Cayley graphs of GF(q)^d are Cayley graphs of
+Z_base^places, all built by the one blocked loop of _cayley.  Every generator
+refuses more than size_cap vertices or ENTRY_FACTOR * size_cap adjacency
+entries before it allocates an array.
 """
 
 from __future__ import annotations
@@ -39,6 +44,9 @@ __all__ = [
 ]
 
 DEFAULT_SIZE_CAP = 1 << 21
+
+# Adjacency entries per vertex of the cap: 2^27 (1 GiB of int64) by default.
+ENTRY_FACTOR = 64
 
 # Vertices per numpy block, so temporaries stay small for any graph or sample.
 BLOCK = 1 << 10
@@ -159,9 +167,11 @@ def _regular(n: int, nbrs: np.ndarray, name: str) -> Graph:
     return Graph.from_csr(n, np.arange(n + 1, dtype=np.int64) * r, nbrs.reshape(-1), name)
 
 
-def _check_cap(n: int, size_cap: int) -> None:
+def _check_cap(n: int, size_cap: int, entries: int = 0) -> None:
     if n > size_cap:
         raise SizeCapExceeded(f"{n} vertices exceeds the cap of {size_cap}")
+    if entries > ENTRY_FACTOR * size_cap:
+        raise SizeCapExceeded(f"{entries} adjacency entries exceeds the cap of {ENTRY_FACTOR * size_cap}")
 
 
 def capped_power(q: int, d: int, size_cap: int) -> Optional[int]:
@@ -203,10 +213,32 @@ def vertex_tuple(q: int, d: int, rank: int) -> Tuple[int, ...]:
     return tuple(out)
 
 
+def _cayley(base: int, places: int, conn: Sequence[int], name: str) -> Graph:
+    """The Cayley graph of Z_base^places on conn, distinct nonzero ranks closed
+    under negation: row v holds v + c for each c in conn, added digit by digit
+    mod base, sorted.  Callers bound n * len(conn).  BLOCK rows at a time, row v
+    starts as the integer sums v + c; each nonzero digit c_i of each c then takes
+    back the carry base^(i+1) from the rows whose digit x_i is at least base - c_i."""
+    n = base ** places
+    powers = [base ** i for i in range(places)]
+    carries = [(j, i, base - c // p % base, base * p) for j, c in enumerate(conn) for i, p in enumerate(powers) if c // p % base]
+    offsets, place_values = np.array(conn, dtype=np.int64), np.array(powers, dtype=np.int64)[:, None]
+    nbrs = np.empty((n, len(conn)), dtype=np.int64)
+    for lo in range(0, n, BLOCK):
+        block = np.arange(lo, min(lo + BLOCK, n), dtype=np.int64)
+        digits = block // place_values % base
+        rows = nbrs[lo:lo + BLOCK]
+        np.add(block[:, None], offsets, out=rows)
+        for j, i, low, carry in carries:
+            rows[:, j] -= (digits[i] >= low) * carry
+        rows.sort(axis=1)
+    return _regular(n, nbrs, name)
+
+
 def complete(n: int, size_cap: int = DEFAULT_SIZE_CAP) -> Graph:
     if n < 1:
         raise ValueError("complete graph needs n >= 1")
-    _check_cap(n, size_cap)
+    _check_cap(n, size_cap, n * (n - 1))
     nbrs = np.broadcast_to(np.arange(n - 1, dtype=np.int64), (n, n - 1)).copy()
     nbrs += nbrs >= np.arange(n)[:, None]
     return _regular(n, nbrs, f"K({n})")
@@ -215,15 +247,14 @@ def complete(n: int, size_cap: int = DEFAULT_SIZE_CAP) -> Graph:
 def cycle(n: int, size_cap: int = DEFAULT_SIZE_CAP) -> Graph:
     if n < 3:
         raise ValueError("cycle needs n >= 3")
-    _check_cap(n, size_cap)
-    v = np.arange(n, dtype=np.int64)
-    return _regular(n, np.sort(np.column_stack(((v - 1) % n, (v + 1) % n)), axis=1), f"C({n})")
+    _check_cap(n, size_cap, 2 * n)
+    return _cayley(n, 1, [1, n - 1], f"C({n})")
 
 
 def complete_bipartite(m: int, n: int, size_cap: int = DEFAULT_SIZE_CAP) -> Graph:
     if m < 1 or n < 1:
         raise ValueError("complete bipartite graph needs both parts nonempty")
-    _check_cap(m + n, size_cap)
+    _check_cap(m + n, size_cap, 2 * m * n)
     indptr = np.concatenate((np.arange(m + 1) * n, m * n + np.arange(1, n + 1) * m))
     indices = np.concatenate((np.tile(np.arange(m, m + n), m), np.tile(np.arange(m), n)))
     return Graph.from_csr(m + n, indptr.astype(np.int64), indices.astype(np.int64), f"K({m},{n})")
@@ -239,16 +270,8 @@ def hamming_graph(q, d: int, size_cap: int = DEFAULT_SIZE_CAP) -> Graph:
     if q < 2 or d < 1:
         raise ValueError("hamming graph needs q >= 2 and d >= 1")
     n = _check_power_cap(q, d, size_cap)
-    nbrs = np.empty((n, (q - 1) * d), dtype=np.int64)
-    for lo in range(0, n, BLOCK):
-        block = np.arange(lo, min(lo + BLOCK, n), dtype=np.int64)
-        rows = nbrs[lo:lo + BLOCK]
-        for i in range(d):  # replace digit i by each other symbol
-            x = block // q ** i % q
-            for s in range(1, q):
-                rows[:, i * (q - 1) + s - 1] = block + ((x + s) % q - x) * q ** i
-        rows.sort(axis=1)
-    return _regular(n, nbrs, f"H({q},{d})")
+    _check_cap(n, size_cap, n * (q - 1) * d)
+    return _cayley(q, d, [s * q ** i for i in range(d) for s in range(1, q)], f"H({q},{d})")
 
 
 def folded_cube(d: int, size_cap: int = DEFAULT_SIZE_CAP) -> Graph:
@@ -257,9 +280,9 @@ def folded_cube(d: int, size_cap: int = DEFAULT_SIZE_CAP) -> Graph:
     if d < 2:
         raise ValueError("folded cube needs d >= 2")
     n = _check_power_cap(2, d - 1, size_cap)
-    g = cayley_graph(GF(2), d - 1, [1 << i for i in range(d - 1)] + [n - 1], size_cap)
-    g.name = f"F({d})"
-    return g
+    conn = sorted({1 << i for i in range(d - 1)} | {n - 1})  # F(2) is K_2: its one unit vector is all-ones
+    _check_cap(n, size_cap, n * len(conn))
+    return _cayley(2, d - 1, conn, f"F({d})")
 
 
 def cayley_graph(gf: GF, d: int, connection: Sequence[int], size_cap: int = DEFAULT_SIZE_CAP) -> Graph:
@@ -272,16 +295,14 @@ def cayley_graph(gf: GF, d: int, connection: Sequence[int], size_cap: int = DEFA
     conn = sorted(set(connection))
     if not conn:
         raise ValueError("empty connection set")
+    _check_cap(n, size_cap, n * len(conn))
     members = set(conn)
     for c in conn:
         if not 0 < c < n:
             raise ValueError(f"connection element {c} outside (0, {n})")
         if digitwise(gf.p, d * gf.b, operator.neg, c) not in members:
             raise ValueError(f"connection set not closed under negation at {c}")
-    ranks = np.arange(n, dtype=np.int64)
-    adj = np.column_stack([digitwise(gf.p, d * gf.b, operator.add, ranks, c) for c in conn])
-    adj.sort(axis=1)
-    return _regular(n, adj, f"Cayley({gf!r}^{d})")
+    return _cayley(gf.p, d * gf.b, conn, f"Cayley({gf!r}^{d})")
 
 
 def adjacency_matrix(x: Graph) -> np.ndarray:

@@ -397,7 +397,7 @@ def basis_audit(plan: MCoverPlan) -> BasisAudit:
     checks.append("B linearly independent")
 
     # one elimination of [phi | the code basis as columns] lifts every code
-    # vector, free coordinates zero, as solve_affine would one at a time
+    # vector, free coordinates zero, as one elimination per vector would
     code = plan.code.basis
     ech, piv = rref(gf, [list(row) + [vec[i] for vec in code] for i, row in enumerate(phi)], d + len(code))
     if piv and piv[-1] >= d:

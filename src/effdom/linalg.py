@@ -28,8 +28,6 @@ __all__ = [
     "rref",
     "field_rank",
     "kernel_basis",
-    "solve_affine",
-    "mat_vec",
     "mat_mul",
     "block_matrix",
     "int_rank",
@@ -100,23 +98,6 @@ def kernel_basis(gf: GF, mat: Sequence[Sequence[int]], cols: Optional[int] = Non
     return _codes(gf, kern.T).T.tolist()
 
 
-def solve_affine(gf: GF, mat: Sequence[Sequence[int]], target: Sequence[int]) -> Optional[List[int]]:
-    """One solution of M x = target over GF(q), or None.
-
-    Free variables are set to zero, which makes the result canonical.
-    """
-    rows, n_rows, n_cols = _copy_rect(mat, None)
-    if len(target) != n_rows:
-        raise ValueError("target length does not match row count")
-    m, piv = rref(gf, [row + [t] for row, t in zip(rows, target)], n_cols + 1)
-    if piv and piv[-1] == n_cols:
-        return None
-    x = [0] * n_cols
-    for i, pc in enumerate(piv):
-        x[pc] = m[i][n_cols]
-    return x
-
-
 def mat_mul(gf: GF, left: Sequence[Sequence[int]], right: Sequence[Sequence[int]]) -> List[List[int]]:
     """The product over GF(q) of an r x c and a c x s matrix: the block
     matrix of left times the digits of right, float64 products of at most
@@ -128,10 +109,6 @@ def mat_mul(gf: GF, left: Sequence[Sequence[int]], right: Sequence[Sequence[int]
     for lo in range(0, a.shape[1], BLOCK * DELAY):
         out = _mod(out + a[:, lo:lo + BLOCK * DELAY] @ digits[lo:lo + BLOCK * DELAY], gf.p)
     return _codes(gf, out).tolist()
-
-
-def mat_vec(gf: GF, mat: Sequence[Sequence[int]], vec: Sequence[int]) -> List[int]:
-    return [row[0] for row in mat_mul(gf, mat, [[x] for x in vec])] if vec else [0] * len(mat)
 
 
 # ---------------------------------------------------------------------------

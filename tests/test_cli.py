@@ -382,15 +382,28 @@ def test_field_flags_checked_before_arithmetic(capsys, flags):
      "error: d must be at least 1\n"),
     (None, ["translate", "--q", "2", "--d", "-1", "--function", "/nonexistent.json", "--connection", "/nonexistent.json"],
      "error: d must be at least 1\n"),
+    # dense graphs within the vertex cap: more than 64 * 2097152 adjacency entries, refused before allocating
+    (None, ["gen", "--family", "complete", "--n", "100000"],
+     "size cap: 9999900000 adjacency entries exceeds the cap of 134217728\n"),
+    (None, ["gen", "--family", "complete-bipartite", "--m", "1000000", "--n", "1000000"],
+     "size cap: 2000000000000 adjacency entries exceeds the cap of 134217728\n"),
+    (None, ["gen", "--family", "hamming", "--alphabet", "1000", "--d", "2"],
+     "size cap: 1998000000 adjacency entries exceeds the cap of 134217728\n"),
+    (None, ["gen", "--family", "hamming", "--q", "65521", "--d", "1"],
+     "size cap: 4292935920 adjacency entries exceeds the cap of 134217728\n"),
+    (None, ["translate", "--q", "2", "--d", "14", "--function", "{f}", "--connection", "{all14}"],
+     "size cap: 268419072 adjacency entries exceeds the cap of 134217728\n"),
 ], ids=["gen", "gen-alphabet", "construct", "translate", "gen-folded-cube", "gen-small-n", "verify-plan",
         "verify-plan-huge-d", "verify-plan-sampled-huge-d", "verify-plan-infeasible", "verify-plan-sampled-infeasible",
-        "gen-env-cap", "translate-env-cap", "translate-d-zero", "translate-d-negative"])
+        "gen-env-cap", "translate-env-cap", "translate-d-zero", "translate-d-negative", "gen-complete-entries",
+        "gen-complete-bipartite-entries", "gen-alphabet-entries", "gen-field-entries", "translate-entries"])
 def test_size_cap_before_power(capsys, monkeypatch, write_doc, cap, argv, err):
     if cap is None:
         monkeypatch.delenv("EFFDOM_SIZE_CAP", raising=False)
     else:
         monkeypatch.setenv("EFFDOM_SIZE_CAP", cap)
-    paths = {"f": write_doc("f.json", CODE_Q3), "c": write_doc("c.json", {"connection": [1]})}
+    paths = {"f": write_doc("f.json", CODE_Q3), "c": write_doc("c.json", {"connection": [1]}),
+             "all14": write_doc("all14.json", {"connection": list(range(1, 1 << 14))})}
     start = time.perf_counter()
     code, doc, got = invoke(capsys, [arg.format(**paths) for arg in argv])
     assert time.perf_counter() - start < 1

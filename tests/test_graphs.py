@@ -99,11 +99,10 @@ def test_hamming_neighbors_match_per_vertex_loop(q, d):
     assert hamming_graph(q, d).adjacency == [_neighbors_oracle(q, d, v) for v in range(q ** d)]
 
 
-def _cayley_oracle(gf, d, conn):
+def _cayley_oracle(q, d, conn, add):
     """Per-vertex loop: add each connection element coordinate by coordinate."""
-    q = gf.q
     return [
-        sorted(vertex_rank(q, [gf.add(a, b) for a, b in zip(vertex_tuple(q, d, v), vertex_tuple(q, d, c))])
+        sorted(vertex_rank(q, [add(a, b) for a, b in zip(vertex_tuple(q, d, v), vertex_tuple(q, d, c))])
                for c in conn)
         for v in range(q ** d)
     ]
@@ -120,7 +119,40 @@ def test_cayley_graph_matches_per_vertex_loop(p, b, d):
         conn |= {c, neg}
     g = cayley_graph(gf, d, sorted(conn))
     g.validate()
-    assert g.adjacency == _cayley_oracle(gf, d, sorted(conn))
+    assert g.adjacency == _cayley_oracle(gf.q, d, sorted(conn), gf.add)
+
+
+# GF(q)^d, built on base p, and Z_q^d, built on base q; Z_4 is not GF(4)'s group and 6, 10 are no field orders
+CAYLEY_GROUPS = [GF(2), GF(3), GF(5), GF(2, 2), GF(3, 2), GF(2, 3), 2, 4, 6, 10]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(CAYLEY_GROUPS), st.data())
+def test_cayley_builder_matches_per_vertex_loops(group, data):
+    field = isinstance(group, GF)
+    q = group.q if field else group
+    add, neg = (group.add, group.neg) if field else ((lambda a, b: (a + b) % q), (lambda a: -a % q))
+    d = data.draw(st.integers(1, max(k for k in range(1, 10) if q ** k <= 512)))
+    n = q ** d
+    drawn = data.draw(st.lists(st.integers(1, n - 1), min_size=1, max_size=6))
+    conn = sorted({r for c in drawn for r in (c, vertex_rank(q, [neg(t) for t in vertex_tuple(q, d, c)]))})
+    base, places = (group.p, d * group.b) if field else (q, d)
+    want = _cayley_oracle(q, d, conn, add)
+    for block in (1, 3, graphs.BLOCK):  # blocks that end inside the graph, or hold all of it
+        with mock.patch.object(graphs, "BLOCK", block):
+            assert graphs._cayley(base, places, conn, "X").adjacency == want
+            if field:
+                assert cayley_graph(group, d, conn).adjacency == want
+            assert hamming_graph(q, d).adjacency == [_neighbors_oracle(q, d, v) for v in range(n)]
+
+
+def test_folded_cube_is_flips_and_complement():
+    assert folded_cube(2).adjacency == complete(2).adjacency == [[1], [0]]  # F(2) = K_2, not a multigraph
+    for d in range(2, 13):
+        n = 1 << (d - 1)
+        g = folded_cube(d)
+        assert g.name == f"F({d})"
+        assert g.adjacency == [sorted({v ^ (1 << i) for i in range(d - 1)} | {v ^ (n - 1)}) for v in range(n)]
 
 
 def test_folded_cube():
@@ -160,6 +192,29 @@ def test_size_cap():
         with pytest.raises(SizeCapExceeded):
             make(4)
         assert make(5).n == 5
+    # at most ENTRY_FACTOR * size_cap adjacency entries: 64 per vertex of the cap, at the boundary
+    assert graphs.ENTRY_FACTOR == 64
+    for refused, admitted in [
+        (lambda: complete(66, size_cap=66), lambda: complete(65, size_cap=65)),
+        (lambda: complete_bipartite(65, 65, size_cap=130), lambda: complete_bipartite(64, 64, size_cap=128)),
+        (lambda: hamming_graph(66, 1, size_cap=66), lambda: hamming_graph(65, 1, size_cap=65)),
+        (lambda: hamming_graph(GF(67), 1, size_cap=67), lambda: hamming_graph(GF(61), 1, size_cap=61)),
+        (lambda: cayley_graph(GF(2), 7, range(1, 128), size_cap=128),
+         lambda: cayley_graph(GF(2), 7, range(1, 65), size_cap=128)),
+    ]:
+        with pytest.raises(SizeCapExceeded, match=r"^\d+ adjacency entries exceeds the cap of \d+$"):
+            refused()
+        admitted().validate()
+    # cayley_graph checks the entries before it reads the connection elements (128 is out of range)
+    with pytest.raises(SizeCapExceeded, match="^16384 adjacency entries exceeds the cap of 8192$"):
+        cayley_graph(GF(2), 7, range(1, 129), size_cap=128)
+    # at the default cap: before any array is allocated, or these would run out of memory
+    for make, entries in [(lambda: complete(100_000), 100_000 * 99_999),
+                          (lambda: complete_bipartite(10 ** 6, 10 ** 6), 2 * 10 ** 12),
+                          (lambda: hamming_graph(37, 4), 37 ** 4 * 36 * 4),
+                          (lambda: hamming_graph(127, 3), 127 ** 3 * 126 * 3)]:
+        with pytest.raises(SizeCapExceeded, match=f"^{entries} adjacency entries exceeds the cap of {1 << 27}$"):
+            make()
 
 
 def test_closed_neighborhood_sum():
