@@ -14,7 +14,7 @@ from typing import Callable, Optional, Set, Tuple
 
 import numpy as np
 
-from .graphs import Graph, closed_sums, equitable_quotient, exact_array
+from .graphs import Graph, closed_sums, exact_array
 
 __all__ = [
     "DominatingFunction",
@@ -132,7 +132,7 @@ def two_cell_partition_check(x: Graph, support: Set[int], k: int) -> bool:
     The indicator of S is efficiently (1,k)-dominating exactly when the
     subgraph induced on S is (k-1)-regular and the one induced on the
     complement is (r-k)-regular; equivalently {S, V-S} is equitable with
-    characteristic matrix [[k-1, r-k+1], [k, r-k]].
+    characteristic matrix [[k-1, r-k+1], [k, r-k]], that is (A + I) 1_S = k 1.
     """
     r = x.regular_degree()
     if not 1 <= k <= r:
@@ -141,7 +141,5 @@ def two_cell_partition_check(x: Graph, support: Set[int], k: int) -> bool:
     for v in s:
         if not 0 <= v < x.n:
             raise ValueError(f"support vertex {v} out of range")
-    if not s or len(s) == x.n:
-        return False
-    rows = equitable_quotient(x, [0 if v in s else 1 for v in range(x.n)])
-    return rows == {0: [0] * (k - 1) + [1] * (r - k + 1), 1: [0] * k + [1] * (r - k)}
+    # S empty sums to 0 and S = V to r + 1, so neither passes
+    return bool((closed_sums(x, [1 if v in s else 0 for v in range(x.n)]) == k).all())
