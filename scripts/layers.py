@@ -14,8 +14,9 @@ Groups (all of them when none is named):
     io        graph builds, closed sums, graph files written and read,
               verify_plan (the full checks read the fibre map, so they
               label every vertex), and the CLI's gen, verify and verify-plan
-    spectral  minus_one_multiplicity (digest: the whole kernel basis of
-              A + I), the CLI's spectrum, char_poly, quotient divisibility
+    spectral  minus_one_multiplicity (digest: its report), int_kernel_basis
+              of A + I (digest: the whole basis), the CLI's spectrum,
+              char_poly, quotient divisibility
     search    searches, whole and cut by their node limit
 
 Each of RUNS runs takes every chosen stage once on each checkout, the other
@@ -199,12 +200,22 @@ def _cli(*argv):
 
 
 def _spectrum(make):
-    """minus_one_multiplicity; the result holds every kernel basis it computed."""
-    from effdom import spectral
+    from effdom.spectral import minus_one_multiplicity
 
-    g, kernels, basis = make(), [], spectral.int_kernel_basis
-    spectral.int_kernel_basis = lambda mat: kernels.append(basis(mat)) or kernels[-1]
-    return lambda: (spectral.minus_one_multiplicity(g), kernels)
+    g = make()
+    return lambda: minus_one_multiplicity(g)
+
+
+def _kernel_basis(make):
+    """int_kernel_basis of A + I, the whole basis."""
+    import numpy as np
+
+    from effdom.linalg import int_kernel_basis
+
+    g = make()
+    a_plus_i = np.eye(g.n, dtype=np.int8)
+    a_plus_i[g.rows(), g.indices] = 1
+    return lambda: int_kernel_basis(a_plus_i)
 
 
 def _char_poly(d: int):
@@ -309,6 +320,7 @@ for name, make in [("F10", _g("folded_cube", 10)), ("F11", _g("folded_cube", 11)
                    ("F11_rng3", _g("folded_cube", 11, seed=3)), ("F12", _g("folded_cube", 12)),
                    ("H2_12", _g("hamming_graph", 2, 12))]:
     STAGES[f"spectrum_{name}"] = ("spectral", functools.partial(_spectrum, make), ())
+    STAGES[f"int_kernel_basis_{name}"] = ("spectral", functools.partial(_kernel_basis, make), ())
 STAGES["charpoly_divides_H2_9"] = ("spectral", functools.partial(_charpoly_divides, 9), ())
 STAGES["char_poly_H2_7"] = ("spectral", functools.partial(_char_poly, 7), ())
 for name in SPECTRUM_GRAPHS:  # the CLI's spectrum on the graph's file

@@ -140,22 +140,28 @@ class _Level:
 
 
 def _levels(x: Graph, order: Tuple[int, ...], jr: int, k: int, dtype) -> Tuple[List[_Level], int]:
-    """The plan of every depth, and the number of columns of a state."""
+    """The plan of every depth, and the number of columns of a state: each
+    field of every depth is laid end to end in one array, and a level holds
+    views of its stretches."""
     closed = _closed(x)
     unassigned = [len(c) for c in closed]
     column: Dict[int, int] = {}
     free: List[int] = []
     width = 1
-    levels = []
+    cols: List[int] = []
+    need: List[int] = []
+    dst: List[int] = []
+    src: List[int] = []
+    ends = []  # the ends of each depth's stretches of cols (and need) and of dst (and src)
     for u in order:
         members = closed[u]
-        cols = [column.get(w, 0) for w in members]
+        start = len(cols)
+        cols += [column.get(w, 0) for w in members]
         for w in members:
             unassigned[w] -= 1
             if not unassigned[w] and w in column:
                 free.append(column.pop(w))
-        dst, src = [], []
-        for w, c in zip(members, cols):
+        for w, c in zip(members, cols[start:]):
             if unassigned[w]:
                 if not c:
                     if not free:
@@ -164,12 +170,13 @@ def _levels(x: Graph, order: Tuple[int, ...], jr: int, k: int, dtype) -> Tuple[L
                     column[w] = free.pop()
                 dst.append(column[w])
                 src.append(c)
-        levels.append(_Level(
-            cols=np.array(cols),
-            need=np.array([k - min(jr * unassigned[w], k) for w in members], dtype=dtype),
-            dst=np.array(dst, dtype=np.intp),
-            src=np.array(src, dtype=np.intp),
-        ))
+        need += [k - min(jr * unassigned[w], k) for w in members]
+        ends.append((len(cols), len(dst)))
+    arrays = np.array(cols), np.array(need, dtype=dtype), np.array(dst, dtype=np.intp), np.array(src, dtype=np.intp)
+    levels, a, b = [], 0, 0
+    for c, d in ends:
+        levels.append(_Level(cols=arrays[0][a:c], need=arrays[1][a:c], dst=arrays[2][b:d], src=arrays[3][b:d]))
+        a, b = c, d
     return levels, width
 
 

@@ -7,7 +7,9 @@ GF(9), before the labels became digit arrays; the five verify-plan cases
 over GF(8), GF(16), GF(32), GF(27) and GF(25), before extension fields
 multiplied through their table of blocks; the four search cases at and
 beyond the node limit and the j = 2 spectrum-k, before the search walked
-its tree in batches; the H(2,10) and H(3,4) cases, before graphs became
+its tree in batches; the spectrum cases on H(2,5) and F(7), before the
+multiplicity on Cayley graphs of Z_2^m came from their character sums;
+the H(2,10) and H(3,4) cases, before graphs became
 CSR arrays and dump_json wrote its own layout; the twelve cases on graph
 files in other layouts, before graph files were read as bytes); a refactor that keeps them
 keeps stdout byte for byte.  Input files are written to a temporary directory, and "{name}" in
@@ -23,7 +25,7 @@ import pytest
 
 from effdom.cli import run
 from effdom.fields import GF
-from effdom.graphs import complete, cycle, hamming_graph
+from effdom.graphs import complete, cycle, folded_cube, hamming_graph
 from effdom.hamming import construct_function
 from effdom.jsonio import dump_json, function_to_doc, graph_to_doc
 
@@ -34,6 +36,8 @@ INPUTS = {
     "k2": graph_to_doc(complete(2)),
     "h23": graph_to_doc(hamming_graph(2, 3)),
     "h210": graph_to_doc(hamming_graph(2, 10)),
+    "h25": graph_to_doc(hamming_graph(2, 5)),
+    "f7": graph_to_doc(folded_cube(7)),
     "c6_code": {"j": 1, "k": 1, "values": [1, 0, 0, 1, 0, 0]},
     "c6_bad": {"j": 1, "k": 1, "values": [1, 1, 0, 1, 0, 0]},
     "c6_weak": {"j": 1, "k": 1, "values": [1, 0, 0, 0, 0, 0]},
@@ -131,6 +135,10 @@ CASES = [
      "6d290682e57815bb92b8264019431b7267ebc92f7101161845985934859abfeb"),
     ("spectrum-none", ["spectrum", "--graph", "{k4}"], 0,
      "39037b5fa4b357ea39357509142e6dbc0cd6f30b2960bc66772966c70c0711c3"),
+    ("spectrum-h25", ["spectrum", "--graph", "{h25}"], 0,
+     "0a83028181285d1be660a2bb2b12f2569f5c903eaaef526042c6b71f0a47d60b"),
+    ("spectrum-f7", ["spectrum", "--graph", "{f7}"], 0,
+     "c1a12964322339c462a95f5ee66b5bbd98ba655040dc99ac5e62183f7bf3ee7d"),
     ("search", ["search", "--graph", "{h23}", "--j", "1", "--k", "2"], 0,
      "049058ecdb80b23ec2e9a7fac611e5d4174361c4eeb67cbc3174d9a0604c3416"),
     ("search-count-only", ["search", "--graph", "{c6}", "--j", "2", "--k", "3", "--count-only"], 0,

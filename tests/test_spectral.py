@@ -4,18 +4,29 @@ from __future__ import annotations
 
 from math import comb
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from effdom import obs
 from effdom.domination import verify_efficient
+from effdom.fields import GF
 from effdom.graphs import (
+    Graph,
     SizeCapExceeded,
+    adjacency_matrix,
+    cayley_graph,
     closed_neighborhood_sum,
+    closed_sums,
     complete,
     complete_bipartite,
     cycle,
     folded_cube,
     hamming_graph,
 )
+from effdom.jsonio import graph_from_doc
+from effdom.linalg import int_kernel_basis
 from effdom.spectral import function_from_eigenvector, minus_one_multiplicity
 
 # spectrum of C_n is 2cos(2 pi i / n); -1 appears for n divisible by 3
@@ -128,3 +139,85 @@ def test_scaled_eigenvector_same_support_shift():
     assert f.values == (6, 0, 3, 3)
     assert f.k == 12
     assert verify_efficient(x, f).ok
+
+
+# ---------------------------------------------------------------------------
+# Cayley graphs of Z_2^m: character sums against the whole kernel basis
+# ---------------------------------------------------------------------------
+
+def _oracle(x):
+    """(multiplicity, witness) from the whole canonical kernel basis of A + I."""
+    kernel = int_kernel_basis(adjacency_matrix(x) + np.eye(x.n, dtype=np.int64))
+    return len(kernel), kernel[0] if kernel else None
+
+
+def _report(x):
+    """(multiplicity, witness), and whether the character sums decided it."""
+    with obs.collecting() as stats:
+        rep = minus_one_multiplicity(x)
+    return (rep.multiplicity, rep.witness), "spectral.characters" in stats.counters
+
+
+def _xor_cayley(m, conn):
+    """The Cayley graph of Z_2^m on conn, row v = sorted(v xor conn), built here."""
+    n = 1 << m
+    nbrs = np.sort(np.arange(n, dtype=np.int64)[:, None] ^ np.array(sorted(conn), dtype=np.int64), axis=1)
+    return Graph.from_csr(n, np.arange(n + 1, dtype=np.int64) * len(conn), nbrs.reshape(-1), f"Z2^{m}")
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(1, 9).flatmap(lambda m: st.tuples(
+    st.just(m), st.sets(st.integers(1, (1 << m) - 1), min_size=1, max_size=min((1 << m) - 1, 12)))),
+    st.integers(0, 2 ** 32 - 1))
+@example((0, set()), 0)  # n = 1
+@example((1, {1}), 0)    # n = 2, K_2
+@example((4, set()), 0)  # S empty on 16 vertices
+def test_character_sums_match_the_kernel_basis(case, seed):
+    m, conn = case
+    x = _xor_cayley(m, conn)
+    want = _oracle(x)
+    assert _report(x) == (want, True)
+    # a relabelling takes the character path exactly when its rows are still
+    # v xor N(0) (the empty and complete graphs, K_2, some draws), and has
+    # the same multiplicity either way
+    perm = np.random.default_rng(seed).permutation(x.n)
+    y = graph_from_doc({"v": 1, "n": x.n, "edges": np.sort(perm[x.edge_array()], axis=1)})
+    rows = [set(y.indices[y.indptr[v]:y.indptr[v + 1]].tolist()) for v in range(y.n)]
+    got, characters = _report(y)
+    assert characters == all(row == {v ^ c for c in rows[0]} for v, row in enumerate(rows))
+    assert got == _oracle(y) and got[0] == want[0]
+
+
+def test_relabelled_folded_cube_takes_the_elimination():
+    x = folded_cube(7)
+    perm = np.random.default_rng(3).permutation(x.n)
+    y = graph_from_doc({"v": 1, "n": x.n, "edges": np.sort(perm[x.edge_array()], axis=1)})
+    got, characters = _report(y)
+    assert _report(x)[1] and not characters
+    assert got == _oracle(y) and got[0] == 35
+
+
+FAMILIES = ([hamming_graph(2, d) for d in range(1, 11)] + [folded_cube(d) for d in range(2, 12)]
+            + [hamming_graph(q, d) for q, d in [(4, 1), (4, 2), (4, 3), (4, 4), (8, 2)]]
+            + [cayley_graph(GF(2, b), d, sorted(np.random.default_rng(b * d).choice(
+                np.arange(1, 2 ** (b * d)), min(2 ** (b * d) - 1, 9), replace=False).tolist()))
+               for b, d in [(1, 6), (2, 2), (2, 3), (2, 4), (3, 2), (4, 2)]])
+
+
+@pytest.mark.parametrize("x", FAMILIES, ids=[f"{x.name}-{i}" for i, x in enumerate(FAMILIES)])
+def test_families_match_the_kernel_basis(x):
+    assert _report(x) == (_oracle(x), True)
+
+
+LARGE = [(hamming_graph(2, 11), _hamming_minus_one(2, 11)), (hamming_graph(2, 12), _hamming_minus_one(2, 12)),
+         (folded_cube(12), _folded_minus_one(12)), (folded_cube(13), _folded_minus_one(13))]
+
+
+@pytest.mark.parametrize("x,mult", LARGE, ids=[x.name for x, _ in LARGE])
+def test_large_cayley_graphs_match_their_closed_forms(x, mult):
+    (got, witness), characters = _report(x)
+    assert characters and got == mult
+    if mult:
+        assert any(witness) and not closed_sums(x, witness).any()
+    else:
+        assert witness is None
