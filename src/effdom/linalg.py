@@ -32,7 +32,6 @@ __all__ = [
     "block_matrix",
     "int_rank",
     "int_kernel_basis",
-    "first_kernel_vector",
     "char_poly",
     "CHAR_POLY_CAP",
 ]
@@ -226,22 +225,18 @@ def _panel_rref(panel: np.ndarray, p: int) -> Tuple[List[int], List[int], np.nda
     return cols, rows, a[rows, width:width + len(cols)] % p
 
 
-def _rref_mod(a: np.ndarray, p: int, first_free: bool = False) -> Tuple[List[int], np.ndarray]:
+def _rref_mod(a: np.ndarray, p: int) -> Tuple[List[int], np.ndarray]:
     """Reduces the float64 residues a in place to reduced row echelon form
     mod p, rows unmoved; returns the pivot columns and their rows.
     The pivots of each BLOCK-column panel of the rows without a pivot, and
     the inverse of their pivot block, come from one pass of int64 column
     steps; that inverse normalises the pivot rows, and float64 products, a
     block of rows at a time, clear the pivot columns from all other rows.
-    The rest of a is reduced every DELAY panels.  With first_free it stops
-    after the first panel with a free column: later panels change no entry
-    of the earlier columns, so those are reduced, and are the columns of
-    the full reduced form; the columns right of them are left unreduced.
+    The rest of a is reduced every DELAY panels.
     """
     live = np.ones(a.shape[0], dtype=bool)
     piv: List[int] = []
     piv_rows: List[int] = []
-    stop = None
     for c0 in range(0, a.shape[1], BLOCK):
         rows = np.flatnonzero(live)
         if rows.size == 0:
@@ -249,21 +244,19 @@ def _rref_mod(a: np.ndarray, p: int, first_free: bool = False) -> Tuple[List[int
         obs.count("linalg.panels")
         _reduce(a, p, c0, None if c0 and c0 // BLOCK % DELAY == 0 else c0 + BLOCK)
         cols, order, inv = _panel_rref(a[rows, c0:c0 + BLOCK].astype(np.int64), p)
-        if cols:
-            pr, pc = rows[order], [c0 + c for c in cols]
-            top = _mod(inv.astype(np.float64) @ _mod(a[pr, c0:], p), p)
-            neg = p - a[:, pc]
-            neg[pr] = 0
-            a[pr, c0:] = top
-            for blk in _row_blocks(len(a), top.shape[1]):
-                a[blk, c0:] += neg[blk] @ top
-            live[pr] = False
-            piv += pc
-            piv_rows += pr.tolist()
-        if first_free and len(cols) < min(BLOCK, a.shape[1] - c0):
-            stop = c0 + BLOCK
-            break
-    _reduce(a, p, 0, stop)
+        if not cols:
+            continue
+        pr, pc = rows[order], [c0 + c for c in cols]
+        top = _mod(inv.astype(np.float64) @ _mod(a[pr, c0:], p), p)
+        neg = p - a[:, pc]
+        neg[pr] = 0
+        a[pr, c0:] = top
+        for blk in _row_blocks(len(a), top.shape[1]):
+            a[blk, c0:] += neg[blk] @ top
+        live[pr] = False
+        piv += pc
+        piv_rows += pr.tolist()
+    _reduce(a, p)
     return piv, np.array(piv_rows, dtype=np.intp)
 
 
@@ -271,20 +264,15 @@ def _kernel_blocks(n_rows: int) -> List[slice]:
     return [slice(lo, lo + KERNEL_ROWS) for lo in range(0, n_rows, KERNEL_ROWS)]
 
 
-def _modp_kernel(mat: np.ndarray, p: int, first: bool = False) -> Tuple[Tuple[int, ...], np.ndarray]:
+def _modp_kernel(mat: np.ndarray, p: int) -> Tuple[Tuple[int, ...], np.ndarray]:
     """Pivot columns and int32 kernel residues of the integer matrix modulo p,
-    read off its reduced form one block of free columns at a time.  With
-    first only the vector of the first free column f0 is read, off the
-    elimination stopped after the panel of f0, and the pivots are those
-    left of f0, that is, 0 .. f0 - 1."""
+    read off its reduced form one block of free columns at a time."""
     a = _residues(mat, p)
-    piv, piv_rows = _rref_mod(a, p, first)
+    piv, piv_rows = _rref_mod(a, p)
     # a mask, not np.setdiff1d, which imports numpy.ma (about 18 ms)
     is_free = np.ones(a.shape[1], dtype=bool)
     is_free[piv] = False
     free = np.flatnonzero(is_free)
-    if first and free.size:
-        free, piv, piv_rows = free[:1], piv[:free[0]], piv_rows[:free[0]]
     kern = np.zeros((free.size, a.shape[1]), dtype=np.int32)
     kern[np.arange(free.size), free] = 1
     for rows in _kernel_blocks(len(kern)):
@@ -423,46 +411,27 @@ def int_kernel_basis(mat: Sequence[Sequence[int]], cols: Optional[int] = None) -
     off, lifted through CRT and checked KERNEL_ROWS kernel rows at a time."""
     m = _int_matrix(mat, cols)
     with obs.span("linalg.int_kernel_basis"):
-        return _certified_kernel(m, False)
-
-
-def first_kernel_vector(mat: Sequence[Sequence[int]], cols: Optional[int] = None) -> Optional[Tuple[int, ...]]:
-    """int_kernel_basis(mat, cols)[0], or None when the kernel is zero, from
-    eliminations stopped after the panel of the first free column f0.
-
-    The primes kept are those of largest f0 (the pivots left of f0 are
-    0 .. f0 - 1, so the rule of int_kernel_basis picks them), and its
-    Hadamard bound ends the loop; the module docstring of effdom.spectral
-    proves that the certified vector is the first vector of int_kernel_basis."""
-    m = _int_matrix(mat, cols)
-    with obs.span("linalg.first_kernel_vector"):
-        vecs = _certified_kernel(m, True)
-    return vecs[0] if vecs else None
-
-
-def _certified_kernel(m: np.ndarray, first: bool) -> List[Tuple[int, ...]]:
-    """The prime loop of int_kernel_basis, or of first_kernel_vector."""
-    norms = _row_l1(m)
-    h, bits = prod(max(s, 1) for s in norms), 52 - max(norms, default=0).bit_length()
-    obs.count("linalg.hadamard_bits", h.bit_length())
-    spent, best, residues = 1, None, []
-    for p in _primes():
-        obs.count("linalg.primes")
-        piv, kern = _modp_kernel(m, p, first)
-        if not len(kern):  # full column rank mod p, so over Q
-            return []
-        if best is None or (-len(piv), piv) < (-len(best), best):
-            best, residues = piv, []
-        if piv == best:
-            if residues:
-                obs.count("linalg.crt_rounds")
-            residues.append((kern, p))
-            vecs = _lift(m, residues, bits)
-            if vecs is not None:
-                return vecs
-        spent *= p
-        if spent > (2 * h * h + 2) * h:
-            raise ArithmeticError("modular kernel not certified within the Hadamard bound")
+        norms = _row_l1(m)
+        h, bits = prod(max(s, 1) for s in norms), 52 - max(norms, default=0).bit_length()
+        obs.count("linalg.hadamard_bits", h.bit_length())
+        spent, best, residues = 1, None, []
+        for p in _primes():
+            obs.count("linalg.primes")
+            piv, kern = _modp_kernel(m, p)
+            if not len(kern):  # full column rank mod p, so over Q
+                return []
+            if best is None or (-len(piv), piv) < (-len(best), best):
+                best, residues = piv, []
+            if piv == best:
+                if residues:
+                    obs.count("linalg.crt_rounds")
+                residues.append((kern, p))
+                vecs = _lift(m, residues, bits)
+                if vecs is not None:
+                    return vecs
+            spent *= p
+            if spent > (2 * h * h + 2) * h:
+                raise ArithmeticError("modular kernel not certified within the Hadamard bound")
 
 
 def int_rank(mat: Sequence[Sequence[int]], cols: Optional[int] = None) -> int:

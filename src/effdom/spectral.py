@@ -7,42 +7,52 @@ rational nullity of A + I, computed exactly; shifting an integer
 which is efficiently (max(x) + a, a(r+1))-dominating.
 
 Cayley graphs of Z_2^m.  When n = 2^m and every row v of the graph is
-v xor S, S = N(0), no elimination is needed for the multiplicity (Babai,
-"Spectra of Cayley graphs", J. Combin. Theory B 27, 1979).  For u in Z_2^m
-the character chi_u(v) = (-1)^(u.v), u.v the parity of u and v, is
-multiplicative, so
+v xor S, S = N(0), no elimination is needed (Babai, "Spectra of Cayley
+graphs", J. Combin. Theory B 27, 1979).  For u in Z_2^m the character
+chi_u(v) = (-1)^(u.v), u.v the parity of u and v, is multiplicative, so
 
     (A chi_u)(v) = sum_(s in S) chi_u(v xor s) = (sum_(s in S) (-1)^(u.s)) chi_u(v),
 
 and the 2^m characters are the rows of a Hadamard matrix, a basis.  So A
-is diagonal in a rational basis, and the nullity of A + I is the number
-of u whose character sum is -1.  All n sums are one fast Walsh-Hadamard
-transform of the indicator of S, in int64: each is at most r in size.
+is diagonal in a rational basis: the kernel of A + I is
+V_U = span{chi_u : u in U}, U the set of u whose character sum is -1, and
+the multiplicity is |U|.  The sums sum_u c_u chi_u(v) of any integer
+vector c, for all v at once, are one fast Walsh-Hadamard transform in
+int64; for c the indicator of S they are the n character sums, each at
+most r in size.
 
-The witness stays the first vector of the canonical kernel basis of
-A + I (free-column completion form, primitive, first nonzero entry
-positive, as `linalg.int_kernel_basis` returns it), and
-`linalg.first_kernel_vector` finds it without the rest of the basis: each
-elimination mod p stops after the panel holding the first free column
-f0, and the vector of f0 is lifted and certified by (A + I) v = 0 over Z.
-Only the first n - multiplicity + 1 columns are eliminated: f0 is at
-most the rank, as columns 0 .. f0 - 1 are independent, and the vector of
-f0 is zero right of f0.  It is that vector for four reasons.  (1) The vector of f0 is supported on
-columns 0 .. f0, and f0 over Q is the first column dependent on the
-columns left of it; modulo p, columns can only become dependent, so
-f0 mod p <= f0 over Q.  (2) A certified v on columns 0 .. f0 mod p with
-v[f0 mod p] != 0 makes that column dependent over Q, so f0 mod p = f0
-over Q for every prime whose vector is certified.  (3) Columns
-0 .. f0 - 1 are independent over Q, so the kernel of A + I restricted to
-columns 0 .. f0 is one-dimensional: v is the canonical vector up to a
-factor, and both are primitive with their first nonzero entry positive.
-(4) The primes kept are those of largest f0, as int_kernel_basis keeps
-those of largest rank and least pivots; the primes with a smaller f0 all
-divide one nonzero f0 x f0 minor of columns 0 .. f0 - 1, at most h, the
-product of the row l1 norms, and the entries of the vector are ratios of
-minors at most h, so the Hadamard bound of int_kernel_basis ends the
-prime loop in the same way.  Every other graph, relabelled ones included,
-has its whole basis computed by int_kernel_basis.
+The witness is the first vector of the canonical kernel basis of A + I
+(free-column completion form, primitive, first nonzero entry positive,
+as `linalg.int_kernel_basis` returns it): the vector of the first free
+column f0, up to a factor the one kernel vector zero right of f0, as
+columns 0 .. f0 - 1 are independent.  Reversal: with rho(v) = (n - 1) xor v
+= n - 1 - v, chi_u o rho = chi_u(n - 1) chi_u = +-chi_u, so f -> f o rho maps
+V_U onto itself and turns "zero right of f0" into "zero on the first
+n - 1 - f0 entries".  So the witness is f o rho, made primitive with its
+first nonzero entry positive, for the f in V_U with the longest run T(U)
+of leading zeros, and those f form a line that one pass over the bits finds:
+
+Theorem.  For U not empty they are the multiples of sum_u c_u chi_u, c_u in
+{0, 1, -1}.  For m = 0, T = 0 and c_0 = 1.  For m >= 1 split each u into its
+top bit and its low part ubar; let Ubar be the ubar present and P those
+present with both top bits.  If P is not empty, T(U) = n/2 + T(P), and ubar
+takes +g_ubar and ubar with its top bit set -g_ubar, g the coefficients for
+P; otherwise T(U) = T(Ubar), and each u takes g_ubar, g those for Ubar.
+Proof, by induction on m.  f = sum_u c_u chi_u (c = 0 off U) is
+sum_ubar (c_0ubar + c_1ubar) chi_ubar on its first half and
+sum_ubar (c_0ubar - c_1ubar) chi_ubar on its second, and the characters of
+Z_2^(m-1) are independent.  If P is not empty, f is zero on its first half
+exactly when c_0ubar = g_ubar = -c_1ubar with g carried by P, and its second
+half is then 2 sum_(ubar in P) g_ubar chi_ubar: so T(U) = n/2 + T(P), and
+the solutions are the line for P with those signs.  If P is empty, each
+ubar in Ubar comes from one u, so the first half, sum_(ubar in Ubar) c_u
+chi_ubar, is zero only for c = 0: T(U) = T(Ubar), and the solutions are the
+line for Ubar with g_ubar = c_u.
+
+The pass is one loop over the bits, top first, and c is built back from
+m = 0; the witness, the transform of c reversed and made primitive, is
+certified by (A + I) w = 0 over Z.  Every other graph, relabelled ones
+included, has its whole basis computed by int_kernel_basis.
 """
 
 from __future__ import annotations
@@ -55,7 +65,7 @@ import numpy as np
 from . import obs
 from .domination import DominatingFunction
 from .graphs import BLOCK, Graph, SizeCapExceeded, closed_sums
-from .linalg import first_kernel_vector, int_kernel_basis
+from .linalg import _primitive, int_kernel_basis
 
 __all__ = ["MinusOneReport", "minus_one_multiplicity", "function_from_eigenvector", "DEFAULT_RANK_CAP"]
 
@@ -83,41 +93,59 @@ def _xor_connection(x: Graph, r: int) -> Optional[np.ndarray]:
     return conn
 
 
-def _character_sums(conn: np.ndarray, n: int) -> np.ndarray:
-    """sum_(s in conn) (-1)^(u.s) for u = 0 .. n - 1, n = 2^m: the fast
-    Walsh-Hadamard transform of the indicator of conn, in int64."""
-    w = np.zeros(n, dtype=np.int64)
-    w[conn] = 1
+def _character_sums(c: np.ndarray) -> np.ndarray:
+    """sum_u c[u] chi_u(v) for v = 0 .. n - 1, n = 2^m: the fast
+    Walsh-Hadamard transform of c, in int64."""
+    w, n = c.astype(np.int64), len(c)
     for h in (1 << i for i in range(n.bit_length() - 1)):
         pairs = w.reshape(-1, 2, h)
         w = np.stack((pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]), axis=1).reshape(n)
     return w
 
 
+def _line_coefficients(in_u: np.ndarray) -> np.ndarray:
+    """The coefficients c in {0, 1, -1} on the characters chi_u, u in U (the
+    mask in_u, not empty), of the f in V_U with the longest run of leading
+    zeros: the bit pass of the theorem in the module docstring."""
+    steps = []  # per bit, top first: whether P is not empty, and the ubar present with top bit 0
+    while len(in_u) > 1:
+        low, high = np.split(in_u, 2)
+        both = low & high
+        paired = bool(both.any())
+        steps.append((paired, low))
+        in_u = both if paired else low | high
+    c = np.ones(1, dtype=np.int64)
+    for paired, low in reversed(steps):
+        c = np.concatenate((c, -c) if paired else (np.where(low, c, 0), np.where(low, 0, c)))
+    return c
+
+
 def minus_one_multiplicity(x: Graph, size_cap: int = DEFAULT_RANK_CAP) -> MinusOneReport:
     """Exact multiplicity of eigenvalue -1, with an integer witness vector.
 
     The witness is the first vector of the canonical kernel basis of
-    A + I, or None when -1 is not an eigenvalue; A + I is held as int8.
-    On a Cayley graph of Z_2^m in its own labelling the multiplicity is
-    read off the character sums and only the witness is eliminated for.
+    A + I, or None when -1 is not an eigenvalue.  On a Cayley graph of
+    Z_2^m in its own labelling both are read off its characters; any other
+    graph has the kernel of A + I, held as int8, computed whole.
     """
     r = x.regular_degree()
     if x.n > size_cap:
         raise SizeCapExceeded(f"{x.n} vertices exceeds the exact rank cap of {size_cap}")
-    a_plus_i = np.eye(x.n, dtype=np.int8)
-    a_plus_i[x.rows(), x.indices] = 1
     conn = _xor_connection(x, r)
     if conn is None:
+        a_plus_i = np.eye(x.n, dtype=np.int8)
+        a_plus_i[x.rows(), x.indices] = 1
         kernel = int_kernel_basis(a_plus_i)
         return MinusOneReport(multiplicity=len(kernel), witness=kernel[0] if kernel else None)
     obs.count("spectral.characters")
-    multiplicity = int(np.count_nonzero(_character_sums(conn, x.n) == -1))
-    if not multiplicity:
-        return MinusOneReport(multiplicity=0, witness=None)
-    # columns 0 .. f0 - 1 are independent, so f0 <= rank = n - multiplicity
-    witness = first_kernel_vector(a_plus_i[:, :x.n - multiplicity + 1])
-    return MinusOneReport(multiplicity=multiplicity, witness=witness + (0,) * (multiplicity - 1))
+    with obs.span("spectral.characters"):
+        in_u = _character_sums(np.bincount(conn, minlength=x.n)) == -1
+        if not in_u.any():
+            return MinusOneReport(multiplicity=0, witness=None)
+        w = _primitive(_character_sums(_line_coefficients(in_u))[None, ::-1])[0]
+        if closed_sums(x, w).any():
+            raise ArithmeticError("the character witness is not a (-1)-eigenvector")
+    return MinusOneReport(multiplicity=int(np.count_nonzero(in_u)), witness=tuple(w.tolist()))
 
 
 def function_from_eigenvector(x: Graph, vec: Sequence[int]) -> DominatingFunction:

@@ -9,6 +9,8 @@ multiplied through their table of blocks; the four search cases at and
 beyond the node limit and the j = 2 spectrum-k, before the search walked
 its tree in batches; the spectrum cases on H(2,5) and F(7), before the
 multiplicity on Cayley graphs of Z_2^m came from their character sums;
+the spectrum cases on H(4,5) and H(2,9), before their witness came from
+their characters too;
 the H(2,10) and H(3,4) cases, before graphs became
 CSR arrays and dump_json wrote its own layout; the twelve cases on graph
 files in other layouts, before graph files were read as bytes); a refactor that keeps them
@@ -38,6 +40,8 @@ INPUTS = {
     "h210": graph_to_doc(hamming_graph(2, 10)),
     "h25": graph_to_doc(hamming_graph(2, 5)),
     "f7": graph_to_doc(folded_cube(7)),
+    "h45": graph_to_doc(hamming_graph(4, 5)),
+    "h29": graph_to_doc(hamming_graph(2, 9)),
     "c6_code": {"j": 1, "k": 1, "values": [1, 0, 0, 1, 0, 0]},
     "c6_bad": {"j": 1, "k": 1, "values": [1, 1, 0, 1, 0, 0]},
     "c6_weak": {"j": 1, "k": 1, "values": [1, 0, 0, 0, 0, 0]},
@@ -139,6 +143,11 @@ CASES = [
      "0a83028181285d1be660a2bb2b12f2569f5c903eaaef526042c6b71f0a47d60b"),
     ("spectrum-f7", ["spectrum", "--graph", "{f7}"], 0,
      "c1a12964322339c462a95f5ee66b5bbd98ba655040dc99ac5e62183f7bf3ee7d"),
+    # GF(4) digits, n = 1024, multiplicity 405; and multiplicity 126
+    ("spectrum-h45", ["spectrum", "--graph", "{h45}"], 0,
+     "4130852d84149d3dd8d575503c0a32b651dcc1f48d5f364ad5c422c5863ad85e"),
+    ("spectrum-h29", ["spectrum", "--graph", "{h29}"], 0,
+     "9432f7c33de9656cd38fceb300ef124f0534707e1767047767d19438b0b2be35"),
     ("search", ["search", "--graph", "{h23}", "--j", "1", "--k", "2"], 0,
      "049058ecdb80b23ec2e9a7fac611e5d4174361c4eeb67cbc3174d9a0604c3416"),
     ("search-count-only", ["search", "--graph", "{c6}", "--j", "2", "--k", "3", "--count-only"], 0,

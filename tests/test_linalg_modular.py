@@ -37,10 +37,10 @@ from effdom.linalg import (
     _primitive,
     _rational_lift,
     char_poly,
-    first_kernel_vector,
     int_kernel_basis,
     int_rank,
 )
+from effdom.spectral import minus_one_multiplicity
 
 
 # ---------------------------------------------------------------------------
@@ -492,27 +492,6 @@ def test_kernel_blocks_cover_later_failures_and_the_rational_fallback():
     assert _checked(rational)[2] == [(1, True), (6, False), (1, True), (6, True)]
 
 
-# the kernel cases above, the panel edge cases and the random shapes
-FIRST_CASES = {**BLOCK_CASES, **{f"panel-{name}": make(np.random.default_rng(11)) for name, make in PANEL_CASES.items()},
-               **{f"shape-{r}x{c}-rank{k}": _random_matrix(np.random.default_rng([r, c, k]), r, c, k, 0, 2)
-                  for r, c, k in SHAPES}}
-
-
-@pytest.mark.parametrize("case", sorted(FIRST_CASES))
-def test_first_kernel_vector_is_the_first_basis_vector(case):
-    # the elimination stopped at the first free column f0 has the pivots
-    # 0 .. f0 - 1 and the first kernel row of the full one, at every prime
-    mat = FIRST_CASES[case]
-    kern = int_kernel_basis(mat)
-    assert first_kernel_vector(mat) == (kern[0] if kern else None)
-    for p in (next(_primes()), 7):
-        piv, rows = _modp_kernel(_int_matrix(mat, None), p)
-        first_piv, first_rows = _modp_kernel(_int_matrix(mat, None), p, first=True)
-        f0 = next((c for c in range(len(mat[0])) if c not in piv), None)
-        assert np.array_equal(first_rows, rows[:1])
-        assert first_piv == (piv if f0 is None else piv[:f0])
-
-
 def test_kernel_of_h2_11_peaks_within_its_elimination_matrix():
     # A + I of H(2,11): n = 2048, nullity C(11, 6) = 462.  The elimination
     # needs one 2048 x 2048 float64 matrix (32 MiB); the kernel residues,
@@ -528,6 +507,8 @@ def test_kernel_of_h2_11_peaks_within_its_elimination_matrix():
         tracemalloc.stop()
     assert len(kern) == 462
     assert peak <= g.n * g.n * 8 + 10 * 2 ** 20
+    # the character witness, with no elimination, is the basis's first vector
+    assert minus_one_multiplicity(g).witness == kern[0]
 
 
 WIDTHS = {"int8": np.int8, "int16": np.int16, "int32": np.int32, "int64": np.int64, "object": object}

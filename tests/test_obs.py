@@ -113,15 +113,13 @@ def test_stats_flag_keeps_stdout_and_writes_one_line(tmp_path, capsys):
 
 def test_stats_say_how_the_multiplicity_was_certified(tmp_path, capsys):
     # gen's H(2,5) is the Cayley graph of Z_2^5 on the unit vectors in its own
-    # labelling: the character sums give 10, and one prime's elimination of
-    # the first 32 - 10 + 1 columns, stopped in its first panel (the first
-    # free column is 10), the witness; C6 (6 vertices) has its whole kernel
+    # labelling: its multiplicity (10) and witness are read off its
+    # characters, with no elimination; C6 (6 vertices) has its whole kernel
     # basis computed
     assert run(["gen", "--family", "hamming", "--q", "2", "--d", "5"]) == 0
     (tmp_path / "h25.json").write_text(capsys.readouterr().out, encoding="utf-8")
     (tmp_path / "c6.json").write_text(dump_json(graph_to_doc(cycle(6))), encoding="utf-8")
-    want = {"h25": ({"spectral.characters": 1, "linalg.hadamard_bits": 64, "linalg.primes": 1, "linalg.panels": 1},
-                    {"linalg.first_kernel_vector"}),
+    want = {"h25": ({"spectral.characters": 1}, {"spectral.characters"}),
             "c6": ({"linalg.hadamard_bits": 10, "linalg.primes": 1, "linalg.panels": 1}, {"linalg.int_kernel_basis"})}
     for name, (counters, spans) in want.items():
         path = str(tmp_path / f"{name}.json")

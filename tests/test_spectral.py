@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from effdom import obs
+from effdom import obs, spectral
 from effdom.domination import verify_efficient
 from effdom.fields import GF
 from effdom.graphs import (
@@ -172,6 +172,12 @@ def _xor_cayley(m, conn):
 @example((0, set()), 0)  # n = 1
 @example((1, {1}), 0)    # n = 2, K_2
 @example((4, set()), 0)  # S empty on 16 vertices
+# U = the odd u: the bit pass pairs at bits 5 .. 1 and not at bit 0
+@example((6, {1}), 0)
+# U = the u with the top bit set: unpaired at the top bit, paired at bits 4 .. 0
+@example((6, {32}), 1)
+# K_16, S = Z_2^4 minus 0: every u but 0 has sum -1, multiplicity n - 1 = 15
+@example((4, set(range(1, 16))), 2)
 def test_character_sums_match_the_kernel_basis(case, seed):
     m, conn = case
     x = _xor_cayley(m, conn)
@@ -186,6 +192,14 @@ def test_character_sums_match_the_kernel_basis(case, seed):
     got, characters = _report(y)
     assert characters == all(row == {v ^ c for c in rows[0]} for v, row in enumerate(rows))
     assert got == _oracle(y) and got[0] == want[0]
+
+
+def test_a_witness_that_fails_the_check_is_refused(monkeypatch):
+    # coefficient 1 on chi_0 alone gives the all-ones vector, and
+    # (A + I) 1 = (r + 1) 1 is not zero: no report is returned
+    monkeypatch.setattr(spectral, "_line_coefficients", lambda in_u: np.eye(1, len(in_u), dtype=np.int64)[0])
+    with pytest.raises(ArithmeticError):
+        minus_one_multiplicity(hamming_graph(2, 5))
 
 
 def test_relabelled_folded_cube_takes_the_elimination():
