@@ -279,7 +279,7 @@ FILES.update({f"f_{d}.json": _cli_file("construct", "--q", "2", "--d", str(d), "
 SPECTRUM_GRAPHS = {"F10": _g("folded_cube", 10), "F11": _g("folded_cube", 11), "H2_9": _g("hamming_graph", 2, 9),
                    "F11_rng3": _g("folded_cube", 11, seed=3), "H2_11": _g("hamming_graph", 2, 11),
                    "triangles1365_rng3": _g(_triangles, 1365, seed=3), "H4_5": _g("hamming_graph", 4, 5),
-                   "C600_rng0": _g("cycle", 600, seed=0)}
+                   "C600_rng0": _g("cycle", 600, seed=0), "C1500_rng0": _g("cycle", 1500, seed=0)}
 FILES.update({f"{name}.json": _graph_file(make) for name, make in SPECTRUM_GRAPHS.items()})
 
 # name -> (group, setup, input files); setup() returns the call to time
@@ -324,6 +324,7 @@ for name, make in [("F10", _g("folded_cube", 10)), ("F11", _g("folded_cube", 11)
     STAGES[f"int_kernel_basis_{name}"] = ("spectral", functools.partial(_kernel_basis, make), ())
 for name, make in [("H2_11", _g("hamming_graph", 2, 11)), ("H4_5", _g("hamming_graph", 4, 5))]:
     STAGES[f"spectrum_{name}"] = ("spectral", functools.partial(_spectrum, make), ())
+STAGES["int_kernel_basis_C600_rng0"] = ("spectral", functools.partial(_kernel_basis, SPECTRUM_GRAPHS["C600_rng0"]), ())
 STAGES["charpoly_divides_H2_9"] = ("spectral", functools.partial(_charpoly_divides, 9), ())
 STAGES["char_poly_H2_7"] = ("spectral", functools.partial(_char_poly, 7), ())
 for name in SPECTRUM_GRAPHS:  # the CLI's spectrum on the graph's file

@@ -2,7 +2,10 @@
 
 Each subcommand writes exactly one JSON document to stdout; diagnostics
 go to stderr.  Exit codes: 0 success, 1 verification failure, 2 usage
-error.  The vertex cap for generated and loaded graphs defaults to 2^21
+error, or an exact certificate that its own check refused (the
+ArithmeticError of a kernel not certified within its Hadamard bound, or
+of a character witness that fails (A + I) w = 0), reported as one
+`error:` line.  The vertex cap for generated and loaded graphs defaults to 2^21
 and can be overridden with the EFFDOM_SIZE_CAP environment variable.
 
 Field alphabets are selected with --q and --b: GF(q) with q = p^b, where
@@ -452,7 +455,7 @@ def _dispatch(args) -> int:
     except search.NodeLimitExceeded as exc:
         sys.stderr.write(f"node limit: {exc}\n")
         return 1
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, ArithmeticError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

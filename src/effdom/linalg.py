@@ -4,20 +4,37 @@ Field matrices are lists of rows of GF element codes; integer matrices
 are lists of rows of Python ints, or integer numpy arrays.  Both reach
 one elimination, `_rref_mod`, modulo a prime: a GF(q) matrix, q = p^b,
 as its GF(p) block matrix (`block_matrix`), an integer one modulo primes
-below 2^20.  Column steps and Hessenberg reduction run in int64 below
-2^63, products of panels in float64 BLAS whose sums are integers
-below 2^53, so no result depends on rounding, summation order or thread
-count.  Integer kernels are certified by M v = 0 over Z and returned in
-free-column completion form (one vector per free column, in increasing
-column order), primitive, with the first nonzero entry positive; they
-need one n x n float64 working matrix plus a fixed number of row-block
-temporaries.
+below 2^20.
+
+The elimination is Gauss-Jordan, column by column, rows unmoved, and
+the pivot of a column is the lowest-index row without a pivot that holds
+it.  It runs in two phases.  The sparse phase works on dict rows of the
+nonzero residues (a row becomes a dict when a column it holds comes up),
+and hands off once the fill or its own work passes a bound (`_hands_off`:
+twice the input's nonzeros, 1/16 of all entries, or about what the
+panels would have spent on its columns).  Then the matrix becomes float64
+residues with the dict rows written in, and BLAS panels go on from the
+hand-off column; no column is eliminated twice.  The result does not
+depend on where the hand-off falls: the rows without a pivot hold the
+same values whichever phase cleared the earlier columns, so each column
+gets the same pivot row, and the reduced row echelon form is unique.  A
+matrix that never reaches the bound, such as A + I of a cycle or of
+disjoint triangles, is never made dense.
+
+Column steps and Hessenberg reduction run in int64 below 2^63, products
+of panels in float64 BLAS whose sums are integers below 2^53, and the
+sparse phase on Python ints, so no result depends on rounding, summation
+order or thread count.  Integer kernels are certified by M v = 0 over Z
+and returned in free-column completion form (one vector per free column,
+in increasing column order), primitive, with the first nonzero entry
+positive; they need at most one n x n float64 working matrix plus a
+fixed number of row-block temporaries.
 """
 
 from __future__ import annotations
 
 from math import gcd, isqrt, prod
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -79,10 +96,10 @@ def rref(gf: GF, mat: Sequence[Sequence[int]], cols: Optional[int] = None) -> Tu
     so the block matrix of the GF(q) RREF: GF(q) pivot t gives the GF(p)
     pivots t b .. t b + b - 1."""
     codes = _int_matrix(mat, cols)
-    a = block_matrix(gf, codes).astype(np.float64)
-    piv, piv_rows = _rref_mod(a, gf.p)
+    blocks = block_matrix(gf, codes)
+    piv, _, read = _rref_mod(blocks, gf.p)
     out = np.zeros(codes.shape, dtype=np.int64)
-    out[:len(piv) // gf.b] = _codes(gf, a[piv_rows, ::gf.b])
+    out[:len(piv) // gf.b] = _codes(gf, read(np.arange(0, blocks.shape[1], gf.b)))
     return out.tolist(), [c // gf.b for c in piv[::gf.b]]
 
 
@@ -131,6 +148,19 @@ SPAN = 1 << 18
 # flops of the check at BLAS speed.
 KERNEL_ROWS = SPAN // 2048
 PRIME_LIMIT = 1 << 20
+# The sparse phase (_sparse_rref) hands off to the panels once its nonzeros
+# pass FILL times the input's, or 1/DENSE of all entries, so that its dict
+# rows stay smaller than the float64 matrix; or once it has written more
+# than 1/WORK of the entries per column eliminated.  On a 2-vCPU machine
+# an entry written costs about 1 us in Python (C(1500) relabelled: 20,704
+# entries in 23 ms) and an entry of a column on the panels 0.09 ns (F(12):
+# 2048 columns of 2048^2 entries in 0.75 s), so the sparse phase stops
+# before its columns cost more than about 11,000 / WORK times what the
+# panels would have spent on them.  Fill, not work, stops it on relabelled
+# grids and 3-regular graphs, after about a third of the columns.
+FILL = 2
+DENSE = 16
+WORK = 8192
 assert PRIME_LIMIT <= 1 << 31
 DELAY = ((1 << 53) - 2 * PRIME_LIMIT) // (BLOCK * PRIME_LIMIT ** 2)
 assert DELAY >= 1 and DELAY * BLOCK * PRIME_LIMIT ** 2 + 2 * PRIME_LIMIT <= 1 << 53
@@ -225,9 +255,105 @@ def _panel_rref(panel: np.ndarray, p: int) -> Tuple[List[int], List[int], np.nda
     return cols, rows, a[rows, width:width + len(cols)] % p
 
 
-def _rref_mod(a: np.ndarray, p: int) -> Tuple[List[int], np.ndarray]:
-    """Reduces the float64 residues a in place to reduced row echelon form
-    mod p, rows unmoved; returns the pivot columns and their rows.
+def _hands_off(c: int, nnz: int, written: int, nnz0: int, size: int) -> bool:
+    """Whether the sparse phase hands a matrix of size entries, nnz0 of them
+    nonzero, to the panels before column c, holding nnz nonzeros after
+    writing `written` entries in columns 0 .. c - 1."""
+    return nnz > min(FILL * nnz0, size // DENSE) or written * WORK > c * size
+
+
+def _nonzeros(mat: np.ndarray, p: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and values of the nonzero residues mod p of the integer
+    matrix, in row order, read a block of rows at a time."""
+    flats, vals = [np.zeros(0, np.intp)], [np.zeros(0, np.int64)]
+    for blk in _row_blocks(*mat.shape):
+        part = mat[blk]
+        flat = np.flatnonzero(part != 0)  # 2-d np.nonzero is about 10 times slower
+        v = part.reshape(-1)[flat]
+        v = (v % p if v.dtype == object else v.astype(np.int64) % p).astype(np.int64)
+        flats.append(flat[v != 0] + blk.start * mat.shape[1])
+        vals.append(v[v != 0])
+    return (*np.divmod(np.concatenate(flats), mat.shape[1]), np.concatenate(vals))
+
+
+def _sparse_rref(mat: np.ndarray, p: int, nnz0: int) -> Tuple[int, List[int], List[int], np.ndarray, Tuple[np.ndarray, ...]]:
+    """Gauss-Jordan mod p on dict rows of the integer matrix, column by
+    column, rows unmoved, until _hands_off: the pivot of column c is the
+    lowest-index row without a pivot that holds c, its row is scaled to 1
+    at c, and c is cleared from every other row holding it, pivot rows
+    too.  A row becomes a dict when a column it holds is eliminated; the
+    others are read off the input's nonzeros.  Returns the column it
+    stopped at (the width when it finished), the pivot columns, their
+    rows, the rows made dicts, and those rows as (row, column, residue)
+    arrays; once it finishes, every other row is zero."""
+    n_rows, width = mat.shape
+    nz_rows, nz_cols, nz_vals = _nonzeros(mat, p)
+    starts = np.searchsorted(nz_rows, np.arange(n_rows + 1)).tolist()
+    cols, vals = nz_cols.tolist(), nz_vals.tolist()
+    by_col = np.argsort(nz_cols, kind="stable")
+    col_starts = np.searchsorted(nz_cols[by_col], np.arange(width + 1)).tolist()
+    col_rows = nz_rows[by_col].tolist()
+    rows: Dict[int, Dict[int, int]] = {}
+    holders: List[Set[int]] = [set() for _ in range(width)]  # the dict rows holding each column
+    nnz, written = len(vals), 0
+    live = [True] * n_rows
+    piv: List[int] = []
+    piv_rows: List[int] = []
+    stop = width
+    for c in range(width):
+        for i in col_rows[col_starts[c]:col_starts[c + 1]]:
+            if i not in rows:
+                rows[i] = dict(zip(cols[starts[i]:starts[i + 1]], vals[starts[i]:starts[i + 1]]))
+                for k in rows[i]:
+                    holders[k].add(i)
+        hold = holders[c]
+        r = min((i for i in hold if live[i]), default=None)
+        if r is not None:
+            row = rows[r]
+            scale = pow(row[c], p - 2, p)
+            for k in row:
+                row[k] = row[k] * scale % p
+            step = [(k, v) for k, v in row.items() if k != c]
+            for i in hold:
+                if i == r:
+                    continue
+                other = rows[i]
+                g = p - other.pop(c)
+                nnz -= 1
+                written += len(step)
+                for k, v in step:
+                    x = other.get(k)
+                    if x is None:
+                        other[k] = g * v % p
+                        holders[k].add(i)
+                        nnz += 1
+                    else:
+                        x = (x + g * v) % p
+                        if x:
+                            other[k] = x
+                        else:
+                            del other[k]
+                            holders[k].discard(i)
+                            nnz -= 1
+            holders[c] = {r}
+            live[r] = False
+            piv.append(c)
+            piv_rows.append(r)
+        if c + 1 < width and _hands_off(c + 1, nnz, written, nnz0, mat.size):
+            stop = c + 1
+            break
+    touched = np.fromiter(rows, np.intp, len(rows))
+    size = sum(map(len, rows.values()))
+    coo = (np.repeat(touched, [len(row) for row in rows.values()]),
+           np.fromiter((k for row in rows.values() for k in row), np.intp, size),
+           np.fromiter((v for row in rows.values() for v in row.values()), np.float64, size))
+    return stop, piv, piv_rows, touched, coo
+
+
+def _panels(a: np.ndarray, p: int, start: int, piv: List[int], piv_rows: List[int]) -> None:
+    """Reduces the float64 residues a in place mod p from column start on,
+    where the columns left of start are reduced with pivots piv in rows
+    piv_rows, to which the new pivots and their rows are appended.
     The pivots of each BLOCK-column panel of the rows without a pivot, and
     the inverse of their pivot block, come from one pass of int64 column
     steps; that inverse normalises the pivot rows, and float64 products, a
@@ -235,14 +361,13 @@ def _rref_mod(a: np.ndarray, p: int) -> Tuple[List[int], np.ndarray]:
     The rest of a is reduced every DELAY panels.
     """
     live = np.ones(a.shape[0], dtype=bool)
-    piv: List[int] = []
-    piv_rows: List[int] = []
-    for c0 in range(0, a.shape[1], BLOCK):
+    live[piv_rows] = False
+    for i, c0 in enumerate(range(start, a.shape[1], BLOCK)):
         rows = np.flatnonzero(live)
         if rows.size == 0:
             break
         obs.count("linalg.panels")
-        _reduce(a, p, c0, None if c0 and c0 // BLOCK % DELAY == 0 else c0 + BLOCK)
+        _reduce(a, p, c0, None if i and i % DELAY == 0 else c0 + BLOCK)
         cols, order, inv = _panel_rref(a[rows, c0:c0 + BLOCK].astype(np.int64), p)
         if not cols:
             continue
@@ -256,8 +381,49 @@ def _rref_mod(a: np.ndarray, p: int) -> Tuple[List[int], np.ndarray]:
         live[pr] = False
         piv += pc
         piv_rows += pr.tolist()
-    _reduce(a, p)
-    return piv, np.array(piv_rows, dtype=np.intp)
+    _reduce(a, p, start)
+
+
+def _rref_mod(mat: np.ndarray, p: int) -> Tuple[List[int], List[int], Callable[[np.ndarray], np.ndarray]]:
+    """The reduced row echelon form of the integer matrix mod p, rows
+    unmoved: its pivot columns, their rows, and read, where read(cols) is
+    the float64 array of the pivot rows, in pivot order, at columns cols.
+
+    The sparse phase runs first.  Where it hands off, the matrix becomes
+    float64 residues with its dict rows written in, and the panels go on
+    from the hand-off column; a matrix dense from the start goes to the
+    panels whole."""
+    n_rows, n_cols = mat.shape
+    nnz0 = int(np.count_nonzero(mat))
+    if _hands_off(0, nnz0, 0, nnz0, mat.size):
+        a, start, piv, piv_rows = _residues(mat, p), 0, [], []
+    else:
+        start, piv, piv_rows, touched, (r, c, v) = _sparse_rref(mat, p, nnz0)
+        if start:
+            obs.count("linalg.sparse_columns", start)
+        if start == n_cols:
+            rank = np.full(n_rows, -1)
+            rank[piv_rows] = np.arange(len(piv))
+            r = rank[r]
+            return piv, piv_rows, lambda cols: _read_coo(r, c, v, len(piv), n_cols, cols)
+        a = _residues(mat, p)
+        a[touched] = 0
+        a[r, c] = v
+        del r, c, v
+    _panels(a, p, start, piv, piv_rows)
+    return piv, piv_rows, lambda cols: a[np.ix_(piv_rows, cols)]
+
+
+def _read_coo(r: np.ndarray, c: np.ndarray, v: np.ndarray, n_rows: int, n_cols: int, cols: np.ndarray) -> np.ndarray:
+    """The dense n_rows x len(cols) array at columns cols of the matrix
+    with entries v at (r, c)."""
+    at = np.full(n_cols, -1)
+    at[cols] = np.arange(len(cols))
+    j = at[c]
+    keep = j >= 0
+    out = np.zeros((n_rows, len(cols)))
+    out[r[keep], j[keep]] = v[keep]
+    return out
 
 
 def _kernel_blocks(n_rows: int) -> List[slice]:
@@ -267,16 +433,15 @@ def _kernel_blocks(n_rows: int) -> List[slice]:
 def _modp_kernel(mat: np.ndarray, p: int) -> Tuple[Tuple[int, ...], np.ndarray]:
     """Pivot columns and int32 kernel residues of the integer matrix modulo p,
     read off its reduced form one block of free columns at a time."""
-    a = _residues(mat, p)
-    piv, piv_rows = _rref_mod(a, p)
+    piv, _, read = _rref_mod(mat, p)
     # a mask, not np.setdiff1d, which imports numpy.ma (about 18 ms)
-    is_free = np.ones(a.shape[1], dtype=bool)
+    is_free = np.ones(mat.shape[1], dtype=bool)
     is_free[piv] = False
     free = np.flatnonzero(is_free)
-    kern = np.zeros((free.size, a.shape[1]), dtype=np.int32)
+    kern = np.zeros((free.size, mat.shape[1]), dtype=np.int32)
     kern[np.arange(free.size), free] = 1
     for rows in _kernel_blocks(len(kern)):
-        kern[rows, piv] = _mod(p - a[np.ix_(piv_rows, free[rows])], p).T
+        kern[rows, piv] = _mod(p - read(free[rows]), p).T
     return tuple(piv), kern
 
 
@@ -406,7 +571,8 @@ def int_kernel_basis(mat: Sequence[Sequence[int]], cols: Optional[int] = None) -
     reconstruction succeeds once the others pass 2h^2 + 2.
 
     Besides the int32 residues of the primes in use and the returned
-    tuples, it holds one n x n float64 working matrix, for the elimination,
+    tuples, it holds the elimination's working matrix (dict rows of at most
+    about n^2/16 entries, then one n x n float64 matrix if it hands off)
     plus a fixed number of row-block temporaries: the residues are read
     off, lifted through CRT and checked KERNEL_ROWS kernel rows at a time."""
     m = _int_matrix(mat, cols)

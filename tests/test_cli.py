@@ -8,9 +8,10 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
-from effdom import search
+from effdom import linalg, search, spectral
 from effdom.cli import run
 from effdom.graphs import complete, cycle, hamming_graph
 from effdom.jsonio import dump_json, graph_to_doc
@@ -134,6 +135,23 @@ def test_spectrum(capsys, write_doc):
     g2 = write_doc("h32.json", graph_to_doc(hamming_graph(3, 2)))
     code2, doc2, _ = invoke(capsys, ["spectrum", "--graph", g2])
     assert code2 == 0 and doc2["multiplicity"] == 0 and doc2["witness"] is None
+
+
+def test_a_refused_certificate_is_one_error_line(capsys, write_doc, monkeypatch):
+    # the exact check M v = 0 refuses every lift, so int_kernel_basis runs
+    # past the Hadamard bound of C6; the character witness of gen's H(2,5)
+    # (coefficient 1 on chi_0 alone: the all-ones vector) fails (A + I) w = 0
+    cases = [(linalg, "_annihilates", lambda *args: False, graph_to_doc(cycle(6))),
+             (spectral, "_line_coefficients", lambda in_u: np.eye(1, len(in_u), dtype=np.int64)[0],
+              graph_to_doc(hamming_graph(2, 5)))]
+    for module, name, refuse, graph in cases:
+        gpath = write_doc("graph.json", graph)
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, refuse)
+            code, doc, err = invoke(capsys, ["spectrum", "--graph", gpath])
+        assert (code, doc) == (2, None), name
+        (line,) = err.splitlines()
+        assert line.startswith("error: ") and "Traceback" not in err, name
 
 
 def test_search(capsys, write_doc):

@@ -132,6 +132,25 @@ def test_stats_say_how_the_multiplicity_was_certified(tmp_path, capsys):
         assert (doc["counters"], set(doc["spans_ms"])) == (counters, spans), name
 
 
+def test_stats_count_the_columns_eliminated_on_dict_rows(tmp_path, capsys):
+    # A + I of C(600) relabelled (3 nonzeros a row) is reduced on dict rows
+    # to the end, with no panel; gen's F(11) fills in and hands off early
+    g = cycle(600)
+    perm = np.random.default_rng(0).permutation(g.n)
+    doc = {"v": 1, "n": g.n, "edges": np.sort(perm[g.edge_array()], axis=1).tolist()}
+    path = tmp_path / "c600.json"
+    path.write_text(dump_json(doc), encoding="utf-8")
+    assert run(["--stats", "spectrum", "--graph", str(path)]) == 0
+    counters = json.loads(capsys.readouterr().err)["stats"]["counters"]
+    assert counters["linalg.sparse_columns"] == 600 and "linalg.panels" not in counters
+    f11 = folded_cube(11)
+    a_plus_i = np.eye(f11.n, dtype=np.int8)
+    a_plus_i[f11.rows(), f11.indices] = 1
+    with obs.collecting() as stats:
+        assert len(int_kernel_basis(a_plus_i)) == 462
+    assert 0 < stats.counters["linalg.sparse_columns"] < f11.n and stats.counters["linalg.panels"] > 0
+
+
 def test_stats_line_on_a_failing_command(capsys):
     assert run(["--stats", "verify", "--graph", "/nonexistent.json", "--function", "/nonexistent.json"]) == 2
     err = capsys.readouterr().err.splitlines()
